@@ -11,6 +11,7 @@
 #include "corpus/drivers.h"
 #include "corpus/specs.h"
 #include "devil/compiler.h"
+#include "hw/flight_recorder.h"
 #include "hw/ide_disk.h"
 #include "hw/io_bus.h"
 #include "minic/program.h"
@@ -46,9 +47,11 @@ int main(int argc, char** argv) {
   }
 
   hw::IoBus bus;
-  bus.enable_trace();
   auto disk = std::make_shared<hw::IdeDisk>();
-  bus.map(0x1f0, 8, disk);
+  // Keeps the last 4096 transactions — a whole clean boot.
+  auto recorder =
+      std::make_shared<hw::FlightRecorder>(disk, 0x1f0, &bus, 4096);
+  bus.map(0x1f0, 8, recorder);
 
   auto out =
       minic::compile_and_run(name, unit, "ide_boot", bus, 3'000'000, engine);
@@ -68,7 +71,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nfirst 12 bus transactions:\n");
   size_t shown = 0;
-  for (const auto& a : bus.trace()) {
+  for (const auto& a : recorder->tail()) {
     if (shown++ >= 12) break;
     std::printf("  %s port 0x%03x %s 0x%0*x\n", a.is_write ? "out" : "in ",
                 a.port, a.is_write ? "<-" : "->", a.width / 4, a.value);

@@ -52,6 +52,7 @@
 #include <exception>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "corpus/drivers.h"
@@ -134,6 +135,15 @@ int write_metrics_artifact(const std::string& path,
   return 0;
 }
 
+/// `--assert-counters` telemetry line (stderr, so reports stay comparable).
+void print_fast_forwards(const char* device, const char* what,
+                         size_t fast_forwards, uint64_t skipped_steps) {
+  std::fprintf(stderr,
+               "%s %s: %zu boot(s) fast-forwarded, %llu steps skipped\n",
+               device, what, fast_forwards,
+               static_cast<unsigned long long>(skipped_steps));
+}
+
 /// Runs one device's full C vs CDevil driver campaigns from the spec and
 /// prints the paper's Tables 3/4 plus the headline comparison. With
 /// `assert_counters` (the CI Release smoke) the exit code additionally
@@ -170,6 +180,17 @@ bool run_device_campaigns(const eval::CampaignSpec& spec,
   // on top of the cache.
   const bool expect_cache = spec.engine == minic::ExecEngine::kBytecodeVm;
   const bool expect_patch = expect_cache && spec.bytecode_patch;
+  print_fast_forwards(drivers.device, "C", c_res.fast_forwards,
+                      c_res.skipped_steps);
+  print_fast_forwards(drivers.device, "CDevil", d_res.fast_forwards,
+                      d_res.skipped_steps);
+  // The IDE C campaign's infinite-loop mutants spin on exact cycles, so the
+  // VM's loop fast-forward must have engaged there.
+  if (spec.engine == minic::ExecEngine::kBytecodeVm &&
+      std::strcmp(drivers.device, "ide") == 0 && c_res.fast_forwards == 0) {
+    std::fprintf(stderr, "FAIL: ide C campaign fast-forwarded no boot\n");
+    return false;
+  }
   auto check = [expect_cache, expect_patch, &drivers](
                    const char* what, const eval::DriverCampaignResult& r) {
     if (r.deduped_mutants == 0) {
@@ -234,6 +255,20 @@ bool run_device_fault_campaigns(const eval::CampaignSpec& spec,
   }
   if (!assert_counters) return true;
   bool ok = true;
+  // Hang scenarios spin on exact cycles (a stuck status bit polled
+  // forever), so on the VM any campaign with one must have fast-forwarded.
+  for (const auto& [what, r] : {std::pair{"C", &c_res},
+                                std::pair{"CDevil", &d_res}}) {
+    print_fast_forwards(drivers.device, what, r->fast_forwards,
+                        r->skipped_steps);
+    if (spec.engine == minic::ExecEngine::kBytecodeVm &&
+        r->tally.scenarios_of(eval::FaultOutcome::kHang) != 0 &&
+        r->fast_forwards == 0) {
+      std::fprintf(stderr, "FAIL: %s %s fault campaign has Hang records but "
+                   "fast-forwarded no boot\n", drivers.device, what);
+      ok = false;
+    }
+  }
   if (c_res.triggered_scenarios == 0 || d_res.triggered_scenarios == 0) {
     std::fprintf(stderr, "FAIL: %s fault campaigns triggered no faults "
                  "(C %zu, CDevil %zu)\n",

@@ -574,6 +574,7 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
   }
   support::StageTimer classify_timer(support::Stage::kClassify);
   rec.steps = run.steps_used;
+  rec.skipped_steps = run.skipped_steps;
   bool clean = false;
   if (run.fault != minic::FaultKind::kNone) {
     rec.outcome = classify_fault(run.fault);
@@ -951,6 +952,8 @@ DriverCampaignResult run_driver_campaign_slice(
     result.tally.add(rec.outcome, rec.site);
     result.patch_hits += rec.patched ? 1 : 0;
     result.patch_fallbacks += rec.patch_fallback ? 1 : 0;
+    result.fast_forwards += rec.skipped_steps != 0 ? 1 : 0;
+    result.skipped_steps += rec.skipped_steps;
   }
   return result;
 }

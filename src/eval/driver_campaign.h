@@ -143,6 +143,11 @@ struct MutantRecord {
   /// structure-changing (or otherwise ineligible) and recompiled instead.
   /// Duplicates carry neither bit: they never boot at all.
   bool patch_fallback = false;
+  /// Of `steps`, those the VM's loop fast-forward accounted without
+  /// executing (0 for duplicates, which never boot). Telemetry kept in
+  /// memory only: reports and artifacts never carry it, since the record is
+  /// identical either way.
+  uint64_t skipped_steps = 0;
 };
 
 struct DriverCampaignResult {
@@ -163,6 +168,10 @@ struct DriverCampaignResult {
   /// `bytecode_patch` was off or the campaign could not build a patcher.
   size_t patch_hits = 0;
   size_t patch_fallbacks = 0;
+  /// Boots the loop fast-forward shortened, and the steps it skipped
+  /// (sums over the records; in memory only, like MutantRecord's field).
+  size_t fast_forwards = 0;
+  uint64_t skipped_steps = 0;
   Tally tally;
   int64_t clean_fingerprint = 0;
   /// Steps the unmutated baseline boot retired, and its per-opcode dispatch

@@ -1,6 +1,7 @@
 #include "eval/fault_campaign.h"
 
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -184,9 +185,10 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
   device_pool.set_factory(base.device.make_device);
   const std::string at_entry = " (entry " + entry + ")";
 
-  // The driver is never mutated here: one compile, shared read-only by every
-  // scenario worker (run_unit builds per-call engine state over the const
-  // unit, so concurrent boots are safe).
+  // The driver is never mutated here: one compile and, on the VM, one
+  // lowering, shared read-only by every scenario worker (each boot builds
+  // its own engine state over the const unit or module, so concurrent boots
+  // are safe).
   const std::string prefix_text =
       base.stubs.empty() ? std::string() : base.stubs + "\n";
   minic::PreparedPrefix prefix = minic::prepare_prefix(base.unit_name,
@@ -200,6 +202,22 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
     throw std::logic_error(who + "driver does not compile:\n" +
                            clean.diags.render());
   }
+  std::optional<minic::bytecode::Module> module;
+  if (base.engine == minic::ExecEngine::kBytecodeVm) {
+    try {
+      support::StageTimer timer(support::Stage::kLower);
+      module.emplace(minic::bytecode::compile_unit(*clean.unit));
+    } catch (const minic::Fault& f) {
+      throw std::logic_error(who + "interpreter bug lowering the driver: " +
+                             f.message);
+    }
+  }
+  auto boot = [&](hw::IoBus& bus, minic::bytecode::OpcodeProfile* profile) {
+    return module ? minic::run_module(*module, bus, entry, base.step_budget,
+                                      profile, base.watchdog_ms)
+                  : minic::run_unit(*clean.unit, bus, entry, base.step_budget,
+                                    base.engine, nullptr, base.watchdog_ms);
+  };
 
   FaultCampaignResult result;
   result.device = base.device.device;
@@ -210,11 +228,7 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
     hw::IoBus bus;
     auto dev = device_pool.acquire();
     map_bound_device(bus, base.device, dev);
-    const bool vm_engine = base.engine == minic::ExecEngine::kBytecodeVm;
-    auto run = minic::run_unit(*clean.unit, bus, entry, base.step_budget,
-                               base.engine,
-                               vm_engine ? &result.baseline_opcodes : nullptr,
-                               base.watchdog_ms);
+    auto run = boot(bus, &result.baseline_opcodes);
     result.baseline_steps = run.steps_used;
     if (run.fault != minic::FaultKind::kNone) {
       throw std::logic_error(who + "driver faults on healthy hardware" +
@@ -284,8 +298,7 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
         } else {
           map_bound_device(bus, base.device, shim);
         }
-        auto run = minic::run_unit(*clean.unit, bus, entry, base.step_budget,
-                                   base.engine, nullptr, base.watchdog_ms);
+        auto run = boot(bus, nullptr);
         if (run.fault == minic::FaultKind::kInternal) {
           throw std::logic_error(who + "interpreter bug under fault [" +
                                  plan.describe() + "]: " + run.fault_message);
@@ -293,6 +306,7 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
         support::StageTimer classify_timer(support::Stage::kClassify);
         rec.triggered = shim->fired() > 0;
         rec.steps = run.steps_used;
+        rec.skipped_steps = run.skipped_steps;
         if (run.fault != minic::FaultKind::kNone) {
           rec.outcome = classify_run_fault(run.fault);
           rec.detail = run.fault_message;
@@ -329,6 +343,8 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
   for (const FaultRecord& rec : result.records) {
     result.tally.add(rec.outcome, rec.plan.port);
     if (rec.triggered) ++result.triggered_scenarios;
+    if (rec.skipped_steps != 0) ++result.fast_forwards;
+    result.skipped_steps += rec.skipped_steps;
   }
   return result;
 }

@@ -81,6 +81,10 @@ struct FaultRecord {
   bool triggered = false;
   /// Interpreter steps the boot retired.
   uint64_t steps = 0;
+  /// Of `steps`, those the VM's loop fast-forward accounted without
+  /// executing. Telemetry kept in memory only: reports and artifacts never
+  /// carry it, since the record is identical either way.
+  uint64_t skipped_steps = 0;
   /// Flight-recorder post-mortem (non-clean outcomes, recorder enabled via
   /// DriverCampaignConfig::flight_recorder on the base config). The recorder
   /// wraps *outside* the fault injector, so the trace shows the faulted
@@ -116,6 +120,10 @@ struct FaultCampaignResult {
   /// healthy-hardware boot's step count and VM opcode profile.
   uint64_t baseline_steps = 0;
   minic::bytecode::OpcodeProfile baseline_opcodes;
+  /// Boots the loop fast-forward shortened, and the steps it skipped
+  /// (sums over the records; in memory only, like FaultRecord's field).
+  size_t fast_forwards = 0;
+  uint64_t skipped_steps = 0;
   FaultTally tally;
   std::vector<FaultRecord> records;  // in sampled-scenario order
 };

@@ -21,6 +21,20 @@ void Busmouse::reset() {
   touched_ = false;
 }
 
+bool Busmouse::capture_state(minic::EnvState& out) const {
+  out.key.insert(out.key.end(),
+                 {static_cast<uint8_t>(dx_), static_cast<uint8_t>(dy_),
+                  buttons_, index_, irq_disabled_ ? 1u : 0u, config_,
+                  signature_, garbage_, motion_pending_ ? 1u : 0u,
+                  touched_ ? 1u : 0u});
+  out.counters.push_back({protocol_violations_, 0});
+  return true;
+}
+
+void Busmouse::advance_state(uint64_t cycles, const uint64_t*& deltas) {
+  minic::advance_counter(protocol_violations_, cycles, deltas);
+}
+
 void Busmouse::preload_motion(int8_t dx, int8_t dy, uint8_t buttons) {
   poweron_dx_ = dx_ = dx;
   poweron_dy_ = dy_ = dy;

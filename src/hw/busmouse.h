@@ -41,6 +41,11 @@ class Busmouse final : public Device {
   /// pool recycles of a preloaded mouse stay bit-identical to fresh ones.
   void preload_motion(int8_t dx, int8_t dy, uint8_t buttons);
 
+  /// Every register, the garbage rotor and the pending report as key
+  /// words; the violation count is a counter (nothing reads it back).
+  [[nodiscard]] bool capture_state(minic::EnvState& out) const override;
+  void advance_state(uint64_t cycles, const uint64_t*& deltas) override;
+
   [[nodiscard]] uint8_t index() const { return index_; }
   [[nodiscard]] bool irq_disabled() const { return irq_disabled_; }
   [[nodiscard]] uint8_t config() const { return config_; }

@@ -1,5 +1,6 @@
 #include "hw/fault_injection.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -125,6 +126,24 @@ void FaultInjector::reset() {
   fired_ = 0;
   raise_seq_ = 0;
   access_seq_ = 0;
+}
+
+bool FaultInjector::capture_state(minic::EnvState& out) const {
+  const uint64_t past = uint64_t{plan_.after} + 1;
+  for (uint64_t c : {matched_, raise_seq_, access_seq_}) {
+    out.key.push_back(std::min(c, past));
+  }
+  for (uint64_t c : {matched_, fired_, raise_seq_, access_seq_}) {
+    out.counters.push_back({c, 0});
+  }
+  return inner_->capture_state(out);
+}
+
+void FaultInjector::advance_state(uint64_t cycles, const uint64_t*& deltas) {
+  for (uint64_t* c : {&matched_, &fired_, &raise_seq_, &access_seq_}) {
+    minic::advance_counter(*c, cycles, deltas);
+  }
+  inner_->advance_state(cycles, deltas);
 }
 
 void FaultInjector::attach_irq(IrqSink* sink, int line) {

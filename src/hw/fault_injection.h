@@ -118,6 +118,12 @@ class FaultInjector final : public Device, public IrqSink {
   /// line; everything else forwards unchanged.
   void raise_irq(int line, uint64_t delay_steps, bool genuine) override;
 
+  /// The trigger counters enter the key saturated at `after + 1` (past the
+  /// trigger every later access behaves alike) and advance as counters,
+  /// like `fired_`; then the wrapped device's state.
+  [[nodiscard]] bool capture_state(minic::EnvState& out) const override;
+  void advance_state(uint64_t cycles, const uint64_t*& deltas) override;
+
   /// Matching-direction accesses to the target port seen so far.
   [[nodiscard]] uint64_t matched() const { return matched_; }
   /// Accesses actually faulted. 0 means the scenario never triggered (the

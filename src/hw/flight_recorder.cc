@@ -32,6 +32,20 @@ void FlightRecorder::reset() {
   total_ = 0;
 }
 
+bool FlightRecorder::capture_state(minic::EnvState& out) const {
+  out.counters.push_back({total_, capacity_});
+  return inner_->capture_state(out);
+}
+
+void FlightRecorder::advance_state(uint64_t cycles, const uint64_t*& deltas) {
+  const uint64_t before = total_;
+  minic::advance_counter(total_, cycles, deltas);
+  // Slots are indexed by sequence number from here on; the replayed cycles
+  // overwrite every one of them before the run can end.
+  if (total_ != before) ring_.resize(capacity_);
+  inner_->advance_state(cycles, deltas);
+}
+
 void FlightRecorder::record(bool is_write, uint32_t offset, uint32_t value,
                             int width) {
   RecordedAccess acc;

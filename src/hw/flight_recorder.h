@@ -82,6 +82,13 @@ class FlightRecorder final : public Device, public IrqObserver {
   /// IrqObserver: wire with `bus.set_irq_observer(&recorder)`.
   void irq_event(IrqEventKind kind, int line) override;
 
+  /// The ring never feeds back into behaviour, so the recorder adds only
+  /// its event count, with the ring capacity as the count's refill: after
+  /// a skip the VM replays enough real cycles to overwrite every slot with
+  /// a genuinely recorded, correctly stamped event. Then the inner device.
+  [[nodiscard]] bool capture_state(minic::EnvState& out) const override;
+  void advance_state(uint64_t cycles, const uint64_t*& deltas) override;
+
   /// Total bus events seen since the last reset (>= tail().size()).
   [[nodiscard]] uint64_t total_accesses() const { return total_; }
   /// The retained tail, oldest first.

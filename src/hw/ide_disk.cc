@@ -1,5 +1,6 @@
 #include "hw/ide_disk.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace hw {
@@ -89,6 +90,25 @@ void IdeDisk::reset() {
   partition_destroyed_ = false;
   protocol_violations_ = 0;
   sectors_read_ = 0;
+  data_writes_ = 0;
+}
+
+bool IdeDisk::capture_state(minic::EnvState& out) const {
+  out.key.insert(
+      out.key.end(),
+      {error_, features_, nsector_, lba_low_, lba_mid_, lba_high_, select_,
+       status_, static_cast<uint64_t>(phase_),
+       static_cast<uint64_t>(busy_reads_), static_cast<uint64_t>(drq_hold_),
+       buffer_.size(), buffer_pos_, cur_lba_, sectors_left_,
+       disk_written_ ? 1u : 0u, partition_destroyed_ ? 1u : 0u,
+       std::min<uint64_t>(protocol_violations_, 9), sectors_read_,
+       data_writes_});
+  out.counters.push_back({protocol_violations_, 0});
+  return true;
+}
+
+void IdeDisk::advance_state(uint64_t cycles, const uint64_t*& deltas) {
+  minic::advance_counter(protocol_violations_, cycles, deltas);
 }
 
 IdeDiskPool::IdeDiskPool()
@@ -180,6 +200,7 @@ void IdeDisk::write(uint32_t offset, uint32_t value, int width) {
       if (width < 16) ++protocol_violations_;
       if (buffer_pos_ < buffer_.size()) {
         buffer_[buffer_pos_++] = static_cast<uint16_t>(value);
+        ++data_writes_;
       }
       if (buffer_pos_ == buffer_.size()) finish_write_sector();
       return;
@@ -230,6 +251,7 @@ void IdeDisk::start_command(uint8_t cmd) {
   switch (cmd) {
     case 0xec: {  // IDENTIFY DEVICE
       buffer_.assign(identify_.begin(), identify_.end());
+      ++data_writes_;
       buffer_pos_ = 0;
       phase_ = Phase::kPioRead;
       status_ = kReady | kSeek | kDrq;
@@ -247,6 +269,7 @@ void IdeDisk::start_command(uint8_t cmd) {
       }
       buffer_.assign(image_.begin() + start * kSectorWords,
                      image_.begin() + (start + count) * kSectorWords);
+      ++data_writes_;
       buffer_pos_ = 0;
       sectors_read_ += count;
       phase_ = Phase::kPioRead;
@@ -266,6 +289,7 @@ void IdeDisk::start_command(uint8_t cmd) {
       cur_lba_ = start;
       sectors_left_ = count;
       buffer_.assign(kSectorWords, 0);
+      ++data_writes_;
       buffer_pos_ = 0;
       phase_ = Phase::kPioWrite;
       status_ = kReady | kSeek | kDrq;
@@ -287,6 +311,7 @@ void IdeDisk::finish_write_sector() {
   std::memcpy(&image_[cur_lba_ * kSectorWords], buffer_.data(),
               kSectorWords * sizeof(uint16_t));
   disk_written_ = true;
+  ++data_writes_;
   if (cur_lba_ == 0) partition_destroyed_ = true;
   ++cur_lba_;
   --sectors_left_;

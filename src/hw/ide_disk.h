@@ -61,6 +61,13 @@ class IdeDisk final : public Device {
   }
   [[nodiscard]] std::string damage_note() const override;
 
+  /// Registers, PIO progress and flags as key words; the violation count
+  /// enters the key saturated at 9 (damaged() only asks `> 8`) and advances
+  /// as a counter. `data_writes_` stands in for the image and buffer
+  /// contents.
+  [[nodiscard]] bool capture_state(minic::EnvState& out) const override;
+  void advance_state(uint64_t cycles, const uint64_t*& deltas) override;
+
   // --- inspection for the harness and tests ---
   [[nodiscard]] bool disk_written() const { return disk_written_; }
   [[nodiscard]] bool partition_table_destroyed() const {
@@ -116,6 +123,11 @@ class IdeDisk final : public Device {
   bool partition_destroyed_ = false;
   uint64_t protocol_violations_ = 0;
   uint32_t sectors_read_ = 0;
+  /// Bumped whenever the image or the PIO buffer changes content (buffer
+  /// loads, data-port stores, sector commits). Equal counts at two points of
+  /// one run mean neither changed in between, so capture_state keys on this
+  /// instead of 512 KB of image.
+  uint64_t data_writes_ = 0;
 };
 
 /// Typed convenience wrapper over the generic `hw::DevicePool` for tests

@@ -54,12 +54,6 @@ IoBus::Mapping* IoBus::find(uint32_t port) {
   return nullptr;
 }
 
-void IoBus::record(bool is_write, uint32_t port, uint32_t value, int width) {
-  if (!trace_enabled_) return;
-  if (trace_.size() >= trace_cap_) trace_.erase(trace_.begin());
-  trace_.push_back(IoAccess{is_write, port, value, width});
-}
-
 uint32_t IoBus::io_in(uint32_t port, int width) {
   port &= 0xffff;  // x86 I/O space is 16-bit
   uint32_t v;
@@ -70,13 +64,11 @@ uint32_t IoBus::io_in(uint32_t port, int width) {
     // Open bus floats high.
     v = width >= 32 ? 0xffffffffu : (width >= 16 ? 0xffffu : 0xffu);
   }
-  record(false, port, v, width);
   return v;
 }
 
 void IoBus::io_out(uint32_t port, uint32_t value, int width) {
   port &= 0xffff;
-  record(true, port, value, width);
   if (Mapping* m = find(port)) {
     m->dev->write(port - m->base, value, width);
   } else {
@@ -86,11 +78,28 @@ void IoBus::io_out(uint32_t port, uint32_t value, int width) {
 
 void IoBus::reset() {
   for (auto& m : mappings_) m.dev->reset();
-  trace_.clear();
   unmapped_ = 0;
   // Pending events from the previous run must not leak into the next boot
   // (the recycle bit-identity regression pins this).
   ctrl_.clear();
+}
+
+bool IoBus::capture_state(minic::EnvState& out) const {
+  if (!ctrl_.capture_state(out)) return false;
+  out.counters.push_back({unmapped_, 0});
+  bool observer_mapped = irq_observer_ == nullptr;
+  for (const auto& m : mappings_) {
+    if (!m.dev->capture_state(out)) return false;
+    observer_mapped |= dynamic_cast<const IrqObserver*>(m.dev.get()) ==
+                       irq_observer_;
+  }
+  return observer_mapped;
+}
+
+void IoBus::advance_state(uint64_t cycles, const uint64_t*& deltas) {
+  ctrl_.advance_state(cycles, deltas);
+  minic::advance_counter(unmapped_, cycles, deltas);
+  for (auto& m : mappings_) m.dev->advance_state(cycles, deltas);
 }
 
 bool IoBus::any_damage() const {

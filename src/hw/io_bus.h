@@ -18,14 +18,6 @@
 
 namespace hw {
 
-/// One I/O access, for tests and debugging.
-struct IoAccess {
-  bool is_write = false;
-  uint32_t port = 0;
-  uint32_t value = 0;
-  int width = 8;
-};
-
 /// Base class for register-level behavioural device models.
 class Device {
  public:
@@ -56,6 +48,22 @@ class Device {
   virtual void attach_irq(IrqSink* sink, int line) {
     irq_sink_ = sink;
     irq_line_ = sink != nullptr ? line : -1;
+  }
+
+  /// Loop fast-forward hooks, with minic::IoEnvironment's contract: append
+  /// the words that decide the device's future behaviour to `out.key` and
+  /// its monotone totals to `out.counters`, or return false to decline. The
+  /// default declines, so a model that never implements the pair can never
+  /// be skipped over; shims capture themselves and then their inner device.
+  [[nodiscard]] virtual bool capture_state(minic::EnvState& out) const {
+    (void)out;
+    return false;
+  }
+  /// Advances every counter capture_state appended by `cycles` times its
+  /// per-cycle delta, consuming `deltas` in the same order.
+  virtual void advance_state(uint64_t cycles, const uint64_t*& deltas) {
+    (void)cycles;
+    (void)deltas;
   }
 
  protected:
@@ -107,18 +115,18 @@ class IoBus final : public minic::IoEnvironment, public IrqSink {
   /// seen, spurious raises it injects are.
   void set_irq_observer(IrqObserver* obs) { irq_observer_ = obs; }
 
-  /// Resets every mapped device, clears the trace and all pending IRQ state.
+  /// Loop fast-forward: every mapped device (declining if any does), the
+  /// controller (declining while an event is queued) and the unmapped-access
+  /// counter. An IRQ observer must itself be a mapped device, so its state
+  /// is captured too.
+  [[nodiscard]] bool capture_state(minic::EnvState& out) const override;
+  void advance_state(uint64_t cycles, const uint64_t*& deltas) override;
+
+  /// Resets every mapped device and clears all pending IRQ state.
   void reset();
 
   [[nodiscard]] bool any_damage() const;
   [[nodiscard]] std::string damage_report() const;
-
-  /// Bounded access trace (oldest entries dropped past the cap).
-  void enable_trace(size_t cap = 4096) {
-    trace_enabled_ = true;
-    trace_cap_ = cap;
-  }
-  [[nodiscard]] const std::vector<IoAccess>& trace() const { return trace_; }
 
   [[nodiscard]] uint64_t unmapped_accesses() const { return unmapped_; }
 
@@ -130,12 +138,8 @@ class IoBus final : public minic::IoEnvironment, public IrqSink {
   };
 
   Mapping* find(uint32_t port);
-  void record(bool is_write, uint32_t port, uint32_t value, int width);
 
   std::vector<Mapping> mappings_;
-  std::vector<IoAccess> trace_;
-  bool trace_enabled_ = false;
-  size_t trace_cap_ = 4096;
   uint64_t unmapped_ = 0;
   IrqController ctrl_;
   IrqObserver* irq_observer_ = nullptr;
@@ -166,6 +170,12 @@ class IrqStatusPort final : public Device {
     (void)width;
   }
   void reset() override {}
+  /// Stateless: the in-service bitmap it shows is the bus controller's,
+  /// which the bus captures itself.
+  [[nodiscard]] bool capture_state(minic::EnvState& out) const override {
+    (void)out;
+    return true;
+  }
 
  private:
   const IrqController* ctrl_;

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "minic/interp.h"
+
 namespace hw {
 
 void IrqController::raise(int line, uint64_t due_step, bool genuine) {
@@ -57,6 +59,23 @@ void IrqController::clear() {
   raised_ = 0;
   delivered_ = 0;
   dropped_ = 0;
+}
+
+bool IrqController::capture_state(minic::EnvState& out) const {
+  if (!queue_.empty()) return false;
+  out.key.push_back(isr_);
+  out.key.push_back(static_cast<uint64_t>(in_service_line_));
+  out.key.push_back(in_service_genuine_ ? 1 : 0);
+  for (uint64_t c : {next_seq_, raised_, delivered_, dropped_}) {
+    out.counters.push_back({c, 0});
+  }
+  return true;
+}
+
+void IrqController::advance_state(uint64_t cycles, const uint64_t*& deltas) {
+  for (uint64_t* c : {&next_seq_, &raised_, &delivered_, &dropped_}) {
+    minic::advance_counter(*c, cycles, deltas);
+  }
 }
 
 }  // namespace hw

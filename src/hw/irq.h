@@ -28,6 +28,10 @@
 #include <cstdint>
 #include <vector>
 
+namespace minic {
+struct EnvState;
+}
+
 namespace hw {
 
 /// Where a device (or an interposing shim) delivers a raised IRQ line.
@@ -87,6 +91,12 @@ class IrqController {
 
   /// Back to power-on: no queued events, no in-service lines, counters 0.
   void clear();
+
+  /// Loop fast-forward hooks (minic::IoEnvironment's contract). Declines
+  /// while any event is queued: a due step is absolute, so a queued event
+  /// would land at a different point of a repeated cycle.
+  [[nodiscard]] bool capture_state(minic::EnvState& out) const;
+  void advance_state(uint64_t cycles, const uint64_t*& deltas);
 
  private:
   struct Pending {

@@ -240,6 +240,8 @@ struct VmValue {
   std::string s;
   std::vector<VmValue> fields;
   std::vector<int64_t> arr;
+
+  friend bool operator==(const VmValue&, const VmValue&) = default;
 };
 
 struct ParamSpec {

@@ -3,6 +3,9 @@
 // messages must stay byte-identical — the campaign records carry them.
 #include "minic/bytecode/vm.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "support/strings.h"
 
 namespace minic::bytecode {
@@ -119,6 +122,114 @@ void Vm::check_watchdog() {
   }
 }
 
+bool Vm::capture_loop_state(const CompiledFunction* fn, size_t pc,
+                            const RunOutcome& out) {
+  LoopState& s = tortoise_;
+  // Only a top-level activation chain (entry or globals initialiser) has
+  // its whole continuation in frames_/calls_.
+  if (frames_.size() != calls_.size() + 1) return false;
+  s.env.clear();
+  if (!io_.capture_state(s.env)) return false;
+  s.fn = fn;
+  s.pc = pc;
+  s.stored = stored_;
+  s.depth = depth_;
+  s.log_size = out.log.size();
+  s.steps_left = steps_left_;
+  s.calls = calls_;
+  s.frames.resize(frames_.size());
+  for (size_t f = 0; f < frames_.size(); ++f) {
+    // Frame f belongs to the caller saved in calls_[f]; the top one to fn.
+    const uint32_t live = (f < calls_.size() ? calls_[f].fn : fn)->nregs;
+    s.frames[f].assign(frames_[f].begin(), frames_[f].begin() + live);
+  }
+  s.globals = globals_;
+  s.irq_handlers = irq_handlers_;
+  return true;
+}
+
+bool Vm::repeats_tortoise(const CompiledFunction* fn, size_t pc,
+                          const RunOutcome& out) {
+  const LoopState& s = tortoise_;
+  // The cheap head: a loop that grows a local or the log fails here.
+  if (s.fn != fn || s.pc != pc || s.stored != stored_ || s.depth != depth_ ||
+      s.log_size != out.log.size() || s.calls.size() != calls_.size() ||
+      frames_.size() != calls_.size() + 1) {
+    return false;
+  }
+  const VmValue* top = frames_.back().data();
+  const std::vector<VmValue>& top_then = s.frames.back();
+  for (uint32_t r = 0; r < fn->nregs; ++r) {
+    if (top_then[r].i != top[r].i) return false;
+  }
+  // The full state.
+  if (s.calls != calls_ || s.irq_handlers != irq_handlers_ ||
+      s.globals != globals_) {
+    return false;
+  }
+  for (size_t f = 0; f < frames_.size(); ++f) {
+    if (!std::equal(s.frames[f].begin(), s.frames[f].end(),
+                    frames_[f].begin())) {
+      return false;
+    }
+  }
+  env_now_.clear();
+  return io_.capture_state(env_now_) && env_now_.key == s.env.key &&
+         env_now_.counters.size() == s.env.counters.size();
+}
+
+void Vm::skip_cycles() {
+  // Whatever happens here, this run never looks again: after a skip the
+  // replay cycles must execute for real.
+  ff_below_ = 0;
+  const uint64_t period = tortoise_.steps_left - steps_left_;
+  if (period == 0) return;  // a charge-free cycle: only the watchdog ends it
+  const std::vector<EnvState::Counter>& then = tortoise_.env.counters;
+  const std::vector<EnvState::Counter>& now = env_now_.counters;
+  std::vector<uint64_t> deltas(now.size());
+  uint64_t replay = 0;
+  for (size_t i = 0; i < now.size(); ++i) {
+    if (now[i].value < then[i].value) return;  // not monotone
+    deltas[i] = now[i].value - then[i].value;
+    if (deltas[i] != 0 && now[i].refill != 0) {
+      replay = std::max(replay, (now[i].refill + deltas[i] - 1) / deltas[i]);
+    }
+  }
+  const uint64_t whole = steps_left_ / period;
+  if (whole <= replay) return;
+  const uint64_t cycles = whole - replay;
+  for (size_t i = 0; i < now.size(); ++i) {
+    // A wrapped counter would read as a small one (a fault injector's
+    // fired count as "never triggered"): refuse the skip instead.
+    if (deltas[i] != 0 &&
+        cycles > (std::numeric_limits<uint64_t>::max() - now[i].value) /
+                     deltas[i]) {
+      return;
+    }
+  }
+  steps_left_ -= cycles * period;
+  skipped_ = cycles * period;
+  const uint64_t* cursor = deltas.data();
+  io_.advance_state(cycles, cursor);
+}
+
+void Vm::on_back_edge(const CompiledFunction* fn, size_t pc,
+                      const RunOutcome& out) {
+  if (in_irq_) return;
+  if (have_tortoise_ && repeats_tortoise(fn, pc, out)) {
+    skip_cycles();
+    return;
+  }
+  // Brent: the tortoise jumps to the hare whenever the search distance
+  // reaches the next power of two.
+  if (brent_lam_ == brent_power_) {
+    have_tortoise_ = capture_loop_state(fn, pc, out);
+    brent_power_ *= 2;
+    brent_lam_ = 0;
+  }
+  ++brent_lam_;
+}
+
 template <bool kProfile>
 void Vm::poll_irqs(RunOutcome& out) {
   if (in_irq_) return;
@@ -176,6 +287,17 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
   do {                                      \
     if ((insn).flags == 0) CHARGE((insn).line); \
   } while (0)
+// A taken jump to `target`: when it goes backward (a loop iteration ends)
+// past the fast-forward threshold, look for an exact repeat first. `pc`
+// already points past the jump.
+#define JUMP_TO(target)                                                  \
+  do {                                                                   \
+    const size_t to = static_cast<size_t>(target);                       \
+    if constexpr (!kProfile) {                                           \
+      if (to < pc && steps_left_ < ff_below_) on_back_edge(fn, to, out); \
+    }                                                                    \
+    pc = to;                                                             \
+  } while (0)
 
   for (;;) {
     const Insn& in = code[pc++];
@@ -196,20 +318,20 @@ VmValue Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
         break;
       case Op::kStepJump:
         CHG(in);
-        pc = static_cast<size_t>(in.imm);
+        JUMP_TO(in.imm);
         break;
       case Op::kMark:
         out.executed.set(in.line);
         break;
       // --- control flow ---------------------------------------------------
       case Op::kJump:
-        pc = static_cast<size_t>(in.imm);
+        JUMP_TO(in.imm);
         break;
       case Op::kJumpIfZero:
         if (R[in.a].i == 0) pc = static_cast<size_t>(in.imm);
         break;
       case Op::kJumpIfNotZero:
-        if (R[in.a].i != 0) pc = static_cast<size_t>(in.imm);
+        if (R[in.a].i != 0) JUMP_TO(in.imm);
         break;
       case Op::kJumpIfEqual:
         if (R[in.a].i == R[in.b].i) pc = static_cast<size_t>(in.imm);
@@ -888,6 +1010,11 @@ RunOutcome Vm::run(const std::string& entry) {
   globals_.resize(mod_.global_count);
   irq_handlers_.fill(nullptr);
   in_irq_ = false;
+  ff_below_ = budget_ >= kFastForwardAfter ? budget_ - kFastForwardAfter + 1
+                                           : 0;
+  have_tortoise_ = false;
+  brent_power_ = brent_lam_ = 1;
+  skipped_ = 0;
   if (watchdog_ms_ != 0) {
     watchdog_deadline_ = std::chrono::steady_clock::now() +
                          std::chrono::milliseconds(watchdog_ms_);
@@ -904,6 +1031,7 @@ RunOutcome Vm::run(const std::string& entry) {
     out.fault_message = f.message;
   }
   out.steps_used = budget_ - steps_left_;
+  out.skipped_steps = skipped_;
   out.executed_lines = out.executed.to_set();
   return out;
 }

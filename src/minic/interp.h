@@ -41,6 +41,36 @@ struct Fault {
   std::string message;
 };
 
+/// Exact environment state for the bytecode VM's loop fast-forward
+/// (minic/bytecode/vm.h). Two captures taken at two points of one run
+/// describe the same environment iff their `key`s are equal; the
+/// `counters` are monotone totals that never feed back into behaviour
+/// (or only through a saturated copy in `key`), so a skip of k repeated
+/// cycles advances each by k times its growth over one cycle.
+struct EnvState {
+  struct Counter {
+    uint64_t value = 0;
+    /// Increments that must happen for real after a skip before the run
+    /// ends (a ring indexed by this counter refills with genuine entries);
+    /// 0 when nothing depends on it.
+    uint64_t refill = 0;
+  };
+  std::vector<uint64_t> key;
+  std::vector<Counter> counters;
+
+  void clear() {
+    key.clear();
+    counters.clear();
+  }
+};
+
+/// advance_state helper: `counter` grows by `cycles` times the next
+/// per-cycle delta, consumed in the order capture_state appended counters.
+inline void advance_counter(uint64_t& counter, uint64_t cycles,
+                            const uint64_t*& deltas) {
+  counter += cycles * *deltas++;
+}
+
 /// The hardware seen by `inb`/`outb`/... Implemented by hw::IoBus.
 class IoEnvironment {
  public:
@@ -73,6 +103,22 @@ class IoEnvironment {
   virtual void irq_begin(bool handled) { (void)handled; }
   virtual void irq_end() {}
 
+  /// Loop fast-forward hooks (bytecode VM only). `capture_state` appends
+  /// the environment's exact state to `out` and returns true, or returns
+  /// false to decline — the default, so an environment that cannot vouch
+  /// for its whole state never lets the VM skip. `advance_state` applies
+  /// `cycles` skipped repetitions: each captured counter advances by
+  /// `cycles` times its per-cycle delta, read from `deltas` in capture
+  /// order (see advance_counter).
+  [[nodiscard]] virtual bool capture_state(EnvState& out) const {
+    (void)out;
+    return false;
+  }
+  virtual void advance_state(uint64_t cycles, const uint64_t*& deltas) {
+    (void)cycles;
+    (void)deltas;
+  }
+
  private:
   const uint64_t* probe_steps_left_ = nullptr;
   uint64_t probe_budget_ = 0;
@@ -83,6 +129,11 @@ struct RunOutcome {
   std::string fault_message;
   int64_t return_value = 0;
   uint64_t steps_used = 0;
+  /// Steps of `steps_used` the VM's loop fast-forward accounted without
+  /// executing them (0 on the tree walker and for every boot that never
+  /// repeated its exact state). Telemetry only: the rest of the outcome is
+  /// identical to stepping them.
+  uint64_t skipped_steps = 0;
   /// 1-based source lines on which at least one statement (or case-label
   /// comparison) executed. Drives the "dead code" classification. The
   /// interpreter records into the bitmap (one word OR per statement); the

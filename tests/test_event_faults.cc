@@ -421,8 +421,14 @@ TEST(MinicIrq, RequestIrqValidatesLineAndHandlerAtRuntime) {
 }
 
 TEST(MinicWatchdog, ContainsWallClockHangsOnBothEngines) {
+  // A 64-bit counter spread over two registers: its state never repeats
+  // within the run, so the VM's loop fast-forward cannot jump to the budget
+  // (an exact `while (1) { }` would: tests/test_loop_fast_forward.cc).
   minic::Program prog = minic::compile(
-      "t.c", "int spin() { while (1) { } return 0; }");
+      "t.c",
+      "int spin() { u32 lo = 0; u32 hi = 0;\n"
+      "  while (1) { lo = lo + 1; if (lo == 0) { hi = hi + 1; } }\n"
+      "  return 0; }");
   ASSERT_TRUE(prog.ok()) << prog.diags.render();
   for (auto engine :
        {minic::ExecEngine::kBytecodeVm, minic::ExecEngine::kTreeWalker}) {
@@ -468,12 +474,14 @@ TEST(EventFaults, PooledDeviceRecyclesCleanlyAfterEventFaultedBoots) {
   eval::DeviceBinding binding = eval::busmouse_irq_binding();
   auto clean_boot_trace = [&](const std::shared_ptr<hw::Device>& dev) {
     hw::IoBus bus;
-    bus.enable_trace();
-    bus.map(binding.port_base, binding.port_span, dev, binding.irq_line);
+    auto recorder = std::make_shared<hw::FlightRecorder>(
+        dev, binding.port_base, &bus, /*capacity=*/4096);
+    bus.set_irq_observer(recorder.get());
+    bus.map(binding.port_base, binding.port_span, recorder, binding.irq_line);
     auto run = minic::run_unit(*prog.unit, bus, binding.entry, 3'000'000,
                                minic::ExecEngine::kBytecodeVm);
     EXPECT_EQ(run.fault, minic::FaultKind::kNone) << run.fault_message;
-    return bus.trace();
+    return recorder->tail();
   };
   const std::vector<FaultPlan> plans = {
       event_plan(binding.irq_line, FaultKind::kIrqStorm, 0, 8),
@@ -504,10 +512,12 @@ TEST(EventFaults, PooledDeviceRecyclesCleanlyAfterEventFaultedBoots) {
     auto fresh_trace = clean_boot_trace(fresh);
     ASSERT_EQ(recycled_trace.size(), fresh_trace.size());
     for (size_t i = 0; i < fresh_trace.size(); ++i) {
+      EXPECT_EQ(recycled_trace[i].kind, fresh_trace[i].kind) << i;
       EXPECT_EQ(recycled_trace[i].is_write, fresh_trace[i].is_write) << i;
       EXPECT_EQ(recycled_trace[i].port, fresh_trace[i].port) << i;
       EXPECT_EQ(recycled_trace[i].value, fresh_trace[i].value) << i;
       EXPECT_EQ(recycled_trace[i].width, fresh_trace[i].width) << i;
+      EXPECT_EQ(recycled_trace[i].line, fresh_trace[i].line) << i;
     }
   }
 }

@@ -13,6 +13,7 @@
 #include "eval/device_bindings.h"
 #include "hw/device_pool.h"
 #include "hw/fault_injection.h"
+#include "hw/flight_recorder.h"
 #include "hw/io_bus.h"
 #include "minic/program.h"
 
@@ -160,16 +161,17 @@ struct TraceCase {
   uint64_t faulted_budget;
 };
 
-std::vector<hw::IoAccess> clean_boot_trace(
+std::vector<hw::RecordedAccess> clean_boot_trace(
     const eval::DeviceBinding& binding, const minic::Program& prog,
     const std::shared_ptr<hw::Device>& dev) {
   hw::IoBus bus;
-  bus.enable_trace();
-  bus.map(binding.port_base, binding.port_span, dev);
+  auto recorder = std::make_shared<hw::FlightRecorder>(
+      dev, binding.port_base, &bus, /*capacity=*/4096);
+  bus.map(binding.port_base, binding.port_span, recorder);
   auto run = minic::run_unit(*prog.unit, bus, binding.entry, 3'000'000,
                              minic::ExecEngine::kBytecodeVm);
   EXPECT_EQ(run.fault, minic::FaultKind::kNone) << run.fault_message;
-  return bus.trace();
+  return recorder->tail();
 }
 
 TEST(FaultInjector, PooledDeviceRecyclesCleanlyAfterFaultedBoots) {

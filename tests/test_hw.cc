@@ -51,27 +51,16 @@ TEST(IoBus, OverlappingMappingRejected) {
                std::invalid_argument);
 }
 
-TEST(IoBus, TraceRecordsAccesses) {
+TEST(IoBus, ResetClearsDevices) {
   hw::IoBus bus;
-  bus.enable_trace();
-  bus.map(0x23c, 4, std::make_shared<hw::Busmouse>());
-  bus.io_out(0x23e, 0x80, 8);
-  bus.io_in(0x23c, 8);
-  ASSERT_EQ(bus.trace().size(), 2u);
-  EXPECT_TRUE(bus.trace()[0].is_write);
-  EXPECT_FALSE(bus.trace()[1].is_write);
-}
-
-TEST(IoBus, ResetClearsDevicesAndTrace) {
-  hw::IoBus bus;
-  bus.enable_trace();
   auto mouse = std::make_shared<hw::Busmouse>();
   bus.map(0x23c, 4, mouse);
   bus.io_out(0x23e, 0xe0, 8);
+  bus.io_in(0x9999, 8);
   EXPECT_EQ(mouse->index(), 3);
   bus.reset();
   EXPECT_EQ(mouse->index(), 0);
-  EXPECT_TRUE(bus.trace().empty());
+  EXPECT_EQ(bus.unmapped_accesses(), 0u);
 }
 
 // ---- IdeDisk -----------------------------------------------------------------
