@@ -254,16 +254,16 @@ void BM_PatchedMutantCycle(benchmark::State& state) {
   opt.classes = mutation::classes_for_cdevil_driver(spec.stubs, driver);
   auto sites = mutation::scan_c_sites(driver, opt);
   auto mutants = mutation::generate_c_mutants(sites, opt.classes);
-  std::vector<minic::SiteSpan> spans;
+  minic::TailRecording recorded;
   for (size_t i = 0; i < sites.size(); ++i) {
-    spans.push_back({static_cast<uint32_t>(sites[i].offset),
-                     static_cast<uint32_t>(sites[i].length),
-                     static_cast<uint32_t>(i)});
+    recorded.site_spans.push_back({static_cast<uint32_t>(sites[i].offset),
+                                   static_cast<uint32_t>(sites[i].length),
+                                   static_cast<uint32_t>(i)});
   }
-  auto recorded = minic::compile_tail_recording(prefix, driver, spans);
-  minic::bytecode::Patcher patcher(*recorded.spliced.module,
-                                   prefix.compiled->unit, *recorded.tail_unit,
-                                   recorded.macros, std::move(recorded.patch));
+  auto clean = minic::compile_tail(prefix, driver, &recorded);
+  minic::bytecode::Patcher patcher(*clean.module, prefix.compiled->unit,
+                                   *recorded.tail_unit, recorded.macros,
+                                   std::move(recorded.patch));
   auto lex_one = [](const std::string& text) -> std::optional<minic::Token> {
     support::DiagnosticEngine diags;
     support::SourceBuffer buf("replacement", text);

@@ -74,7 +74,6 @@ void fill_common(const CampaignSpec& spec,
   cfg->threads = spec.threads;
   cfg->engine = spec.engine;
   cfg->dedup = spec.dedup;
-  cfg->prefix_cache = spec.prefix_cache;
   cfg->bytecode_patch = spec.bytecode_patch;
   cfg->flight_recorder = spec.flight_recorder;
 }
@@ -152,7 +151,6 @@ support::JsonValue campaign_spec_to_json(const CampaignSpec& spec) {
   v.set("sample_percent", static_cast<uint64_t>(spec.sample_percent));
   v.set("step_budget", spec.step_budget);
   v.set("dedup", spec.dedup);
-  v.set("prefix_cache", spec.prefix_cache);
   v.set("bytecode_patch", spec.bytecode_patch);
   v.set("flight_recorder", spec.flight_recorder);
   v.set("watchdog_ms", spec.watchdog_ms);
@@ -202,9 +200,9 @@ CampaignSpec campaign_spec_from_json(const support::JsonValue& v,
 
   static const char* const kKnown[] = {
       "format", "version", "kind", "device", "engine", "seed",
-      "sample_percent", "step_budget", "dedup", "prefix_cache",
-      "bytecode_patch", "flight_recorder", "watchdog_ms", "threads",
-      "fault_triggers", "fault_sample_percent", "survivor_samples"};
+      "sample_percent", "step_budget", "dedup", "bytecode_patch",
+      "flight_recorder", "watchdog_ms", "threads", "fault_triggers",
+      "fault_sample_percent", "survivor_samples"};
   for (const auto& [key, value] : v.members()) {
     (void)value;
     bool known = false;
@@ -223,7 +221,6 @@ CampaignSpec campaign_spec_from_json(const support::JsonValue& v,
                                                           100));
   spec.step_budget = require_u64("step_budget", UINT64_MAX / 2);
   spec.dedup = require("dedup").as_bool();
-  spec.prefix_cache = require("prefix_cache").as_bool();
   spec.bytecode_patch = require("bytecode_patch").as_bool();
   spec.flight_recorder = require("flight_recorder").as_bool();
   spec.watchdog_ms = require_u64("watchdog_ms", 99'999'999);
@@ -340,8 +337,6 @@ const std::vector<CampaignFlag>& campaign_spec_flags() {
        "percent of mutants booted (0 = per-corpus default)"},
       {"--step-budget", "N", true, "interpreter steps per boot"},
       {"--no-dedup", nullptr, true, "disable canonical token-class dedup"},
-      {"--no-prefix-cache", nullptr, true,
-       "disable the compiled-prefix cache"},
       {"--no-bytecode-patch", nullptr, false,
        "recompile every mutant instead of patching bytecode"},
       {"--flight-recorder", nullptr, false,
@@ -425,10 +420,6 @@ std::string apply_campaign_flag(CampaignSpec& spec, const CampaignFlag& flag,
     spec.dedup = false;
     return "";
   }
-  if (name == "--no-prefix-cache") {
-    spec.prefix_cache = false;
-    return "";
-  }
   if (name == "--no-bytecode-patch") {
     spec.bytecode_patch = false;
     return "";
@@ -489,7 +480,6 @@ std::vector<std::string> campaign_spec_to_args(const CampaignSpec& spec) {
   args.insert(args.end(), {"--step-budget",
                            std::to_string(spec.step_budget)});
   if (!spec.dedup) args.push_back("--no-dedup");
-  if (!spec.prefix_cache) args.push_back("--no-prefix-cache");
   if (!spec.bytecode_patch) args.push_back("--no-bytecode-patch");
   if (spec.flight_recorder) args.push_back("--flight-recorder");
   args.insert(args.end(), {"--watchdog-ms",

@@ -11,8 +11,8 @@
 //  - the `driver_configs_for` / `fault_configs_for` / `spec_campaign_config_
 //    for` derivations produce the per-device DriverCampaignConfig /
 //    FaultCampaignConfig / SpecCampaignConfig views the kernels consume —
-//    identical to what the CLI historically built by hand, so the PR 5
-//    config fingerprints are unchanged;
+//    the same configs whether a campaign comes from the CLI, a JSON request
+//    or a dispatcher worker, so all of them fingerprint alike;
 //  - `campaign_spec_fingerprint` folds those per-device fingerprints into
 //    one digest pinning everything that can change results. Thread count,
 //    worker count, the bytecode-patch flag and the watchdog cap are
@@ -55,7 +55,6 @@ struct CampaignSpec {
   unsigned sample_percent = 0;
   uint64_t step_budget = 3'000'000;
   bool dedup = true;
-  bool prefix_cache = true;
   bool bytecode_patch = true;
   bool flight_recorder = false;
   uint64_t watchdog_ms = 10'000;
@@ -95,9 +94,9 @@ struct CampaignSpec {
     const CampaignSpec& spec);
 
 /// The C and CDevil campaign configs for one corpus device, derived from
-/// the spec — the exact configs the CLI historically built, so the config
-/// fingerprint (eval/shard.h) is unchanged. Throws std::runtime_error
-/// carrying the Devil diagnostics when the corpus spec fails to compile.
+/// the spec; their config fingerprints (eval/shard.h) key shard merges and
+/// the result cache. Throws std::runtime_error carrying the Devil
+/// diagnostics when the corpus spec fails to compile.
 struct DeviceCampaignConfigs {
   DriverCampaignConfig c;
   DriverCampaignConfig cdevil;
@@ -120,7 +119,7 @@ struct DeviceFaultConfigs {
     const CampaignSpec& spec);
 
 /// Digest of everything in the spec that can change campaign results: the
-/// kind, then every selected campaign's PR 5 config fingerprint (driver and
+/// kind, then every selected campaign's config fingerprint (driver and
 /// fault kinds) or the spec corpus text plus the dedup/survivor knobs (spec
 /// kind). Specs that differ only in threads, watchdog_ms or bytecode_patch
 /// fingerprint identically — the cache-replay guarantee. Compiles corpus

@@ -105,10 +105,10 @@ struct PreparedCampaign {
   std::vector<mutation::Mutant> mutants;
   int64_t clean_fingerprint = 0;
   /// Clean-tail recording compile + the patcher built from it. `patcher` is
-  /// null when patching is off, the engine is not the cached VM, or the
-  /// clean tail needed the whole-unit fallback — then every mutant
-  /// recompiles, exactly as before this layer existed.
-  minic::RecordedTail recorded;
+  /// null when patching is off, the engine is the walker, or the clean tail
+  /// needed the whole-unit fallback — then every mutant recompiles.
+  minic::SplicedProgram clean_tail;
+  minic::TailRecording recorded;
   std::unique_ptr<minic::bytecode::Patcher> patcher;
   /// Canonical dedup key of the CLEAN tail and, for every site whose token
   /// appears exactly once in the clean stream (and never via macro
@@ -154,25 +154,6 @@ Outcome classify_clean(const PreparedCampaign& prep, const mutation::Site& site,
     ran = executed.test(site.line + prep.prefix.lines);
   }
   return ran ? Outcome::kBoot : Outcome::kDeadCode;
-}
-
-/// True when this campaign compiles mutants through the compiled-prefix
-/// cache (tail-only front end + segment splice) instead of whole units.
-bool uses_prefix_cache(const PreparedCampaign& prep) {
-  return prep.config->prefix_cache &&
-         prep.config->engine == minic::ExecEngine::kBytecodeVm &&
-         prep.prefix.compiled != nullptr;
-}
-
-/// True when the tree-walker oracle runs layered over the prefix cache
-/// (tail-only front end + `run_tail_unit`) instead of whole units.
-/// Observationally identical either way (ctest-enforced); these boots do
-/// NOT count as `prefix_cache_hits`, which keeps its bytecode-splice
-/// meaning.
-bool walker_uses_prefix(const PreparedCampaign& prep) {
-  return prep.config->prefix_cache &&
-         prep.config->engine == minic::ExecEngine::kTreeWalker &&
-         prep.prefix.compiled != nullptr;
 }
 
 /// Appends one token's canonical-key serialization: kind byte, raw line,
@@ -441,8 +422,8 @@ std::optional<minic::bytecode::PatchRequest> derive_patch_request(
 }
 
 /// The pure per-mutant kernel: splice, compile (tail-only against the
-/// cached compiled prefix on the VM engine, whole-unit token splice
-/// otherwise), boot, classify. Touches nothing but its own locals and the
+/// cached compiled prefix on the VM engine, whole-unit token splice on the
+/// walker), boot, classify. Touches nothing but its own locals and the
 /// read-only `prep` (plus the locked disk pool), so any number of these can
 /// run concurrently. When `snap` is non-null the site-independent boot
 /// residue is captured for duplicate classification.
@@ -472,14 +453,11 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
     }
   }
 
-  const bool cached = uses_prefix_cache(prep);
-  const bool layered = walker_uses_prefix(prep);
-  minic::Program prog;
+  // The boot runs one of three codes: the patched clean module, the tail
+  // compile spliced onto the prefix segment (VM), or the whole unit
+  // (walker).
   minic::SplicedProgram spliced;
-  minic::CheckedTail checked;
-  // Which whole-unit Program (if any) this boot runs: the no-cache path, or
-  // either cache's symbol-collision fallback.
-  bool whole_unit = !cached && !layered;
+  minic::Program prog;
   const std::map<std::string, std::set<uint32_t>>* macro_uses = nullptr;
   bool compile_ok = true;
   const support::DiagnosticEngine* diags = nullptr;
@@ -493,36 +471,26 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
     // The patched module IS the clean tail with operands rewritten; the
     // clean macro-use map is the mutant's too (patch requests never touch
     // macro names, and a macro-body literal patch moves no use lines).
-    macro_uses = &prep.recorded.spliced.macro_use_lines;
+    macro_uses = &prep.clean_tail.macro_use_lines;
   } else {
     // The dedup key phase may have spliced this mutant already; reuse it.
     std::string mutated_driver =
         pre_spliced.empty()
             ? mutation::apply_mutant(config.driver, prep.sites, m)
             : std::move(pre_spliced);
-    if (cached) {
+    if (config.engine == minic::ExecEngine::kBytecodeVm) {
       spliced = minic::compile_tail(prep.prefix, mutated_driver);
       if (!spliced.internal_error.empty()) {
         throw std::logic_error("interpreter bug on mutant: " +
                                spliced.internal_error);
       }
-      // A *measured* hit: only the tail-compile path counts, not the rare
-      // symbol-collision fallback to whole-unit compilation.
+      // A *measured* hit: only the tail-compile path counts, not the
+      // whole-unit fallback.
       if (cache_hit && !spliced.whole_unit_fallback) *cache_hit = 1;
       macro_uses = &spliced.macro_use_lines;
       compile_ok = spliced.ok();
       diags = &spliced.diags;
-    } else if (layered) {
-      checked = minic::check_tail(prep.prefix, mutated_driver);
-      if (checked.whole_unit_fallback) {
-        whole_unit = true;
-      } else {
-        macro_uses = &checked.macro_use_lines;
-        compile_ok = checked.ok();
-        diags = &checked.diags;
-      }
-    }
-    if (whole_unit) {
+    } else {
       prog = minic::compile_with_prefix(prep.prefix, mutated_driver);
       if (prog.ok()) macro_uses = &prog.unit->macro_use_lines;
       compile_ok = prog.ok();
@@ -558,12 +526,9 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
   if (patched) {
     run = minic::run_module(*patched, bus, prep.entry, config.step_budget,
                             nullptr, config.watchdog_ms);
-  } else if (cached) {
+  } else if (spliced.ok()) {
     run = minic::run_module(*spliced.module, bus, prep.entry,
                             config.step_budget, nullptr, config.watchdog_ms);
-  } else if (layered && !whole_unit) {
-    run = minic::run_tail_unit(prep.prefix, *checked.unit, bus, prep.entry,
-                               config.step_budget, config.watchdog_ms);
   } else {
     run = minic::run_unit(*prog.unit, bus, prep.entry, config.step_budget,
                           config.engine, nullptr, config.watchdog_ms);
@@ -694,11 +659,11 @@ std::optional<std::string> fast_canonical_key(const PreparedCampaign& prep,
 
 /// Runs the clean tail through the recording compile and, when it splices
 /// cleanly, builds the patcher plus the fast-key spans. Called once per
-/// campaign, after the site scan, only on the cached-VM engine with
-/// patching enabled.
+/// campaign, after the site scan, only on the VM engine with patching
+/// enabled.
 void build_patch_context(PreparedCampaign& prep) {
   const DriverCampaignConfig& config = *prep.config;
-  std::vector<minic::SiteSpan> spans;
+  std::vector<minic::SiteSpan>& spans = prep.recorded.site_spans;
   spans.reserve(prep.sites.size());
   for (size_t s = 0; s < prep.sites.size(); ++s) {
     spans.push_back({static_cast<uint32_t>(prep.sites[s].offset),
@@ -709,18 +674,14 @@ void build_patch_context(PreparedCampaign& prep) {
             [](const minic::SiteSpan& a, const minic::SiteSpan& b) {
               return a.offset < b.offset;
             });
-  prep.recorded =
-      minic::compile_tail_recording(prep.prefix, config.driver, spans);
+  prep.clean_tail =
+      minic::compile_tail(prep.prefix, config.driver, &prep.recorded);
   // The clean driver compiled whole-unit moments ago (baseline boot), so a
-  // failure here can only be the symbol-collision fallback — every mutant
+  // missing tail unit can only mean the whole-unit fallback — every mutant
   // then recompiles, exactly as with patching off.
-  if (!prep.recorded.spliced.ok() ||
-      prep.recorded.spliced.whole_unit_fallback ||
-      prep.recorded.tail_unit == nullptr) {
-    return;
-  }
+  if (prep.recorded.tail_unit == nullptr) return;
   prep.patcher = std::make_unique<minic::bytecode::Patcher>(
-      *prep.recorded.spliced.module, prep.prefix.compiled->unit,
+      *prep.clean_tail.module, prep.prefix.compiled->unit,
       *prep.recorded.tail_unit, prep.recorded.macros,
       std::move(prep.recorded.patch));
 
@@ -852,8 +813,8 @@ DriverCampaignResult run_driver_campaign_slice(
   result.total_mutants = prep.mutants.size();
 
   // --- clean-tail recording compile (patching + fast dedup keys) ------------------
-  if (config.bytecode_patch && uses_prefix_cache(prep) &&
-      !prep.sites.empty()) {
+  if (config.bytecode_patch &&
+      config.engine == minic::ExecEngine::kBytecodeVm && !prep.sites.empty()) {
     build_patch_context(prep);
   }
 

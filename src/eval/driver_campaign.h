@@ -87,8 +87,12 @@ struct DriverCampaignConfig {
   /// the tally is reduced after the join).
   unsigned threads = 1;
   /// Execution engine for mutant boots. Both engines yield byte-identical
-  /// campaign results (ctest-enforced); the bytecode VM is the fast
-  /// default, the tree walker the differential oracle.
+  /// campaign results (ctest-enforced). The bytecode VM is the fast
+  /// default: the invariant stub prefix is parsed, typechecked and lowered
+  /// once per campaign (`minic::prepare_prefix`), and every mutant compiles
+  /// only the driver tail onto the cached segment (`minic::compile_tail`).
+  /// The tree walker is the differential oracle: every mutant compiles as a
+  /// whole unit (`minic::compile_with_prefix`) and runs on `minic::run_unit`.
   minic::ExecEngine engine = minic::ExecEngine::kBytecodeVm;
   /// Skip compiling/booting mutants whose spliced unit lexes to a token
   /// stream already seen this campaign (canonical token-class hash:
@@ -96,22 +100,12 @@ struct DriverCampaignConfig {
   /// visible in the records — classified against their own site from the
   /// representative's boot — and tallies are unchanged.
   bool dedup = true;
-  /// Compile mutants through the compiled-prefix cache: the invariant stub
-  /// prefix is parsed, typechecked and lowered once per campaign
-  /// (`minic::prepare_prefix` stage 1) and every mutant compiles only the
-  /// driver tail — splicing the cached bytecode segment on the VM engine,
-  /// layering the tail unit over the prefix unit on the tree walker
-  /// (`minic::check_tail` + `run_tail_unit`). Byte-identical records either
-  /// way (ctest-enforced). `prefix_cache_hits` still counts only bytecode
-  /// tail splices; walker layering is not a segment splice.
-  bool prefix_cache = true;
   /// Boot token-local mutants from a patched copy of the clean tail
   /// bytecode (minic::bytecode::Patcher) instead of re-running the front
-  /// end. Only effective with the prefix cache on the VM engine. Patched
-  /// and recompiled boots are byte-identical (ctest-enforced), so this flag
-  /// is deliberately NOT part of the campaign fingerprint — like `threads`,
-  /// it can never change records or tallies, only `patched`/`patch_fallback`
-  /// telemetry bits.
+  /// end. Only effective on the VM engine. Patched and recompiled boots are
+  /// byte-identical (ctest-enforced), so this flag is deliberately NOT part
+  /// of the campaign fingerprint — like `threads`, it can never change
+  /// records or tallies, only `patched`/`patch_fallback` telemetry bits.
   bool bytecode_patch = true;
   /// Wrap every boot's device in a `hw::FlightRecorder` and attach the
   /// rendered port-access tail to each non-clean record (`MutantRecord::
@@ -160,7 +154,9 @@ struct DriverCampaignResult {
   size_t sampled_mutants = 0;
   size_t deduped_mutants = 0;  // sampled mutants that skipped compile+boot
   /// Mutants compiled through the per-campaign compiled-prefix cache
-  /// (tail-only parse/typecheck/lower spliced onto the shared segment).
+  /// (tail-only parse/typecheck/lower spliced onto the shared segment, or a
+  /// patched copy of the clean tail). Always 0 on the tree walker, which
+  /// compiles whole units.
   size_t prefix_cache_hits = 0;
   /// Mutants booted from a patched clean-tail module (sum of the records'
   /// `patched` bits) vs mutants that fell back to a recompile while

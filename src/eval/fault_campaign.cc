@@ -191,13 +191,8 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
   // are safe).
   const std::string prefix_text =
       base.stubs.empty() ? std::string() : base.stubs + "\n";
-  minic::PreparedPrefix prefix = minic::prepare_prefix(base.unit_name,
-                                                       prefix_text);
-  if (!prefix.ok()) {
-    throw std::logic_error(who + "driver stubs do not lex:\n" +
-                           prefix.diags.render());
-  }
-  minic::Program clean = minic::compile_with_prefix(prefix, base.driver);
+  minic::Program clean =
+      minic::compile(base.unit_name, prefix_text + base.driver);
   if (!clean.ok()) {
     throw std::logic_error(who + "driver does not compile:\n" +
                            clean.diags.render());

@@ -95,8 +95,8 @@ struct FaultRecord {
 struct FaultCampaignConfig {
   /// Driver, stubs, device binding, entry, engine, threads, step budget and
   /// seed come from the embedded mutation-campaign config; its
-  /// mutation-only knobs (sample_percent, dedup, prefix_cache) are ignored
-  /// here but still pinned by the shard fingerprint.
+  /// mutation-only knobs (sample_percent, dedup) are ignored here but
+  /// still pinned by the shard fingerprint.
   DriverCampaignConfig base;
   /// Trigger offsets: every (port, kind, mask) cell of the matrix is
   /// instantiated once per offset, arming the fault on the (offset+1)-th

@@ -215,18 +215,13 @@ std::string campaign_fingerprint(const DriverCampaignConfig& config) {
   h.update_field(config.device.device);
   h.update_u64(config.device.port_base);
   h.update_u64(config.device.port_span);
-  // Folded only for event-driven bindings so every polled-device
-  // fingerprint published before the interrupt model existed is unchanged.
-  if (config.device.irq_line >= 0) {
-    h.update_u64(static_cast<uint64_t>(config.device.irq_line));
-  }
+  h.update_u64(static_cast<uint64_t>(config.device.irq_line));
   h.update_u64(config.is_cdevil ? 1 : 0);
   h.update_u64(config.sample_percent);
   h.update_u64(config.seed);
   h.update_u64(config.step_budget);
   h.update_field(minic::exec_engine_name(config.engine));
   h.update_u64(config.dedup ? 1 : 0);
-  h.update_u64(config.prefix_cache ? 1 : 0);
   // The recorder changes record contents (traces), so shards must agree.
   h.update_u64(config.flight_recorder ? 1 : 0);
   // Deliberately not hashed: config.threads — results are thread-count

@@ -83,31 +83,16 @@ enum class Flow { kNormal, kBreak, kContinue, kReturn };
 
 class Machine {
  public:
-  /// `prefix` layers a second, already-typechecked unit under `unit`: name
-  /// and index spaces behave exactly as if the two units were one
-  /// concatenated unit with the prefix's declarations first (function
-  /// indices and global slots continue the prefix's numbering, which is what
-  /// `typecheck_tail` assigns). Null runs the classic single-unit machine.
-  Machine(const Unit* prefix, const Unit& unit, IoEnvironment& io,
-          uint64_t budget, RunOutcome& out, uint64_t watchdog_ms = 0)
-      : prefix_(prefix), unit_(unit), io_(io), budget_(budget),
-        steps_left_(budget), out_(out), watchdog_ms_(watchdog_ms) {
-    if (prefix_ != nullptr) {
-      prefix_fn_count_ = prefix_->functions.size();
-      prefix_global_count_ = prefix_->globals.size();
-    }
+  Machine(const Unit& unit, IoEnvironment& io, uint64_t budget,
+          RunOutcome& out, uint64_t watchdog_ms = 0)
+      : unit_(unit), io_(io), budget_(budget), steps_left_(budget),
+        out_(out), watchdog_ms_(watchdog_ms) {
     io_.bind_step_probe(&steps_left_, budget_);
     if (watchdog_ms_ != 0) {
       watchdog_deadline_ = std::chrono::steady_clock::now() +
                            std::chrono::milliseconds(watchdog_ms_);
     }
-    structs_.reserve((prefix_ != nullptr ? prefix_->structs.size() : 0) +
-                     unit_.structs.size());
-    // Prefix structs first, tail second: a later (tail) definition shadows,
-    // matching whole-unit declaration order.
-    if (prefix_ != nullptr) {
-      for (const auto& sd : prefix_->structs) structs_[sd.name] = &sd;
-    }
+    structs_.reserve(unit_.structs.size());
     for (const auto& sd : unit_.structs) structs_[sd.name] = &sd;
   }
 
@@ -116,41 +101,31 @@ class Machine {
 
   void init_globals() {
     globals_.clear();
-    globals_.resize(prefix_global_count_ + unit_.globals.size());
-    // Prefix globals occupy the first slots, tail globals continue — the
-    // slot numbering typecheck_tail assigned. Initialisation order is the
-    // whole-unit declaration order, so init expressions that read earlier
-    // globals see the same values either way.
-    if (prefix_ != nullptr) {
-      for (size_t i = 0; i < prefix_->globals.size(); ++i) {
-        init_global(prefix_->globals[i], globals_[i]);
-      }
-    }
+    globals_.resize(unit_.globals.size());
     for (size_t i = 0; i < unit_.globals.size(); ++i) {
-      init_global(unit_.globals[i], globals_[prefix_global_count_ + i]);
-    }
-  }
-
-  void init_global(const GlobalDecl& g, Slot& slot) {
-    if (g.array_size) {
-      slot.is_array = true;
-      slot.elem_type = g.type;
-      slot.arr.assign(static_cast<size_t>(*g.array_size), 0);
-    } else if (!g.init_list.empty()) {
-      mark_line(g.loc);
-      Value v = default_value(g.type);
-      for (size_t f = 0; f < g.init_list.size() && f < v.fields.size(); ++f) {
-        Value fv = eval(*g.init_list[f]);
-        store_into(v.fields[f], std::move(fv));
+      const GlobalDecl& g = unit_.globals[i];
+      Slot& slot = globals_[i];
+      if (g.array_size) {
+        slot.is_array = true;
+        slot.elem_type = g.type;
+        slot.arr.assign(static_cast<size_t>(*g.array_size), 0);
+      } else if (!g.init_list.empty()) {
+        mark_line(g.loc);
+        Value v = default_value(g.type);
+        for (size_t f = 0; f < g.init_list.size() && f < v.fields.size();
+             ++f) {
+          Value fv = eval(*g.init_list[f]);
+          store_into(v.fields[f], std::move(fv));
+        }
+        slot.v = std::move(v);
+      } else if (g.init) {
+        mark_line(g.loc);
+        Value v = eval(*g.init);
+        slot.v = default_value(g.type);
+        store_into(slot.v, std::move(v));
+      } else {
+        slot.v = default_value(g.type);
       }
-      slot.v = std::move(v);
-    } else if (g.init) {
-      mark_line(g.loc);
-      Value v = eval(*g.init);
-      slot.v = default_value(g.type);
-      store_into(slot.v, std::move(v));
-    } else {
-      slot.v = default_value(g.type);
     }
   }
 
@@ -160,28 +135,12 @@ class Machine {
     throw Fault{FaultKind::kInternal, "missing function " + name};
   }
 
-  /// Name lookup across the layer stack, prefix declarations first — the
-  /// scan order whole-unit interpretation of `prefix + tail` would use.
   [[nodiscard]] const FunctionDecl* find_function(
       const std::string& name) const {
-    if (prefix_ != nullptr) {
-      for (const auto& fn : prefix_->functions) {
-        if (fn.name == name) return &fn;
-      }
-    }
     for (const auto& fn : unit_.functions) {
       if (fn.name == name) return &fn;
     }
     return nullptr;
-  }
-
-  /// Function by whole-unit index: prefix functions occupy [0,
-  /// prefix_fn_count_), tail functions continue (typecheck_tail's
-  /// callee_index numbering).
-  [[nodiscard]] const FunctionDecl& function_at(size_t index) const {
-    return index < prefix_fn_count_
-               ? prefix_->functions[index]
-               : unit_.functions[index - prefix_fn_count_];
   }
 
   Value call_decl(const FunctionDecl& fn, std::vector<Value> args) {
@@ -781,7 +740,7 @@ class Machine {
       return eval_builtin(static_cast<Builtin>(e.builtin_index), e, args);
     }
     if (e.callee_index >= 0) {
-      return call_decl(function_at(static_cast<size_t>(e.callee_index)),
+      return call_decl(unit_.functions[static_cast<size_t>(e.callee_index)],
                        std::move(args));
     }
     // Unannotated call: only reachable when the unit bypassed the type
@@ -897,11 +856,8 @@ class Machine {
     throw Fault{FaultKind::kInternal, "bad builtin"};
   }
 
-  const Unit* prefix_;  // layered under unit_; null = single-unit machine
   const Unit& unit_;
   IoEnvironment& io_;
-  size_t prefix_fn_count_ = 0;
-  size_t prefix_global_count_ = 0;
   uint64_t budget_;
   uint64_t steps_left_;
   RunOutcome& out_;
@@ -935,14 +891,9 @@ class Machine {
 Interp::Interp(const Unit& unit, IoEnvironment& io, uint64_t step_budget)
     : unit_(unit), io_(io), step_budget_(step_budget) {}
 
-Interp::Interp(const Unit& prefix, const Unit& tail, IoEnvironment& io,
-               uint64_t step_budget)
-    : prefix_unit_(&prefix), unit_(tail), io_(io),
-      step_budget_(step_budget) {}
-
 RunOutcome Interp::run(const std::string& entry) {
   RunOutcome out;
-  Machine m(prefix_unit_, unit_, io_, step_budget_, out, watchdog_ms_);
+  Machine m(unit_, io_, step_budget_, out, watchdog_ms_);
   try {
     m.init_globals();
     Value result = m.call_function(entry, {});

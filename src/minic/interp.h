@@ -151,14 +151,6 @@ class Interp {
   Interp(const Unit& unit, IoEnvironment& io,
          uint64_t step_budget = 2'000'000);
 
-  /// Layered form: runs `tail` (typechecked by `typecheck_tail`) on top of
-  /// an already-typechecked `prefix` unit, resolving names and whole-unit
-  /// function/global indices prefix-first — observationally identical to
-  /// the single-unit form over the concatenated unit. Both units must
-  /// outlive the interpreter.
-  Interp(const Unit& prefix, const Unit& tail, IoEnvironment& io,
-         uint64_t step_budget = 2'000'000);
-
   /// (Re)initialises globals, then calls `entry` (no arguments). Returns the
   /// outcome; never throws.
   [[nodiscard]] RunOutcome run(const std::string& entry);
@@ -171,7 +163,6 @@ class Interp {
 
  private:
   struct Impl;
-  const Unit* prefix_unit_ = nullptr;  // layered under unit_; may be null
   const Unit& unit_;
   IoEnvironment& io_;
   uint64_t step_budget_;

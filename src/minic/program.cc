@@ -1,7 +1,6 @@
 #include "minic/program.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "minic/bytecode/vm.h"
 #include "minic/lexer.h"
@@ -69,7 +68,7 @@ PreparedPrefix prepare_prefix(const std::string& name,
   // Stage 1 of the compiled-prefix pipeline: parse, typecheck and lower the
   // prefix once. A prefix that does not stand alone as a clean unit (one
   // whose declarations only resolve once the tail exists) keeps the cache
-  // empty and `compile_tail` callers must use the token-splice path.
+  // empty, and `compile_tail` then compiles whole units.
   auto compiled = std::make_shared<CompiledPrefix>();
   {
     support::DiagnosticEngine pd;
@@ -98,10 +97,12 @@ namespace {
 
 /// Whole-unit fallback for `compile_tail`: token-splice compile + full
 /// lowering. Byte-identical to whole-unit compilation by construction; used
-/// when tail/prefix symbol collisions make tail-only checking diverge.
+/// when the prefix has no stage-1 cache or tail/prefix symbol collisions
+/// make tail-only checking diverge.
 SplicedProgram spliced_from_whole_unit(const PreparedPrefix& prefix,
                                        const std::string& tail) {
   SplicedProgram out;
+  out.whole_unit_fallback = true;
   Program prog = compile_with_prefix(prefix, tail);
   out.diags = std::move(prog.diags);
   if (!prog.unit) return out;
@@ -119,18 +120,15 @@ SplicedProgram spliced_from_whole_unit(const PreparedPrefix& prefix,
 }  // namespace
 
 SplicedProgram compile_tail(const PreparedPrefix& prefix,
-                            const std::string& tail) {
-  if (!prefix.compiled) {
-    throw std::logic_error(
-        "compile_tail: prefix has no stage-1 cache (prepare_prefix failed "
-        "or the prefix is not self-contained)");
-  }
+                            const std::string& tail, TailRecording* record) {
+  if (!prefix.compiled) return spliced_from_whole_unit(prefix, tail);
   const CompiledPrefix& cp = *prefix.compiled;
   SplicedProgram out;
   support::SourceBuffer buf(prefix.name, tail);
   LexOptions options;
   options.seed_macros = &prefix.macros;
   options.line_offset = prefix.lines;
+  if (record != nullptr) options.site_spans = &record->site_spans;
   LexOutput lexed = [&] {
     StageTimer timer(Stage::kLex);
     return lex_unit(buf, out.diags, options);
@@ -140,6 +138,12 @@ SplicedProgram compile_tail(const PreparedPrefix& prefix,
   out.macro_use_lines = prefix.macro_use_lines;
   for (auto& [name, lines] : lexed.macro_use_lines) {
     out.macro_use_lines[name].insert(lines.begin(), lines.end());
+  }
+  if (record != nullptr) {
+    record->tail_macro_use_lines = std::move(lexed.macro_use_lines);
+    record->macros = prefix.macros;
+    for (auto& [name, body] : lexed.macros) record->macros[name] = body;
+    record->tokens = lexed.tokens;  // the parser consumes the original
   }
 
   auto tail_unit = [&] {
@@ -153,139 +157,24 @@ SplicedProgram compile_tail(const PreparedPrefix& prefix,
     StageTimer timer(Stage::kTypecheck);
     return typecheck_tail(*tail_unit, cp.symbols, out.diags, &needs_whole_unit);
   }();
-  if (needs_whole_unit) {
-    // A tail declaration shadows a prefix symbol in a way whose diagnostics
-    // (or acceptance) only whole-unit checking reproduces.
-    SplicedProgram whole = spliced_from_whole_unit(prefix, tail);
-    whole.whole_unit_fallback = true;
-    return whole;
-  }
+  // A tail declaration shadows a prefix symbol in a way whose diagnostics
+  // (or acceptance) only whole-unit checking reproduces.
+  if (needs_whole_unit) return spliced_from_whole_unit(prefix, tail);
   if (!checked) return out;
 
   try {
     StageTimer timer(Stage::kSplice);
-    out.module = std::make_shared<bytecode::Module>(
-        bytecode::compile_tail_unit(cp.segment, cp.unit, *tail_unit));
+    out.module = std::make_shared<bytecode::Module>(bytecode::compile_tail_unit(
+        cp.segment, cp.unit, *tail_unit,
+        record != nullptr ? &record->patch : nullptr));
   } catch (const Fault& f) {
     out.internal_error = f.message;
-  }
-  return out;
-}
-
-RecordedTail compile_tail_recording(const PreparedPrefix& prefix,
-                                    const std::string& tail,
-                                    const std::vector<SiteSpan>& site_spans) {
-  if (!prefix.compiled) {
-    throw std::logic_error(
-        "compile_tail_recording: prefix has no stage-1 cache (prepare_prefix "
-        "failed or the prefix is not self-contained)");
-  }
-  const CompiledPrefix& cp = *prefix.compiled;
-  RecordedTail out;
-  SplicedProgram& sp = out.spliced;
-  support::SourceBuffer buf(prefix.name, tail);
-  LexOptions options;
-  options.seed_macros = &prefix.macros;
-  options.line_offset = prefix.lines;
-  options.site_spans = &site_spans;
-  LexOutput lexed = [&] {
-    StageTimer timer(Stage::kLex);
-    return lex_unit(buf, sp.diags, options);
-  }();
-  if (sp.diags.has_errors()) return out;
-
-  sp.macro_use_lines = prefix.macro_use_lines;
-  for (auto& [name, lines] : lexed.macro_use_lines) {
-    sp.macro_use_lines[name].insert(lines.begin(), lines.end());
-  }
-  out.tail_macro_use_lines = lexed.macro_use_lines;
-  out.macros = prefix.macros;
-  for (auto& [name, body] : lexed.macros) out.macros[name] = body;
-  out.tokens = lexed.tokens;  // the fast dedup-key path reuses these
-
-  auto tail_unit = [&] {
-    StageTimer timer(Stage::kParse);
-    Parser parser(std::move(lexed.tokens), sp.diags);
-    return parser.parse();
-  }();
-  if (!tail_unit) return out;
-  bool needs_whole_unit = false;
-  bool checked = [&] {
-    StageTimer timer(Stage::kTypecheck);
-    return typecheck_tail(*tail_unit, cp.symbols, sp.diags, &needs_whole_unit);
-  }();
-  if (needs_whole_unit) {
-    out.spliced = spliced_from_whole_unit(prefix, tail);
-    out.spliced.whole_unit_fallback = true;
     return out;
   }
-  if (!checked) return out;
-
-  try {
-    StageTimer timer(Stage::kSplice);
-    sp.module = std::make_shared<bytecode::Module>(bytecode::compile_tail_unit(
-        cp.segment, cp.unit, *tail_unit, &out.patch));
-  } catch (const Fault& f) {
-    sp.internal_error = f.message;
-    return out;
+  if (record != nullptr) {
+    record->tail_unit = std::make_unique<Unit>(std::move(*tail_unit));
   }
-  out.tail_unit = std::make_unique<Unit>(std::move(*tail_unit));
   return out;
-}
-
-CheckedTail check_tail(const PreparedPrefix& prefix, const std::string& tail) {
-  if (!prefix.compiled) {
-    throw std::logic_error(
-        "check_tail: prefix has no stage-1 cache (prepare_prefix failed or "
-        "the prefix is not self-contained)");
-  }
-  const CompiledPrefix& cp = *prefix.compiled;
-  CheckedTail out;
-  support::SourceBuffer buf(prefix.name, tail);
-  LexOptions options;
-  options.seed_macros = &prefix.macros;
-  options.line_offset = prefix.lines;
-  LexOutput lexed = [&] {
-    StageTimer timer(Stage::kLex);
-    return lex_unit(buf, out.diags, options);
-  }();
-  if (out.diags.has_errors()) return out;
-
-  out.macro_use_lines = prefix.macro_use_lines;
-  for (auto& [name, lines] : lexed.macro_use_lines) {
-    out.macro_use_lines[name].insert(lines.begin(), lines.end());
-  }
-
-  auto tail_unit = [&] {
-    StageTimer timer(Stage::kParse);
-    Parser parser(std::move(lexed.tokens), out.diags);
-    return parser.parse();
-  }();
-  if (!tail_unit) return out;
-  bool needs_whole_unit = false;
-  bool checked = [&] {
-    StageTimer timer(Stage::kTypecheck);
-    return typecheck_tail(*tail_unit, cp.symbols, out.diags, &needs_whole_unit);
-  }();
-  if (needs_whole_unit) {
-    out.whole_unit_fallback = true;
-    return out;
-  }
-  if (!checked) return out;
-  out.unit = std::make_unique<Unit>(std::move(*tail_unit));
-  return out;
-}
-
-RunOutcome run_tail_unit(const PreparedPrefix& prefix, const Unit& tail_unit,
-                         IoEnvironment& io, const std::string& entry,
-                         uint64_t step_budget, uint64_t watchdog_ms) {
-  if (!prefix.compiled) {
-    throw std::logic_error("run_tail_unit: prefix has no stage-1 cache");
-  }
-  StageTimer timer(Stage::kBoot);
-  Interp interp(prefix.compiled->unit, tail_unit, io, step_budget);
-  interp.set_watchdog_ms(watchdog_ms);
-  return interp.run(entry);
 }
 
 RunOutcome run_module(const bytecode::Module& module, IoEnvironment& io,

@@ -61,10 +61,10 @@ enum class ExecEngine {
     ExecEngine engine = ExecEngine::kBytecodeVm);
 
 // ---------------------------------------------------------------------------
-// Compiled-prefix cache: the three-stage per-mutant pipeline.
+// Compiled-prefix cache: the bytecode VM's per-mutant pipeline.
 //
 // The mutation campaigns compile `stubs + driver` once per mutant while the
-// stubs never change, so the pipeline is split into
+// stubs never change, so the VM's pipeline is split into
 //   1. prepare  — `prepare_prefix` runs ONCE per campaign: it lexes the
 //      invariant prefix, and (when the prefix is a self-contained unit)
 //      parses, typechecks and lowers it into an immutable, shareable
@@ -79,13 +79,15 @@ enum class ExecEngine {
 // The result is byte-identical — diagnostics, fault kind/message, return
 // value, step count, coverage, log — to `compile(name, prefix_text + tail)`
 // followed by `run_unit`; a differential ctest suite enforces this. When the
-// tail collides with prefix symbols in ways only whole-unit checking
-// reports, `compile_tail` internally falls back to the token-splice
-// `compile_with_prefix` path.
+// prefix has no stage-1 cache, or the tail collides with prefix symbols in
+// ways only whole-unit checking reports, `compile_tail` returns the
+// whole-unit result instead (`SplicedProgram::whole_unit_fallback`).
 //
-// The token-level splice (`compile_with_prefix`) remains the whole-unit
-// path: it produces a full `Program` for the tree-walker oracle and for the
-// fallback, re-lexing only the tail but re-parsing/re-checking everything.
+// The token-level splice (`compile_with_prefix`) is the whole-unit path: it
+// produces a full `Program`, re-lexing only the tail but re-parsing and
+// re-checking everything. The tree-walker oracle always takes it, so the
+// walker shares no symbol table, typecheck or lowering with the VM's tail
+// pipeline that it checks.
 // ---------------------------------------------------------------------------
 
 /// The fully compiled invariant prefix: parsed decls, their symbol snapshot
@@ -108,7 +110,7 @@ struct PreparedPrefix {
   std::map<std::string, std::set<uint32_t>> macro_use_lines;
   support::DiagnosticEngine diags;
   /// Stage-1 compile cache. Null when the prefix is not a self-contained
-  /// clean unit (then only the token-level splice is available).
+  /// clean unit (then `compile_tail` compiles whole units).
   std::shared_ptr<const CompiledPrefix> compiled;
 
   [[nodiscard]] bool ok() const { return !diags.has_errors(); }
@@ -137,75 +139,41 @@ struct SplicedProgram {
   /// (minic::Fault{kInternal}); the caller must surface a kInternal
   /// outcome, exactly as `run_unit` does for whole-unit lowering faults.
   std::string internal_error;
-  /// True when the tail collided with prefix symbols and this result came
-  /// from the whole-unit fallback instead of the cached segment (the
-  /// campaigns count real cache hits from this).
+  /// True when this result came from whole-unit compilation instead of the
+  /// cached segment: the prefix has no stage-1 cache, or the tail collided
+  /// with prefix symbols (the campaigns count real cache hits from this).
   bool whole_unit_fallback = false;
 
   [[nodiscard]] bool ok() const { return module != nullptr; }
 };
 
-/// Stages 2+3: compiles only `tail` against `prefix.compiled` (which must be
-/// non-null) and splices the cached segment. See the pipeline comment above
-/// for the equivalence guarantee.
-[[nodiscard]] SplicedProgram compile_tail(const PreparedPrefix& prefix,
-                                          const std::string& tail);
-
-/// Clean-compile artifact for the bytecode patcher: `compile_tail` with the
-/// driver's mutation-site spans threaded into the lexer, returning — next to
-/// the spliced module — everything a `bytecode::Patcher` needs: the recorded
-/// patch table, the parsed+typechecked tail unit, the final macro table, and
-/// the clean site-tagged token stream (the campaign's fast dedup-key path
-/// serializes per-token key spans from it). On a whole-unit fallback the
-/// patch table stays empty and `tail_unit` null: every mutant of such a
-/// campaign recompiles, exactly as before.
-struct RecordedTail {
-  SplicedProgram spliced;
+/// Optional `compile_tail` argument for the campaign's clean-tail compile,
+/// which feeds the bytecode patcher. `site_spans` go in: sorted, disjoint
+/// byte spans of the tail (mutation::scan_c_sites order satisfies this),
+/// threaded into the lexer as token provenance. Everything a
+/// `bytecode::Patcher` needs comes out. On a whole-unit fallback the patch
+/// table stays empty and `tail_unit` null: every mutant of such a campaign
+/// recompiles.
+struct TailRecording {
+  std::vector<SiteSpan> site_spans;
   bytecode::PatchTable patch;
   std::unique_ptr<Unit> tail_unit;  // null on errors or whole-unit fallback
   MacroTable macros;                // prefix seeds + tail definitions
-  std::vector<Token> tokens;        // expanded clean tail tokens, incl. kEof
+  /// Expanded clean tail tokens, incl. kEof (the campaign's fast dedup-key
+  /// path serializes per-token key spans from them).
+  std::vector<Token> tokens;
   /// Macro uses from the tail buffer ONLY (pre-merge) — the campaign's
   /// canonical dedup key serializes exactly this map, never the merged one.
   std::map<std::string, std::set<uint32_t>> tail_macro_use_lines;
 };
 
-/// Runs the stage-2+3 pipeline once on the CLEAN driver tail, recording
-/// patch points. `site_spans` must be sorted, disjoint byte spans of `tail`
-/// (mutation::scan_c_sites order satisfies this).
-[[nodiscard]] RecordedTail compile_tail_recording(
-    const PreparedPrefix& prefix, const std::string& tail,
-    const std::vector<SiteSpan>& site_spans);
-
-/// Tail-only front end for the tree-walker oracle: lexes, parses and
-/// typechecks ONLY `tail` against the cached prefix symbols, yielding a unit
-/// the layered walker (`run_tail_unit`) executes on top of the prefix's
-/// already-typechecked declarations. Symbol collisions that only whole-unit
-/// checking reproduces set `whole_unit_fallback`; callers then compile via
-/// `compile_with_prefix` + `run_unit`, mirroring the VM path's fallback.
-struct CheckedTail {
-  support::DiagnosticEngine diags;
-  std::unique_ptr<Unit> unit;  // typechecked tail; null when checking failed
-  std::map<std::string, std::set<uint32_t>> macro_use_lines;
-  bool whole_unit_fallback = false;
-
-  [[nodiscard]] bool ok() const { return unit != nullptr; }
-};
-
-[[nodiscard]] CheckedTail check_tail(const PreparedPrefix& prefix,
-                                     const std::string& tail);
-
-/// Runs `entry` on the tree walker layered over the prefix cache: the
-/// interpreter resolves functions, globals and structs against the prefix's
-/// typechecked unit first, then the tail — observationally identical to
-/// whole-unit walking of `prefix + tail` (ctest-enforced). `prefix.compiled`
-/// must be non-null and must outlive the call.
-[[nodiscard]] RunOutcome run_tail_unit(const PreparedPrefix& prefix,
-                                       const Unit& tail_unit,
-                                       IoEnvironment& io,
-                                       const std::string& entry,
-                                       uint64_t step_budget = 2'000'000,
-                                       uint64_t watchdog_ms = 0);
+/// Stages 2+3: compiles only `tail` against `prefix.compiled` and splices
+/// the cached segment, falling back to the whole unit as described in the
+/// pipeline comment above. A non-null `record` also records patch points
+/// and keeps the front end's intermediate results (see TailRecording).
+[[nodiscard]] SplicedProgram compile_tail(const PreparedPrefix& prefix,
+                                          const std::string& tail,
+                                          TailRecording* record = nullptr);
 
 /// Runs `entry` in a spliced module on the bytecode VM. The walker has no
 /// module form — use `run_unit` with a whole-unit Program for the oracle.

@@ -226,11 +226,6 @@ void campaign_matrix(eval::DriverCampaignConfig cfg, const std::string& label) {
   expect_identical(base, walker, label + " vm vs walker");
   EXPECT_EQ(walker.prefix_cache_hits, 0u) << label;  // walker compiles whole
 
-  cfg.engine = minic::ExecEngine::kBytecodeVm;
-  cfg.prefix_cache = false;
-  auto plain = eval::run_driver_campaign(cfg);
-  expect_identical(base, plain, label + " cache on vs off");
-  EXPECT_EQ(plain.prefix_cache_hits, 0u) << label;
   // The counters prove the fast path served every unique compile.
   EXPECT_GT(base.prefix_cache_hits, 0u) << label;
   EXPECT_EQ(base.prefix_cache_hits,

@@ -59,7 +59,8 @@ uint32_t add_site(std::vector<minic::SiteSpan>& spans, const std::string& text,
 
 struct GoldenContext {
   minic::PreparedPrefix prefix;
-  minic::RecordedTail recorded;
+  minic::SplicedProgram clean;
+  minic::TailRecording recorded;
   // Site ids in the order add_site assigned them.
   uint32_t amp, pipe, caret, ampamp, pipepipe, shl, tilde, plus, eq, amp_assign,
       lit5, shl_eq;
@@ -85,9 +86,10 @@ GoldenContext build_golden() {
   g.prefix = minic::prepare_prefix("golden.c", "");
   EXPECT_TRUE(g.prefix.ok()) << g.prefix.diags.render();
   EXPECT_NE(g.prefix.compiled, nullptr);
-  g.recorded = minic::compile_tail_recording(g.prefix, text, spans);
-  EXPECT_TRUE(g.recorded.spliced.ok()) << g.recorded.spliced.diags.render();
-  EXPECT_FALSE(g.recorded.spliced.whole_unit_fallback);
+  g.recorded.site_spans = std::move(spans);
+  g.clean = minic::compile_tail(g.prefix, text, &g.recorded);
+  EXPECT_TRUE(g.clean.ok()) << g.clean.diags.render();
+  EXPECT_FALSE(g.clean.whole_unit_fallback);
   EXPECT_NE(g.recorded.tail_unit, nullptr);
   EXPECT_FALSE(g.recorded.patch.points.empty());
   return g;
@@ -95,7 +97,7 @@ GoldenContext build_golden() {
 
 minic::bytecode::Patcher make_patcher(const GoldenContext& g,
                                       minic::bytecode::PatchTable table) {
-  return minic::bytecode::Patcher(*g.recorded.spliced.module,
+  return minic::bytecode::Patcher(*g.clean.module,
                                   g.prefix.compiled->unit,
                                   *g.recorded.tail_unit, g.recorded.macros,
                                   std::move(table));
@@ -358,24 +360,6 @@ TEST(BytecodePatch, PatchedBootsOnRecycledDevicesAreBitIdentical) {
   expect_identical(first, second);
   expect_same_patch_bits(first, second);
   EXPECT_GT(first.patch_hits, 0u);
-}
-
-// The tree-walker oracle layered over the prepared prefix must match the
-// whole-unit walker exactly; walker campaigns never build a patcher, so the
-// patch counters stay zero either way.
-TEST(BytecodePatch, WalkerPrefixReuseMatchesWholeUnitWalker) {
-  for (bool cdevil : {false, true}) {
-    SCOPED_TRACE(cdevil ? "CDevil" : "C");
-    auto cfg = patch_config(drivers_for("busmouse"), cdevil);
-    cfg.engine = minic::ExecEngine::kTreeWalker;
-    cfg.threads = 2;
-    auto layered = eval::run_driver_campaign(cfg);
-    cfg.prefix_cache = false;
-    auto whole = eval::run_driver_campaign(cfg);
-    expect_identical(layered, whole);
-    EXPECT_EQ(layered.patch_hits, 0u);
-    EXPECT_EQ(layered.patch_fallbacks, 0u);
-  }
 }
 
 }  // namespace

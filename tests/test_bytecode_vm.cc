@@ -422,7 +422,9 @@ TEST(BytecodeVmDiff, SampledCDevilMutants) {
 
 // ---------------------------------------------------------------------------
 // Campaign-level byte identity: records, tallies and the rendered Tables
-// 3/4 must be identical between engines, at 1 and 4 worker threads.
+// 3/4 must be identical between engines, at 1 and 4 worker threads. The VM
+// boots every mutant through the compiled-prefix cache (tail compile or
+// patch); the walker oracle compiles every mutant as a whole unit.
 // ---------------------------------------------------------------------------
 
 void expect_identical_campaigns(const eval::DriverCampaignResult& a,
@@ -451,20 +453,32 @@ void expect_identical_campaigns(const eval::DriverCampaignResult& a,
       << label;
 }
 
-TEST(CampaignEngines, CDriverByteIdenticalAcrossEnginesAndThreads) {
-  eval::DriverCampaignConfig cfg;
-  cfg.driver = corpus::c_ide_driver();
-  cfg.device = eval::ide_binding();
-  cfg.sample_percent = 10;
+/// Runs `cfg` on both engines at 1 and 4 threads; the counters prove which
+/// front end each engine took.
+void expect_engines_agree(eval::DriverCampaignConfig cfg,
+                          const std::string& label) {
   for (unsigned threads : {1u, 4u}) {
+    const std::string l = label + " threads=" + std::to_string(threads);
     cfg.threads = threads;
     cfg.engine = minic::ExecEngine::kBytecodeVm;
     auto vm = eval::run_driver_campaign(cfg);
     cfg.engine = minic::ExecEngine::kTreeWalker;
     auto walker = eval::run_driver_campaign(cfg);
-    expect_identical_campaigns(walker, vm,
-                               "c threads=" + std::to_string(threads));
+    expect_identical_campaigns(walker, vm, l);
+    EXPECT_GT(vm.prefix_cache_hits, 0u) << l;
+    EXPECT_EQ(vm.prefix_cache_hits, vm.sampled_mutants - vm.deduped_mutants)
+        << l;
+    EXPECT_EQ(walker.prefix_cache_hits, 0u) << l;
+    EXPECT_EQ(walker.patch_hits + walker.patch_fallbacks, 0u) << l;
   }
+}
+
+TEST(CampaignEngines, CDriverByteIdenticalAcrossEnginesAndThreads) {
+  eval::DriverCampaignConfig cfg;
+  cfg.driver = corpus::c_ide_driver();
+  cfg.device = eval::ide_binding();
+  cfg.sample_percent = 10;
+  expect_engines_agree(cfg, "c");
 }
 
 TEST(CampaignEngines, CDevilByteIdenticalAcrossEnginesAndThreads) {
@@ -477,15 +491,7 @@ TEST(CampaignEngines, CDevilByteIdenticalAcrossEnginesAndThreads) {
   cfg.device = eval::ide_binding();
   cfg.is_cdevil = true;
   cfg.sample_percent = 10;
-  for (unsigned threads : {1u, 4u}) {
-    cfg.threads = threads;
-    cfg.engine = minic::ExecEngine::kBytecodeVm;
-    auto vm = eval::run_driver_campaign(cfg);
-    cfg.engine = minic::ExecEngine::kTreeWalker;
-    auto walker = eval::run_driver_campaign(cfg);
-    expect_identical_campaigns(walker, vm,
-                               "cdevil threads=" + std::to_string(threads));
-  }
+  expect_engines_agree(cfg, "cdevil");
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@
 // The cached path must be indistinguishable from whole-unit compilation:
 // same acceptance and first diagnostic, and byte-identical RunOutcome
 // (fault kind and message, return value, step count, coverage bitmap,
-// printk log) — across every corpus driver, sampled mutants of both
-// campaigns, and any thread count. Campaign records with the cache on and
-// off must match exactly; `prefix_cache_hits` proves the fast path ran.
+// printk log) — across every corpus driver and sampled mutants of both
+// campaigns. Campaign-level identity against the whole-unit walker oracle
+// lives in test_bytecode_vm.cc (CampaignEngines).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -18,8 +18,6 @@
 #include "corpus/smoke_drivers.h"
 #include "corpus/specs.h"
 #include "devil/compiler.h"
-#include "eval/device_bindings.h"
-#include "eval/driver_campaign.h"
 #include "eval/spec_campaign.h"
 #include "hw/ide_disk.h"
 #include "hw/io_bus.h"
@@ -205,73 +203,6 @@ TEST(PrefixPipeline, SampledCDevilMutants) {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign-level byte identity: prefix cache on vs off, threads 1 vs 4.
-// ---------------------------------------------------------------------------
-
-void expect_identical_records(const eval::DriverCampaignResult& a,
-                              const eval::DriverCampaignResult& b,
-                              const std::string& label) {
-  EXPECT_EQ(a.clean_fingerprint, b.clean_fingerprint) << label;
-  EXPECT_EQ(a.total_sites, b.total_sites) << label;
-  EXPECT_EQ(a.total_mutants, b.total_mutants) << label;
-  EXPECT_EQ(a.sampled_mutants, b.sampled_mutants) << label;
-  EXPECT_EQ(a.deduped_mutants, b.deduped_mutants) << label;
-  EXPECT_EQ(a.tally.mutants, b.tally.mutants) << label;
-  EXPECT_EQ(a.tally.sites, b.tally.sites) << label;
-  ASSERT_EQ(a.records.size(), b.records.size()) << label;
-  for (size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].mutant_index, b.records[i].mutant_index)
-        << label << " #" << i;
-    EXPECT_EQ(a.records[i].site, b.records[i].site) << label << " #" << i;
-    EXPECT_EQ(a.records[i].outcome, b.records[i].outcome)
-        << label << " #" << i;
-    EXPECT_EQ(a.records[i].detail, b.records[i].detail) << label << " #" << i;
-    EXPECT_EQ(a.records[i].deduped, b.records[i].deduped)
-        << label << " #" << i;
-  }
-}
-
-void campaign_cache_on_off(eval::DriverCampaignConfig cfg,
-                           const std::string& label) {
-  for (unsigned threads : {1u, 4u}) {
-    cfg.threads = threads;
-    cfg.prefix_cache = true;
-    auto cached = eval::run_driver_campaign(cfg);
-    cfg.prefix_cache = false;
-    auto plain = eval::run_driver_campaign(cfg);
-    std::string l = label + " threads=" + std::to_string(threads);
-    expect_identical_records(plain, cached, l);
-    // The counters prove which pipeline ran.
-    EXPECT_GT(cached.prefix_cache_hits, 0u) << l;
-    EXPECT_EQ(cached.prefix_cache_hits,
-              cached.sampled_mutants - cached.deduped_mutants)
-        << l;
-    EXPECT_EQ(plain.prefix_cache_hits, 0u) << l;
-  }
-}
-
-TEST(PrefixPipeline, CCampaignByteIdenticalCacheOnOff) {
-  eval::DriverCampaignConfig cfg;
-  cfg.driver = corpus::c_ide_driver();
-  cfg.device = eval::ide_binding();
-  cfg.sample_percent = 10;
-  campaign_cache_on_off(cfg, "c");
-}
-
-TEST(PrefixPipeline, CDevilCampaignByteIdenticalCacheOnOff) {
-  auto spec = devil::compile_spec("ide.dil", corpus::ide_spec(),
-                                  devil::CodegenMode::kDebug);
-  ASSERT_TRUE(spec.ok());
-  eval::DriverCampaignConfig cfg;
-  cfg.stubs = spec.stubs;
-  cfg.driver = corpus::cdevil_ide_driver();
-  cfg.device = eval::ide_binding();
-  cfg.is_cdevil = true;
-  cfg.sample_percent = 10;
-  campaign_cache_on_off(cfg, "cdevil");
-}
-
-// ---------------------------------------------------------------------------
 // Tail/prefix symbol collisions: the cached path must reproduce whole-unit
 // diagnostics (falling back to whole-unit compilation where needed).
 // ---------------------------------------------------------------------------
@@ -330,9 +261,18 @@ TEST(PrefixPipeline, NonSelfContainedPrefixHasNoCache) {
   auto prefix = minic::prepare_prefix("u.c", "int f() { return g(); }\n");
   ASSERT_TRUE(prefix.ok());
   EXPECT_EQ(prefix.compiled, nullptr);
-  auto whole =
-      minic::compile_with_prefix(prefix, "int g() { return 7; }\n");
+  const std::string tail = "int g() { return 7; }\n";
+  auto whole = minic::compile_with_prefix(prefix, tail);
   EXPECT_TRUE(whole.ok()) << whole.diags.render();
+  // compile_tail has no segment to splice onto, so it hands back the whole
+  // unit, flagged as a fallback, and the module still boots.
+  auto spliced = minic::compile_tail(prefix, tail);
+  ASSERT_TRUE(spliced.ok()) << spliced.diags.render();
+  EXPECT_TRUE(spliced.whole_unit_fallback);
+  hw::IoBus bus;
+  auto out = minic::run_module(*spliced.module, bus, "f", 1000);
+  EXPECT_EQ(out.fault, minic::FaultKind::kNone) << out.fault_message;
+  EXPECT_EQ(out.return_value, 7);
 }
 
 // ---------------------------------------------------------------------------

@@ -183,7 +183,6 @@ TEST(CampaignSpecJson, RoundTripReproducesNonDefaultSpec) {
   spec.sample_percent = 33;
   spec.step_budget = 123456;
   spec.dedup = false;
-  spec.prefix_cache = false;
   spec.bytecode_patch = false;
   spec.flight_recorder = true;
   spec.watchdog_ms = 250;
@@ -203,6 +202,13 @@ TEST(CampaignSpecJson, UnknownFieldRejected) {
   support::JsonValue v = eval::campaign_spec_to_json(eval::CampaignSpec{});
   v.set("surprise", int64_t{1});
   EXPECT_THROW((void)eval::campaign_spec_from_json(v, "strict"),
+               std::runtime_error);
+  // A retired knob is unknown too: a request that still sets it is
+  // rejected, never silently run without it.
+  support::JsonValue retired =
+      eval::campaign_spec_to_json(eval::CampaignSpec{});
+  retired.set("prefix_cache", false);
+  EXPECT_THROW((void)eval::campaign_spec_from_json(retired, "strict"),
                std::runtime_error);
 }
 
