@@ -351,8 +351,11 @@ int run_fault_campaigns(const eval::CampaignSpec& spec, bool assert_counters,
 }
 
 /// `--spec-campaign`: Table 2 — mutate the Devil specifications themselves
-/// and count what the Devil compiler rejects.
-int run_spec_campaigns(const eval::CampaignSpec& spec) {
+/// and count what the Devil compiler rejects. With `assert_counters` the
+/// exit code additionally verifies that the splice built every corpus
+/// mutant's token stream (none re-lexed) and, unless `--no-dedup`, that
+/// dedup skipped at least one check per spec; the counts go to stderr.
+int run_spec_campaigns(const eval::CampaignSpec& spec, bool assert_counters) {
   std::printf("Running spec mutation campaigns (%u thread(s), 0 = all "
               "cores)...\n\n",
               spec.threads);
@@ -362,7 +365,26 @@ int run_spec_campaigns(const eval::CampaignSpec& spec) {
     rows.push_back(eval::run_spec_campaign(entry, config));
   }
   std::fputs(eval::render_table2(rows).c_str(), stdout);
-  return 0;
+  if (!assert_counters) return 0;
+  bool ok = true;
+  for (const eval::SpecCampaignRow& row : rows) {
+    std::fprintf(stderr,
+                 "%s: %zu checks, %zu deduped, %zu spliced, %zu re-lexed\n",
+                 row.name.c_str(), row.mutants - row.deduped, row.deduped,
+                 row.mutants - row.relexed, row.relexed);
+    if (row.relexed != 0) {
+      std::fprintf(stderr, "FAIL: %s spec campaign re-lexed %zu mutants\n",
+                   row.name.c_str(), row.relexed);
+      ok = false;
+    }
+    if (config.dedup && row.deduped == 0) {
+      std::fprintf(stderr, "FAIL: %s spec campaign deduped 0 mutants\n",
+                   row.name.c_str());
+      ok = false;
+    }
+  }
+  std::printf("counter assertions: %s\n", ok ? "OK" : "FAILED");
+  return ok ? 0 : 1;
 }
 
 /// `--shard i/N --out FILE`: runs slice i/N of every selected campaign and
@@ -643,6 +665,8 @@ int usage(std::FILE* to) {
       "                       bytecode patching both hit and fell back)\n"
       "                       (with --faults: fail unless faults fired and\n"
       "                       CDevil detected strictly more than C)\n"
+      "                       (with --spec-campaign: fail if any mutant\n"
+      "                       was re-lexed or, with dedup on, none deduped)\n"
       "  --workers N          --serve/--dispatch: shard workers per job\n"
       "                       (daemon default 3; 0 = daemon default)\n"
       "  --scratch DIR        --serve: artifact/log directory (default: a\n"
@@ -928,11 +952,7 @@ int main(int argc, char** argv) {
 
   if (campaign_mode) {
     if (spec.kind == eval::CampaignKind::kSpec) {
-      if (assert_counters) {
-        return flag_error("--assert-counters applies to driver and fault "
-                          "campaigns, not --spec-campaign");
-      }
-      int rc = run_spec_campaigns(spec);
+      int rc = run_spec_campaigns(spec, assert_counters);
       if (!metrics_path.empty()) {
         int metrics_rc = write_metrics_artifact(
             metrics_path, eval::MetricsArtifact{}, spec.threads);

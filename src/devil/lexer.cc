@@ -1,6 +1,7 @@
 #include "devil/lexer.h"
 
 #include <cctype>
+#include <cstdint>
 #include <unordered_map>
 
 namespace devil {
@@ -139,21 +140,32 @@ Token Lexer::next() {
 
   if (std::isdigit(static_cast<unsigned char>(c))) {
     std::string text;
+    const bool hex = c == '0' && (peek(1) == 'x' || peek(1) == 'X');
+    if (hex) {
+      text += advance();
+      text += advance();
+    }
+    const uint64_t base = hex ? 16 : 10;
     uint64_t value = 0;
-    if (c == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
-      text += advance();
-      text += advance();
-      while (std::isxdigit(static_cast<unsigned char>(peek())))
-        text += advance();
-      if (text.size() == 2) {
-        diags_.error("DVL010", begin, "incomplete hexadecimal literal");
-        return make(TokKind::kError, begin, std::move(text));
-      }
-      value = std::stoull(text.substr(2), nullptr, 16);
-    } else {
-      while (std::isdigit(static_cast<unsigned char>(peek())))
-        text += advance();
-      value = std::stoull(text, nullptr, 10);
+    bool overflow = false;
+    while (hex ? std::isxdigit(static_cast<unsigned char>(peek()))
+               : std::isdigit(static_cast<unsigned char>(peek()))) {
+      char d = advance();
+      text += d;
+      uint64_t digit = std::isdigit(static_cast<unsigned char>(d))
+                           ? static_cast<uint64_t>(d - '0')
+                           : static_cast<uint64_t>(std::tolower(d) - 'a' + 10);
+      if (value > (UINT64_MAX - digit) / base) overflow = true;
+      value = value * base + digit;
+    }
+    if (hex && text.size() == 2) {
+      diags_.error("DVL010", begin, "incomplete hexadecimal literal");
+      return make(TokKind::kError, begin, std::move(text));
+    }
+    if (overflow) {
+      diags_.error("DVL016", begin,
+                   "integer literal '" + text + "' does not fit in 64 bits");
+      return make(TokKind::kError, begin, std::move(text));
     }
     Token t = make(TokKind::kInt, begin, std::move(text));
     t.int_value = value;

@@ -102,20 +102,14 @@ PortParam Parser::parse_port_param() {
   expect(TokKind::kColon, "after port parameter name");
   expect(TokKind::kKwBit, "in port parameter type");
   expect(TokKind::kLBracket, "in port width");
-  p.width_bits = static_cast<int>(parse_int("port width"));
+  p.width_bits = parse_size("port width");
   expect(TokKind::kRBracket, "after port width");
   expect(TokKind::kKwPort, "in port parameter type");
   expect(TokKind::kAt, "before the port offset range");
   expect(TokKind::kLBrace, "to open the offset range");
   do {
-    uint64_t lo = parse_int("offset");
-    if (accept(TokKind::kDotDot)) {
-      uint64_t hi = parse_int("range upper bound");
-      for (uint64_t v = lo; v <= hi; ++v) p.offsets.push_back(v);
-      if (lo > hi) p.has_empty_range = true;  // sema reports DVL102
-    } else {
-      p.offsets.push_back(lo);
-    }
+    parse_group("offset", "range upper bound", p.offsets,
+                &p.has_empty_range);  // sema reports DVL102
   } while (accept(TokKind::kComma));
   expect(TokKind::kRBrace, "to close the offset range");
   return p;
@@ -204,7 +198,7 @@ RegisterDecl Parser::parse_register() {
   expect(TokKind::kColon, "before register size");
   expect(TokKind::kKwBit, "in register size");
   expect(TokKind::kLBracket, "in register size");
-  reg.size_bits = static_cast<int>(parse_int("register size"));
+  reg.size_bits = parse_size("register size");
   expect(TokKind::kRBracket, "after register size");
   expect(TokKind::kSemi, "to end the register declaration");
   return reg;
@@ -222,9 +216,9 @@ RegFragment Parser::parse_fragment() {
   f.reg = advance().text;
   if (accept(TokKind::kLBracket)) {
     f.has_range = true;
-    f.msb = static_cast<int>(parse_int("bit index"));
+    f.msb = parse_size("bit index");
     if (accept(TokKind::kDotDot)) {
-      f.lsb = static_cast<int>(parse_int("bit index"));
+      f.lsb = parse_size("bit index");
     } else {
       f.lsb = f.msb;
     }
@@ -275,7 +269,7 @@ TypeExpr Parser::parse_type() {
     ty.kind = TypeKind::kSignedInt;
     expect(TokKind::kKwInt, "after 'signed'");
     expect(TokKind::kLParen, "in integer type");
-    ty.width_bits = static_cast<int>(parse_int("type width"));
+    ty.width_bits = parse_size("type width");
     expect(TokKind::kRParen, "after type width");
     return ty;
   }
@@ -287,20 +281,15 @@ TypeExpr Parser::parse_type() {
   if (accept(TokKind::kKwInt)) {
     if (accept(TokKind::kLParen)) {
       ty.kind = TypeKind::kInt;
-      ty.width_bits = static_cast<int>(parse_int("type width"));
+      ty.width_bits = parse_size("type width");
       expect(TokKind::kRParen, "after type width");
       return ty;
     }
     expect(TokKind::kLBrace, "in integer-set type");
     ty.kind = TypeKind::kIntSet;
     do {
-      uint64_t lo = parse_int("set element");
-      if (accept(TokKind::kDotDot)) {
-        uint64_t hi = parse_int("set range upper bound");
-        for (uint64_t v = lo; v <= hi; ++v) ty.set_values.push_back(v);
-      } else {
-        ty.set_values.push_back(lo);
-      }
+      parse_group("set element", "set range upper bound", ty.set_values,
+                  nullptr);
     } while (accept(TokKind::kComma));
     expect(TokKind::kRBrace, "to close the integer-set type");
     return ty;
@@ -357,6 +346,52 @@ uint64_t Parser::parse_int(const char* what) {
     fail();
   }
   return advance().int_value;
+}
+
+// Widths, sizes and bit indices. The bound keeps them exact in the AST's
+// `int` fields and keeps Sema's per-bit checks small.
+int Parser::parse_size(const char* what) {
+  constexpr uint64_t kMaxSize = 65535;
+  support::SourceLoc loc = peek().range.begin;
+  uint64_t v = parse_int(what);
+  if (v > kMaxSize) {
+    diags_.error("DVL039", loc,
+                 std::string(what) + " " + std::to_string(v) +
+                     " is too large (at most " + std::to_string(kMaxSize) +
+                     ")");
+    fail();
+  }
+  return static_cast<int>(v);
+}
+
+// `v` or `lo..hi`, appended to `out` in order. A `lo..hi` with lo > hi adds
+// nothing and sets `*empty_group`; one of more than kMaxGroup values is
+// rejected before anything is expanded.
+void Parser::parse_group(const char* what, const char* what_hi,
+                         std::vector<uint64_t>& out, bool* empty_group) {
+  constexpr uint64_t kMaxGroup = 65536;
+  support::SourceLoc loc = peek().range.begin;
+  uint64_t lo = parse_int(what);
+  if (!accept(TokKind::kDotDot)) {
+    out.push_back(lo);
+    return;
+  }
+  uint64_t hi = parse_int(what_hi);
+  if (lo > hi) {
+    if (empty_group) *empty_group = true;
+    return;
+  }
+  if (hi - lo >= kMaxGroup) {
+    diags_.error("DVL040", loc,
+                 "range " + std::to_string(lo) + ".." + std::to_string(hi) +
+                     " has more than " + std::to_string(kMaxGroup) +
+                     " elements");
+    fail();
+  }
+  for (uint64_t v = lo;; ++v) {
+    out.push_back(v);
+    if (v == hi) break;
+  }
 }
 
 }  // namespace devil

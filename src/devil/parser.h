@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "devil/ast.h"
@@ -13,8 +14,10 @@ namespace devil {
 
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, support::DiagnosticEngine& diags)
-      : toks_(std::move(tokens)), diags_(diags) {}
+  /// `tokens` ends with kEof and must outlive the parser.
+  Parser(std::span<const Token> tokens, support::DiagnosticEngine& diags)
+      : toks_(tokens), diags_(diags) {}
+  Parser(std::vector<Token>&&, support::DiagnosticEngine&) = delete;
 
   /// Parses one specification. Returns nullopt on a parse error (diagnostics
   /// explain why). Mutation-generated specs are syntactically valid by
@@ -40,8 +43,11 @@ class Parser {
   TypeExpr parse_type();
   std::vector<EnumItem> parse_enum_items();
   uint64_t parse_int(const char* what);
+  int parse_size(const char* what);
+  void parse_group(const char* what, const char* what_hi,
+                   std::vector<uint64_t>& out, bool* empty_group);
 
-  std::vector<Token> toks_;
+  std::span<const Token> toks_;
   support::DiagnosticEngine& diags_;
   size_t pos_ = 0;
   bool ok_ = true;

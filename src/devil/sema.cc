@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
 namespace devil {
 
@@ -71,10 +70,10 @@ void Sema::check_ports(const DeviceDecl& dev, DeviceInfo& info) {
     std::set<uint64_t> seen_offsets;
     for (uint64_t off : p.offsets) {
       if (!seen_offsets.insert(off).second) {
-        std::ostringstream os;
-        os << "offset " << off << " appears twice in the range of port '"
-           << p.name << "'";
-        diags_.error("DVL103", p.loc, os.str());
+        diags_.error("DVL103", p.loc,
+                     "offset " + std::to_string(off) +
+                         " appears twice in the range of port '" + p.name +
+                         "'");
       }
     }
     info.ports.emplace(p.name, &p);
@@ -109,16 +108,16 @@ void Sema::check_registers(const DeviceDecl& dev, DeviceInfo& info) {
       }
       const PortParam& pp = *pit->second;
       if (!pp.allows(b.port.offset)) {
-        std::ostringstream os;
-        os << "offset " << b.port.offset << " of port '" << pp.name
-           << "' is outside its declared offset set";
-        diags_.error("DVL113", b.port.loc, os.str());
+        diags_.error("DVL113", b.port.loc,
+                     "offset " + std::to_string(b.port.offset) + " of port '" +
+                         pp.name + "' is outside its declared offset set");
       }
       if (r.size_bits != pp.width_bits) {
-        std::ostringstream os;
-        os << "register '" << r.name << "' is bit[" << r.size_bits
-           << "] but port '" << pp.name << "' is bit[" << pp.width_bits << "]";
-        diags_.error("DVL115", r.loc, os.str());
+        diags_.error("DVL115", r.loc,
+                     "register '" + r.name + "' is bit[" +
+                         std::to_string(r.size_bits) + "] but port '" +
+                         pp.name + "' is bit[" +
+                         std::to_string(pp.width_bits) + "]");
       }
       if (can_read(b.access)) {
         if (has_read) {
@@ -138,11 +137,11 @@ void Sema::check_registers(const DeviceDecl& dev, DeviceInfo& info) {
 
     if (!r.mask.empty() &&
         static_cast<int>(r.mask.pattern.size()) != r.size_bits) {
-      std::ostringstream os;
-      os << "mask of register '" << r.name << "' has "
-         << r.mask.pattern.size() << " bits but the register is bit["
-         << r.size_bits << "]";
-      diags_.error("DVL114", r.mask.loc, os.str());
+      diags_.error("DVL114", r.mask.loc,
+                   "mask of register '" + r.name + "' has " +
+                       std::to_string(r.mask.pattern.size()) +
+                       " bits but the register is bit[" +
+                       std::to_string(r.size_bits) + "]");
     }
     ri.mask = r.mask.empty() ? std::string(static_cast<size_t>(
                                                std::max(r.size_bits, 1)),
@@ -182,19 +181,19 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
       int msb = f.has_range ? f.msb : size - 1;
       int lsb = f.has_range ? f.lsb : 0;
       if (msb < lsb || lsb < 0 || msb >= size) {
-        std::ostringstream os;
-        os << "bit range [" << f.msb << ".." << f.lsb << "] of register '"
-           << f.reg << "' is outside bit[" << size << "]";
-        diags_.error("DVL122", f.loc, os.str());
+        diags_.error("DVL122", f.loc,
+                     "bit range [" + std::to_string(f.msb) + ".." +
+                         std::to_string(f.lsb) + "] of register '" + f.reg +
+                         "' is outside bit[" + std::to_string(size) + "]");
         continue;
       }
       for (int b = lsb; b <= msb; ++b) {
         if (ri.mask_bit(b) != '.') {
-          std::ostringstream os;
-          os << "variable '" << v.name << "' uses bit " << b << " of register '"
-             << f.reg << "', which the mask marks irrelevant ('"
-             << ri.mask_bit(b) << "')";
-          diags_.error("DVL123", f.loc, os.str());
+          diags_.error("DVL123", f.loc,
+                       "variable '" + v.name + "' uses bit " +
+                           std::to_string(b) + " of register '" + f.reg +
+                           "', which the mask marks irrelevant ('" +
+                           std::string(1, ri.mask_bit(b)) + "')");
         }
       }
       total_width += msb - lsb + 1;
@@ -222,10 +221,9 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
       std::set<uint64_t> seen;
       for (uint64_t val : ty.set_values) {
         if (!seen.insert(val).second) {
-          std::ostringstream os;
-          os << "duplicate element " << val << " in integer-set type of '"
-             << v.name << "'";
-          diags_.error("DVL135", ty.loc, os.str());
+          diags_.error("DVL135", ty.loc,
+                       "duplicate element " + std::to_string(val) +
+                           " in integer-set type of '" + v.name + "'");
         }
       }
       if (ty.set_values.empty()) {
@@ -250,11 +248,11 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
           }
         }
         if (static_cast<int>(item.pattern.size()) != ty_width) {
-          std::ostringstream os;
-          os << "bit pattern of '" << item.name << "' has "
-             << item.pattern.size() << " bits; other patterns in the type have "
-             << ty_width;
-          diags_.error("DVL131", item.loc, os.str());
+          diags_.error("DVL131", item.loc,
+                       "bit pattern of '" + item.name + "' has " +
+                           std::to_string(item.pattern.size()) +
+                           " bits; other patterns in the type have " +
+                           std::to_string(ty_width));
         }
         bool rd = item.dir != MappingDir::kWrite;
         bool wr = item.dir != MappingDir::kRead;
@@ -288,10 +286,10 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
           ty_width <= 16) {
         uint64_t want = 1ULL << ty_width;
         if (read_pats.size() != want) {
-          std::ostringstream os;
-          os << "read mappings of variable '" << v.name << "' cover "
-             << read_pats.size() << " of " << want << " possible patterns";
-          diags_.error("DVL210", ty.loc, os.str());
+          diags_.error("DVL210", ty.loc,
+                       "read mappings of variable '" + v.name + "' cover " +
+                           std::to_string(read_pats.size()) + " of " +
+                           std::to_string(want) + " possible patterns");
         }
       }
       // A write-only or read-write enum must have at least one write item to
@@ -305,18 +303,19 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
     }
 
     if (total_width != ty_width) {
-      std::ostringstream os;
-      os << "variable '" << v.name << "' concatenates " << total_width
-         << " register bits but its type needs " << ty_width;
-      diags_.error("DVL130", v.loc, os.str());
+      diags_.error("DVL130", v.loc,
+                   "variable '" + v.name + "' concatenates " +
+                       std::to_string(total_width) +
+                       " register bits but its type needs " +
+                       std::to_string(ty_width));
     }
     if (ty.kind == TypeKind::kIntSet && total_width > 0 && total_width <= 63) {
       for (uint64_t val : ty.set_values) {
         if (val >= (1ULL << total_width)) {
-          std::ostringstream os;
-          os << "set element " << val << " of variable '" << v.name
-             << "' does not fit in " << total_width << " bits";
-          diags_.error("DVL138", ty.loc, os.str());
+          diags_.error("DVL138", ty.loc,
+                       "set element " + std::to_string(val) + " of variable '" +
+                           v.name + "' does not fit in " +
+                           std::to_string(total_width) + " bits");
         }
       }
     }
@@ -367,10 +366,9 @@ void Sema::check_pre_actions(const DeviceDecl& dev, DeviceInfo& info) {
           break;
       }
       if (!in_range) {
-        std::ostringstream os;
-        os << "pre-action value " << pa.value
-           << " is outside the type of variable '" << pa.var << "'";
-        diags_.error("DVL152", pa.loc, os.str());
+        diags_.error("DVL152", pa.loc,
+                     "pre-action value " + std::to_string(pa.value) +
+                         " is outside the type of variable '" + pa.var + "'");
       }
     }
   }
@@ -427,19 +425,29 @@ void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info) {
         if (vec[i].read != vec[j].read) continue;  // read vs write is fine
         if (pre_actions_disjoint(*vec[i].reg, *vec[j].reg)) continue;
         if (masks_disjoint(*vec[i].reg, *vec[j].reg)) continue;
-        std::ostringstream os;
-        os << "registers '" << vec[i].reg->name << "' and '"
-           << vec[j].reg->name << "' both use port '" << key.first << "' @ "
-           << key.second << " for " << (vec[i].read ? "reading" : "writing")
-           << " without disjoint pre-actions or masks";
-        diags_.error("DVL220", vec[j].reg->loc, os.str());
+        diags_.error("DVL220", vec[j].reg->loc,
+                     "registers '" + vec[i].reg->name + "' and '" +
+                         vec[j].reg->name + "' both use port '" + key.first +
+                         "' @ " + std::to_string(key.second) + " for " +
+                         (vec[i].read ? "reading" : "writing") +
+                         " without disjoint pre-actions or masks");
       }
     }
   }
 
   // "No bit of a single register can be used in the definition of two
-  //  different variables."
-  std::map<std::string, std::vector<std::pair<int, std::string>>> bit_owner;
+  //  different variables." Every claim of a bit is kept, in claim order, as
+  //  a list threaded through `claims`; a later variable is reported once per
+  //  earlier claim by another name.
+  struct Claim {
+    const std::string* owner;
+    int next;  // the bit's next claim in `claims`, -1 at the end
+  };
+  struct BitClaims {
+    std::vector<int> first, last;  // per bit: indices into `claims`, or -1
+  };
+  std::vector<Claim> claims;
+  std::map<std::string, BitClaims> bit_claims;
   for (const auto& v : dev.variables) {
     for (const auto& f : v.fragments) {
       auto rit = info.registers.find(f.reg);
@@ -448,51 +456,67 @@ void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info) {
       int msb = f.has_range ? f.msb : size - 1;
       int lsb = f.has_range ? f.lsb : 0;
       if (msb < lsb || lsb < 0 || msb >= size) continue;  // already diagnosed
+      BitClaims& reg = bit_claims[f.reg];
+      if (reg.first.empty()) {
+        reg.first.assign(static_cast<size_t>(size), -1);
+        reg.last.assign(static_cast<size_t>(size), -1);
+      }
       for (int b = lsb; b <= msb; ++b) {
-        for (const auto& [ob, owner] : bit_owner[f.reg]) {
-          if (ob == b && owner != v.name) {
-            std::ostringstream os;
-            os << "bit " << b << " of register '" << f.reg
-               << "' is used by both '" << owner << "' and '" << v.name << "'";
-            diags_.error("DVL221", f.loc, os.str());
+        for (int c = reg.first[b]; c >= 0; c = claims[c].next) {
+          if (*claims[c].owner != v.name) {
+            diags_.error("DVL221", f.loc,
+                         "bit " + std::to_string(b) + " of register '" + f.reg +
+                             "' is used by both '" + *claims[c].owner +
+                             "' and '" + v.name + "'");
           }
         }
-        bit_owner[f.reg].emplace_back(b, v.name);
+        int claim = static_cast<int>(claims.size());
+        claims.push_back({&v.name, -1});
+        if (reg.last[b] >= 0) {
+          claims[reg.last[b]].next = claim;
+        } else {
+          reg.first[b] = claim;
+        }
+        reg.last[b] = claim;
       }
     }
   }
 }
 
 void Sema::check_no_omission(const DeviceDecl& dev, DeviceInfo& info) {
-  // Every register must be used by some variable.
-  std::set<std::string> used_regs;
-  std::map<std::string, std::set<int>> covered_bits;
+  // Every register must be used by some variable. `covered` has an entry for
+  // every register name a fragment uses, holding one flag per bit of the
+  // declared register (empty for unknown registers and bad ranges).
+  std::map<std::string, std::vector<bool>> covered;
   for (const auto& v : dev.variables) {
     for (const auto& f : v.fragments) {
-      used_regs.insert(f.reg);
+      std::vector<bool>& bits = covered[f.reg];
       auto rit = info.registers.find(f.reg);
       if (rit == info.registers.end()) continue;
       int size = rit->second.decl->size_bits;
       int msb = f.has_range ? f.msb : size - 1;
       int lsb = f.has_range ? f.lsb : 0;
       if (msb < lsb || lsb < 0 || msb >= size) continue;
-      for (int b = lsb; b <= msb; ++b) covered_bits[f.reg].insert(b);
+      if (bits.empty()) bits.resize(static_cast<size_t>(size));
+      std::fill(bits.begin() + lsb, bits.begin() + msb + 1, true);
     }
   }
   for (const auto& r : dev.registers) {
-    if (!used_regs.count(r.name)) {
+    auto cit = covered.find(r.name);
+    if (cit == covered.end()) {
       diags_.error("DVL230", r.loc,
                    fmt("register ", r.name, " is not used by any variable"));
       continue;
     }
     auto rit = info.registers.find(r.name);
     if (rit == info.registers.end()) continue;
+    const std::vector<bool>& bits = cit->second;
     for (int b = 0; b < r.size_bits; ++b) {
-      if (rit->second.mask_bit(b) == '.' && !covered_bits[r.name].count(b)) {
-        std::ostringstream os;
-        os << "relevant bit " << b << " of register '" << r.name
-           << "' is not covered by any variable";
-        diags_.error("DVL231", r.loc, os.str());
+      if (rit->second.mask_bit(b) == '.' &&
+          (static_cast<size_t>(b) >= bits.size() || !bits[b])) {
+        diags_.error("DVL231", r.loc,
+                     "relevant bit " + std::to_string(b) + " of register '" +
+                         r.name + "' is not covered by any variable");
       }
     }
   }
@@ -512,10 +536,9 @@ void Sema::check_no_omission(const DeviceDecl& dev, DeviceInfo& info) {
     }
     for (uint64_t off : p.offsets) {
       if (!it->second.count(off)) {
-        std::ostringstream os;
-        os << "offset " << off << " of port '" << p.name
-           << "' is declared but never used";
-        diags_.error("DVL233", p.loc, os.str());
+        diags_.error("DVL233", p.loc,
+                     "offset " + std::to_string(off) + " of port '" + p.name +
+                         "' is declared but never used");
       }
     }
   }

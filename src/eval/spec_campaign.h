@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "corpus/specs.h"
+#include "devil/token.h"
+#include "mutation/site.h"
 
 namespace eval {
 
@@ -15,11 +17,14 @@ struct SpecCampaignRow {
   size_t sites = 0;          // mutation sites (col 2)
   size_t mutants = 0;        // injected mutants (col 3)
   size_t detected = 0;       // rejected by the Devil compiler
-  /// Mutants that skipped their own `check_spec` run because their mutated
-  /// spec lexes to an already-seen canonical token stream; their detection
-  /// flag comes from the representative. Tallies are unchanged (ctest).
+  /// Mutants that skipped their own check because their token stream equals
+  /// an earlier mutant's (`SpecSplicer::key`); their detection flag comes
+  /// from that representative. Tallies are unchanged (ctest).
   size_t deduped = 0;
   std::vector<std::string> undetected_samples;  // a few survivors, for study
+  /// Mutants whose whole mutated text was lexed because the splice declined
+  /// (the rest were spliced). In memory only: no report or reference has it.
+  size_t relexed = 0;
 };
 
 struct SpecCampaignConfig {
@@ -28,9 +33,65 @@ struct SpecCampaignConfig {
   /// identical at any thread count (detection flags are written per-index
   /// and reduced in mutant order after the join).
   unsigned threads = 1;
-  /// Canonical token-class dedup, as in `DriverCampaignConfig::dedup`:
-  /// stream-identical mutants run the Devil compiler once.
+  /// Token-stream dedup, as in `DriverCampaignConfig::dedup`: mutants with
+  /// identical streams run the Devil checker once.
   bool dedup = true;
+};
+
+/// One specification lexed once, and every mutant's token stream derived
+/// from it. A mutant replaces exactly one token, so its stream is the clean
+/// stream with that token swapped for the lexed replacement and the offsets
+/// (and same-line columns) after it shifted. The splice is default-deny: it
+/// declines, and the whole mutated text is lexed instead, unless the
+/// replacement lexes alone to exactly one error-free token and cannot join
+/// a neighbour (word char next to word char, `.<=>` next to `.<=>`, or a
+/// `/` on either side of the site).
+class SpecSplicer {
+ public:
+  /// Precondition: `spec.text` lexes without errors (throws
+  /// std::logic_error otherwise); `sites` were scanned from it. Both must
+  /// outlive the splicer.
+  SpecSplicer(const corpus::SpecEntry& spec,
+              const std::vector<mutation::Site>& sites);
+
+  /// A mutant's token stream, relative to the clean one.
+  struct MutantStream {
+    /// Spliced: the clean stream with token `index` replaced by `token`
+    /// (already at its position in the mutated text).
+    bool spliced = false;
+    size_t index = 0;
+    devil::Token token;
+    /// Declined: the mutated text, its full lex, and whether the lexer
+    /// reported errors (then `check_spec` rejects the mutant unparsed).
+    std::string text;
+    std::vector<devil::Token> relexed;
+    bool lex_errors = false;
+  };
+
+  [[nodiscard]] MutantStream splice(const mutation::Mutant& m) const;
+
+  /// The whole stream, equal token for token (kind, spelling, value, both
+  /// ends' offset/line/column) to lexing `apply_mutant(...)`.
+  [[nodiscard]] std::vector<devil::Token> tokens(const MutantStream& s) const;
+
+  /// The canonical dedup key (`canonical_spec_key` in spec_campaign.cc).
+  [[nodiscard]] std::string key(const MutantStream& s) const;
+
+  /// `check_spec(file, apply_mutant(...)).ok()`, without lexing a spliced
+  /// mutant. `work` must hold `clean()`; the splice is applied to it in
+  /// place and undone before returning, so one copy serves many mutants.
+  [[nodiscard]] bool consistent(const MutantStream& s,
+                                std::vector<devil::Token>& work) const;
+
+  [[nodiscard]] const std::vector<devil::Token>& clean() const {
+    return clean_;
+  }
+
+ private:
+  const corpus::SpecEntry& spec_;
+  const std::vector<mutation::Site>& sites_;
+  std::vector<devil::Token> clean_;
+  std::vector<size_t> site_token_;  // per site: its token's index, or npos
 };
 
 /// Runs the full (unsampled) mutation campaign over one specification.

@@ -27,7 +27,7 @@ std::optional<devil::Specification> parse(const std::string& text,
                                           support::DiagnosticEngine& diags) {
   auto toks = lex(text, diags);
   if (diags.has_errors()) return std::nullopt;
-  devil::Parser parser(std::move(toks), diags);
+  devil::Parser parser(toks, diags);
   return parser.parse();
 }
 
@@ -62,6 +62,23 @@ TEST(DevilLexer, RejectsBadBitStringChar) {
   support::DiagnosticEngine diags;
   lex("'10x1'", diags);
   EXPECT_TRUE(diags.has_code("DVL012"));
+}
+
+TEST(DevilLexer, LiteralAboveUint64IsDiagnosedNotThrown) {
+  support::DiagnosticEngine diags;
+  auto toks = lex("18446744073709551616 0x10000000000000000", diags);
+  EXPECT_EQ(diags.error_count(), 2);
+  EXPECT_TRUE(diags.has_code("DVL016"));
+  EXPECT_EQ(toks[0].kind, TokKind::kError);
+  EXPECT_EQ(toks[1].kind, TokKind::kError);
+  EXPECT_EQ(toks[1].text, "0x10000000000000000");
+}
+
+TEST(DevilLexer, LargestUint64LiteralsLex) {
+  auto toks = lex_ok("18446744073709551615 0xFFFFFFFFFFFFFFFF 007");
+  EXPECT_EQ(toks[0].int_value, UINT64_MAX);
+  EXPECT_EQ(toks[1].int_value, UINT64_MAX);
+  EXPECT_EQ(toks[2].int_value, 7u);
 }
 
 TEST(DevilLexer, RejectsUnterminatedBitString) {

@@ -3,7 +3,11 @@
 // so a mutant killed by the wrong check would show up here.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
+#include "corpus/specs.h"
 #include "devil/compiler.h"
+#include "mutation/devil_mutator.h"
 
 namespace {
 
@@ -303,6 +307,33 @@ TEST(DevilSema, DVL221_RegisterBitInTwoVariables) {
   EXPECT_TRUE(r.diags.has_code("DVL221"));
 }
 
+// Each use of a bit is reported once per earlier claim by another name, in
+// claim order: `b` claims bit 0 twice, and the duplicate `a` is not
+// reported against the first `a`.
+TEST(DevilSema, DVL221_ReportsEveryEarlierClaimInOrder) {
+  auto r = check(
+      "device d (p : bit[8] port @ {0..0}) {\n"
+      "register r = p @ 0 : bit[8];\n"
+      "variable a = r[2..0] : int(3);\n"
+      "variable b = r[1..0] # r[0..0] : int(3);\n"
+      "variable a = r[1..1] : int(1);\n"
+      "variable c = r[7..0] : int(8);\n"
+      "}\n");
+  EXPECT_EQ(r.diags.render(),
+            "5:1: error DVL120: duplicate variable 'a'\n"
+            "4:14: error DVL221: bit 0 of register 'r' is used by both 'a' and 'b'\n"
+            "4:14: error DVL221: bit 1 of register 'r' is used by both 'a' and 'b'\n"
+            "4:24: error DVL221: bit 0 of register 'r' is used by both 'a' and 'b'\n"
+            "5:14: error DVL221: bit 1 of register 'r' is used by both 'b' and 'a'\n"
+            "6:14: error DVL221: bit 0 of register 'r' is used by both 'a' and 'c'\n"
+            "6:14: error DVL221: bit 0 of register 'r' is used by both 'b' and 'c'\n"
+            "6:14: error DVL221: bit 0 of register 'r' is used by both 'b' and 'c'\n"
+            "6:14: error DVL221: bit 1 of register 'r' is used by both 'a' and 'c'\n"
+            "6:14: error DVL221: bit 1 of register 'r' is used by both 'b' and 'c'\n"
+            "6:14: error DVL221: bit 1 of register 'r' is used by both 'a' and 'c'\n"
+            "6:14: error DVL221: bit 2 of register 'r' is used by both 'a' and 'c'\n");
+}
+
 // ---- no omission -------------------------------------------------------------------------
 
 TEST(DevilSema, DVL230_UnusedRegister) {
@@ -362,6 +393,105 @@ TEST(DevilSema, DescribeDeviceListsEntities) {
   std::string text = devil::describe_device(*r.info);
   EXPECT_NE(text.find("register r"), std::string::npos);
   EXPECT_NE(text.find("variable v"), std::string::npos);
+}
+
+// ---- oversized literals, sizes and ranges: a diagnostic, never a crash, a
+// ---- hang or a silently truncated value ------------------------------------
+
+TEST(DevilSema, DVL016_LiteralAboveUint64Rejected) {
+  auto r = check(dev("register r = p @ 18446744073709551616 : bit[8];"
+                     "variable v = r : int(8);"));
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.diags.has_code("DVL016")) << r.diags.render();
+}
+
+TEST(DevilSema, DVL039_SizeAboveLimitRejected) {
+  // 4294967304 is 2^32 + 8: narrowed to `int` it used to read as bit[8].
+  auto r = check(dev("register r = p @ 0 : bit[4294967304];"
+                     "variable v = r : int(8);"));
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.diags.has_code("DVL039")) << r.diags.render();
+  for (const char* body :
+       {"register r = p @ 0 : bit[8]; variable v = r[65536..0] : int(8);",
+        "register r = p @ 0 : bit[8]; variable v = r : int(65536);",
+        "register r = p @ 0 : bit[8]; variable v = r : signed int(65536);"}) {
+    auto bad = check(dev(body));
+    EXPECT_TRUE(bad.diags.has_code("DVL039")) << body;
+  }
+  // At the limit the value reaches Sema, which rejects it on its own terms.
+  auto at_limit = check(dev("register r = p @ 0 : bit[65535];"
+                            "variable v = r : int(8);"));
+  EXPECT_FALSE(at_limit.diags.has_code("DVL039"));
+  EXPECT_TRUE(at_limit.diags.has_code("DVL111"));
+}
+
+TEST(DevilSema, DVL040_RangeGroupAboveLimitRejected) {
+  auto r = check(dev("register r = p @ 0 : bit[8]; variable v = r : int(8);",
+                     "p : bit[8] port @ {0..65536}"));
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.diags.has_code("DVL040")) << r.diags.render();
+  auto set = check(dev("register r = p @ 0 : bit[8];"
+                       "variable v = r : int{7, 0..18446744073709551615};"));
+  EXPECT_TRUE(set.diags.has_code("DVL040"));
+  // 65536 values is the limit.
+  auto at_limit = check(dev("register r = p @ 0 : bit[8];"
+                            "variable v = r : int{0..65535};"));
+  EXPECT_FALSE(at_limit.diags.has_code("DVL040"));
+  EXPECT_TRUE(at_limit.diags.has_code("DVL130"));
+}
+
+TEST(DevilSema, RangeEndingAtUint64MaxStopsThere) {
+  auto r = check(
+      "device d (p : bit[8] port @ "
+      "{18446744073709551614..18446744073709551615}) {"
+      " register r = p @ 18446744073709551614 : bit[8];"
+      " register s = p @ 18446744073709551615 : bit[8];"
+      " variable v = r : int(8); variable w = s : int(8); }");
+  ASSERT_TRUE(r.ok()) << r.diags.render();
+  EXPECT_EQ(r.spec->device.params[0].offsets,
+            (std::vector<uint64_t>{UINT64_MAX - 1, UINT64_MAX}));
+}
+
+// ---- the whole corpus, pinned ----------------------------------------------
+
+// FNV-1a 64 over every corpus mutant's `check_spec(...).diags.render()`, each
+// followed by "1" or "0" for `ok()`, in corpus order. It pins every message,
+// location and the emission order of Sema's rules on the inputs Table 2
+// measures; a rewrite of a rule must leave it unchanged. The constant was
+// recorded with the per-bit-map Sema these rules replaced.
+TEST(DevilSema, CorpusMutantDiagnosticsArePinned) {
+  uint64_t h = 14695981039346656037ULL;
+  auto feed = [&h](std::string_view bytes) {
+    for (unsigned char c : bytes) {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+  };
+  size_t total = 0, accepted = 0;
+  for (const corpus::SpecEntry& spec : corpus::all_specs()) {
+    auto baseline = devil::check_spec(spec.file, spec.text);
+    ASSERT_TRUE(baseline.ok()) << spec.name;
+    mutation::DevilNames names;
+    for (const auto& p : baseline.info->decl->params) names.ports.push_back(p.name);
+    for (const auto& r : baseline.info->decl->registers) {
+      names.registers.push_back(r.name);
+    }
+    for (const auto& v : baseline.info->decl->variables) {
+      names.variables.push_back(v.name);
+    }
+    auto sites = mutation::scan_devil_sites(spec.text, names);
+    for (const auto& m : mutation::generate_devil_mutants(sites, names)) {
+      auto r = devil::check_spec(spec.file,
+                                 mutation::apply_mutant(spec.text, sites, m));
+      feed(r.diags.render());
+      feed(r.ok() ? "1" : "0");
+      ++total;
+      accepted += r.ok();
+    }
+  }
+  EXPECT_EQ(total, 16604u);
+  EXPECT_EQ(accepted, 728u);
+  EXPECT_EQ(h, 0x7a481c4fd6612527ULL);
 }
 
 }  // namespace

@@ -421,20 +421,43 @@ int main_entry() { return f()" +
 }
 
 // ---------------------------------------------------------------------------
-// Spec-campaign dedup: skipping canonical duplicates must not change any
-// row, and duplicates must be counted.
+// Spec campaign: the exact Table 2 rows at 1 and 4 threads. Skipping
+// canonical duplicates must not change any row, and duplicates must be
+// counted. Every corpus mutant's stream comes from the token splice.
 // ---------------------------------------------------------------------------
 
+struct Table2Counts {
+  size_t sites, mutants, detected, deduped;
+};
+
+// devilbench/reference/spec.counters.json, in corpus order.
+constexpr Table2Counts kTable2[] = {{71, 1608, 1522, 77},
+                                    {70, 1156, 1130, 84},
+                                    {168, 2029, 1982, 47},
+                                    {243, 6161, 6035, 227},
+                                    {124, 5650, 5207, 187}};
+
+void expect_table2_row(const eval::SpecCampaignRow& row, size_t i,
+                       const std::string& what) {
+  const std::string label = row.name + " (" + what + ")";
+  EXPECT_EQ(row.sites, kTable2[i].sites) << label;
+  EXPECT_EQ(row.mutants, kTable2[i].mutants) << label;
+  EXPECT_EQ(row.detected, kTable2[i].detected) << label;
+  EXPECT_EQ(row.deduped, kTable2[i].deduped) << label;
+  EXPECT_EQ(row.relexed, 0u) << label;
+}
+
 TEST(SpecCampaignDedup, RowsUnchangedAndNonzero) {
-  for (const auto& spec : corpus::all_specs()) {
+  for (size_t i = 0; i < corpus::all_specs().size(); ++i) {
+    const auto& spec = corpus::all_specs()[i];
     eval::SpecCampaignConfig cfg;
-    cfg.threads = 2;
+    cfg.threads = 1;
     cfg.dedup = true;
     auto on = eval::run_spec_campaign(spec, cfg);
     cfg.dedup = false;
     auto off = eval::run_spec_campaign(spec, cfg);
+    expect_table2_row(on, i, "1 thread");
     EXPECT_EQ(off.deduped, 0u) << spec.name;
-    EXPECT_GT(on.deduped, 0u) << spec.name;
     EXPECT_EQ(on.mutants, off.mutants) << spec.name;
     EXPECT_EQ(on.sites, off.sites) << spec.name;
     EXPECT_EQ(on.detected, off.detected) << spec.name;
@@ -443,15 +466,18 @@ TEST(SpecCampaignDedup, RowsUnchangedAndNonzero) {
 }
 
 TEST(SpecCampaignDedup, ThreadCountInvariant) {
-  const auto& spec = corpus::all_specs()[0];
-  eval::SpecCampaignConfig cfg;
-  cfg.threads = 1;
-  auto serial = eval::run_spec_campaign(spec, cfg);
-  cfg.threads = 4;
-  auto parallel = eval::run_spec_campaign(spec, cfg);
-  EXPECT_EQ(serial.detected, parallel.detected);
-  EXPECT_EQ(serial.deduped, parallel.deduped);
-  EXPECT_EQ(serial.undetected_samples, parallel.undetected_samples);
+  for (size_t i = 0; i < corpus::all_specs().size(); ++i) {
+    const auto& spec = corpus::all_specs()[i];
+    eval::SpecCampaignConfig cfg;
+    cfg.threads = 1;
+    auto serial = eval::run_spec_campaign(spec, cfg);
+    cfg.threads = 4;
+    auto parallel = eval::run_spec_campaign(spec, cfg);
+    expect_table2_row(serial, i, "1 thread");
+    expect_table2_row(parallel, i, "4 threads");
+    EXPECT_EQ(serial.undetected_samples, parallel.undetected_samples)
+        << spec.name;
+  }
 }
 
 }  // namespace

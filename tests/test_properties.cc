@@ -70,7 +70,7 @@ TEST_P(SpecSweep, EveryDevilMutantIsSyntacticallyValid) {
       ++parse_failures;
       continue;
     }
-    devil::Parser parser(std::move(toks), diags);
+    devil::Parser parser(toks, diags);
     if (!parser.parse()) ++parse_failures;
   }
   EXPECT_EQ(parse_failures, 0u)

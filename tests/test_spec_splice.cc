@@ -1,0 +1,274 @@
+// Differential suite for the Table 2 token splice (eval::SpecSplicer).
+//
+// The campaign never lexes a spliced mutant: it swaps the replacement token
+// into the clean stream. That stream must be exactly what lexing the
+// mutated text yields — every token's kind, spelling, value and both ends'
+// offset, line and column — and the dedup key must relate two mutants iff
+// their full streams are equal (the relation a full-stream key gives). Every
+// mutant of all five corpus specs is checked, plus handcrafted replacements
+// the splice must decline (and then give the same result by re-lexing).
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <unordered_map>
+
+#include "corpus/specs.h"
+#include "devil/compiler.h"
+#include "devil/lexer.h"
+#include "eval/spec_campaign.h"
+#include "mutation/devil_mutator.h"
+
+namespace {
+
+using devil::Token;
+using eval::SpecSplicer;
+
+struct Lexed {
+  std::vector<Token> tokens;
+  bool errors = false;
+};
+
+Lexed lex_text(const corpus::SpecEntry& spec, const std::string& text) {
+  support::DiagnosticEngine diags;
+  support::SourceBuffer buf(spec.file, text);
+  Lexed out;
+  out.tokens = devil::Lexer(buf, diags).lex_all();
+  out.errors = diags.has_errors();
+  return out;
+}
+
+std::string describe(const Token& t) {
+  const support::SourceRange& r = t.range;
+  return std::string(devil::tok_kind_name(t.kind)) + " '" + t.text + "' = " +
+         std::to_string(t.int_value) + " at " +
+         std::to_string(r.begin.offset) + "/" + std::to_string(r.begin.line) +
+         ":" + std::to_string(r.begin.column) + ".." +
+         std::to_string(r.end.offset) + "/" + std::to_string(r.end.line) +
+         ":" + std::to_string(r.end.column);
+}
+
+/// Token for token: kind, spelling, value, and both ends' offset, line and
+/// column.
+void expect_same_stream(const std::vector<Token>& spliced,
+                        const std::vector<Token>& full,
+                        const std::string& label) {
+  ASSERT_EQ(spliced.size(), full.size()) << label;
+  for (size_t i = 0; i < full.size(); ++i) {
+    const Token& a = spliced[i];
+    const Token& b = full[i];
+    if (a.kind != b.kind || a.text != b.text || a.int_value != b.int_value ||
+        a.range.begin != b.range.begin || a.range.end != b.range.end) {
+      ADD_FAILURE() << label << " token " << i << ": spliced " << describe(a)
+                    << ", lexed " << describe(b);
+      return;
+    }
+  }
+}
+
+/// The full-stream key the campaign used before the splice: kind, line and
+/// integer value or spelling of every token; unlexable texts by their bytes.
+std::string full_stream_key(const Lexed& lexed, const std::string& text) {
+  if (lexed.errors) return "!" + text;
+  std::string key;
+  for (const Token& t : lexed.tokens) {
+    key.push_back(static_cast<char>(t.kind));
+    uint32_t line = t.range.begin.line;
+    key.append(reinterpret_cast<const char*>(&line), sizeof line);
+    if (t.kind == devil::TokKind::kInt) {
+      key.append(reinterpret_cast<const char*>(&t.int_value),
+                 sizeof t.int_value);
+    } else {
+      key.append(t.text);
+      key.push_back('\0');
+    }
+  }
+  return key;
+}
+
+/// For each index, the first index with an equal key: two keyings induce
+/// the same equivalence iff these vectors are equal.
+std::vector<size_t> first_with_same_key(const std::vector<std::string>& keys) {
+  std::unordered_map<std::string, size_t> first;
+  std::vector<size_t> out;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    out.push_back(first.emplace(keys[i], i).first->second);
+  }
+  return out;
+}
+
+mutation::DevilNames names_for(const corpus::SpecEntry& spec) {
+  auto baseline = devil::check_spec(spec.file, spec.text);
+  EXPECT_TRUE(baseline.ok()) << baseline.diags.render();
+  mutation::DevilNames names;
+  for (const auto& p : baseline.spec->device.params) names.ports.push_back(p.name);
+  for (const auto& r : baseline.spec->device.registers) {
+    names.registers.push_back(r.name);
+  }
+  for (const auto& v : baseline.spec->device.variables) {
+    names.variables.push_back(v.name);
+  }
+  return names;
+}
+
+class SpecSplice : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override {
+    names_ = names_for(spec());
+    sites_ = mutation::scan_devil_sites(spec().text, names_);
+    mutants_ = mutation::generate_devil_mutants(sites_, names_);
+    ASSERT_FALSE(mutants_.empty());
+  }
+  const corpus::SpecEntry& spec() const {
+    return corpus::all_specs()[GetParam()];
+  }
+  std::string label(size_t i) const {
+    const mutation::Site& s = sites_[mutants_[i].site];
+    return spec().name + " mutant " + std::to_string(i) + " line " +
+           std::to_string(s.line) + ": '" + s.original + "' -> '" +
+           mutants_[i].replacement + "'";
+  }
+
+  mutation::DevilNames names_;
+  std::vector<mutation::Site> sites_;
+  std::vector<mutation::Mutant> mutants_;
+};
+
+std::string spec_case_name(const ::testing::TestParamInfo<size_t>& info) {
+  static const char* names[] = {"busmouse", "pci", "ide", "ne2000",
+                                "permedia2"};
+  return names[info.param];
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSpecs, SpecSplice, ::testing::Range<size_t>(0, 5),
+                         spec_case_name);
+
+TEST_P(SpecSplice, EveryMutantSplicesToItsFullLex) {
+  SpecSplicer splicer(spec(), sites_);
+  for (size_t i = 0; i < mutants_.size(); ++i) {
+    SpecSplicer::MutantStream s = splicer.splice(mutants_[i]);
+    ASSERT_TRUE(s.spliced) << label(i) << " was re-lexed";
+    Lexed full = lex_text(
+        spec(), mutation::apply_mutant(spec().text, sites_, mutants_[i]));
+    ASSERT_FALSE(full.errors) << label(i);
+    expect_same_stream(splicer.tokens(s), full.tokens, label(i));
+    if (HasFailure()) return;  // one diverging mutant is enough to report
+  }
+}
+
+TEST_P(SpecSplice, KeysShareIffFullStreamsEqual) {
+  SpecSplicer splicer(spec(), sites_);
+  std::vector<std::string> keys, full_keys;
+  for (const mutation::Mutant& m : mutants_) {
+    keys.push_back(splicer.key(splicer.splice(m)));
+    std::string text = mutation::apply_mutant(spec().text, sites_, m);
+    full_keys.push_back(full_stream_key(lex_text(spec(), text), text));
+  }
+  std::vector<size_t> by_key = first_with_same_key(keys);
+  EXPECT_EQ(by_key, first_with_same_key(full_keys));
+  // Dedup must have something to do on every corpus spec.
+  size_t shared = 0;
+  for (size_t i = 0; i < by_key.size(); ++i) shared += by_key[i] != i;
+  EXPECT_GT(shared, 0u);
+}
+
+TEST_P(SpecSplice, CheckMatchesCheckSpecOnSampledMutants) {
+  SpecSplicer splicer(spec(), sites_);
+  std::vector<Token> work = splicer.clean();
+  for (size_t i = 0; i < mutants_.size(); i += 7) {
+    SpecSplicer::MutantStream s = splicer.splice(mutants_[i]);
+    bool ok = devil::check_spec(
+                  spec().file,
+                  mutation::apply_mutant(spec().text, sites_, mutants_[i]))
+                  .ok();
+    EXPECT_EQ(splicer.consistent(s, work), ok) << label(i);
+  }
+  // The working copy comes back clean after every check.
+  expect_same_stream(work, splicer.clean(), spec().name + " work stream");
+}
+
+// ---------------------------------------------------------------------------
+// Replacements the splice must decline. Each re-lexes the whole text and so
+// gives the same stream, verdict and key class as `check_spec` would.
+// ---------------------------------------------------------------------------
+
+class SpecSpliceDecline : public ::testing::Test {
+ protected:
+  const corpus::SpecEntry& spec() const { return corpus::all_specs()[0]; }
+
+  /// A site over `len` bytes at `pos` of the first `context` in the spec.
+  size_t add_site(const std::string& context, size_t pos, size_t len) {
+    size_t at = spec().text.find(context);
+    EXPECT_NE(at, std::string::npos) << context;
+    at += pos;
+    mutation::Site s;
+    s.offset = at;
+    s.length = len;
+    s.line = static_cast<uint32_t>(
+        1 + std::count(spec().text.begin(), spec().text.begin() + at, '\n'));
+    s.original = spec().text.substr(at, len);
+    sites_.push_back(s);
+    return sites_.size() - 1;
+  }
+
+  /// Checks that `m` is declined and behaves exactly like the full path.
+  SpecSplicer::MutantStream expect_declined(const mutation::Mutant& m) {
+    SpecSplicer splicer(spec(), sites_);
+    SpecSplicer::MutantStream s = splicer.splice(m);
+    EXPECT_FALSE(s.spliced) << m.replacement;
+    std::string text = mutation::apply_mutant(spec().text, sites_, m);
+    Lexed full = lex_text(spec(), text);
+    EXPECT_EQ(s.lex_errors, full.errors) << m.replacement;
+    expect_same_stream(splicer.tokens(s), full.tokens, m.replacement);
+    std::vector<Token> work = splicer.clean();
+    EXPECT_EQ(splicer.consistent(s, work),
+              devil::check_spec(spec().file, text).ok())
+        << m.replacement;
+    return s;
+  }
+
+  std::vector<mutation::Site> sites_;
+};
+
+TEST_F(SpecSpliceDecline, TwoTokenReplacement) {
+  expect_declined({add_site("bit[8]", 4, 1), "8 8"});
+}
+
+TEST_F(SpecSpliceDecline, UnlexableReplacement) {
+  size_t site = add_site("'1001000.'", 0, 10);
+  SpecSplicer::MutantStream s = expect_declined({site, "'10a1000.'"});
+  EXPECT_TRUE(s.lex_errors);
+}
+
+TEST_F(SpecSpliceDecline, JoinWithNeighbouringIdentifierChars) {
+  // `{0..3}` with `..` -> `x` reads as the hex literal `0x3`.
+  SpecSplicer::MutantStream s = expect_declined({add_site("{0..3}", 2, 2), "x"});
+  ASSERT_FALSE(s.lex_errors);
+  EXPECT_TRUE(std::any_of(s.relexed.begin(), s.relexed.end(), [](const Token& t) {
+    return t.kind == devil::TokKind::kInt && t.text == "0x3";
+  }));
+  // `x_high[3..0]` with `[` -> `_lo` extends the identifier to `x_high_lo3`.
+  expect_declined({add_site("x_high[3..0]", 6, 1), "_lo"});
+}
+
+TEST_F(SpecSpliceDecline, JoinWithNeighbouringDotDot) {
+  size_t zero = add_site("{0..3}", 1, 1);
+  expect_declined({zero, ".."});
+  expect_declined({zero, "<="});
+}
+
+TEST_F(SpecSpliceDecline, DeclinedStreamSharesTheSplicedKey) {
+  // A leading blank is not one token alone, so " 16" is re-lexed; its
+  // stream still equals the spliced "16"'s, so both key alike.
+  size_t site = add_site("bit[8]", 4, 1);
+  SpecSplicer::MutantStream declined = expect_declined({site, " 16"});
+  SpecSplicer splicer(spec(), sites_);
+  SpecSplicer::MutantStream spliced = splicer.splice({site, "16"});
+  ASSERT_TRUE(spliced.spliced);
+  EXPECT_EQ(splicer.key(declined), splicer.key(spliced));
+  EXPECT_NE(splicer.key(spliced), splicer.key(splicer.splice({site, "17"})));
+  // A replacement equal to the original keys as the clean stream.
+  EXPECT_EQ(splicer.key(splicer.splice({site, "8"})), "");
+}
+
+}  // namespace
