@@ -175,11 +175,10 @@ bool run_device_campaigns(const eval::CampaignSpec& spec,
         eval::campaign_metrics_row(d_res, "CDevil", engine));
   }
   if (!assert_counters) return true;
-  // The walker engine compiles whole units by design, so cache hits are
-  // only expected on the bytecode VM — and the bytecode patcher only runs
-  // on top of the cache.
+  // The walker engine compiles whole units by design, so cache hits and
+  // bytecode patches (which run on top of the cache) are only expected on
+  // the bytecode VM.
   const bool expect_cache = spec.engine == minic::ExecEngine::kBytecodeVm;
-  const bool expect_patch = expect_cache && spec.bytecode_patch;
   print_fast_forwards(drivers.device, "C", c_res.fast_forwards,
                       c_res.skipped_steps);
   print_fast_forwards(drivers.device, "CDevil", d_res.fast_forwards,
@@ -191,7 +190,7 @@ bool run_device_campaigns(const eval::CampaignSpec& spec,
     std::fprintf(stderr, "FAIL: ide C campaign fast-forwarded no boot\n");
     return false;
   }
-  auto check = [expect_cache, expect_patch, &drivers](
+  auto check = [expect_cache, &drivers](
                    const char* what, const eval::DriverCampaignResult& r) {
     if (r.deduped_mutants == 0) {
       std::fprintf(stderr, "FAIL: %s %s campaign deduped 0 mutants\n",
@@ -210,7 +209,7 @@ bool run_device_campaigns(const eval::CampaignSpec& spec,
     // Real corpora always hold both token-local mutants (patch hits) and
     // structure-changing ones (fallbacks), and only unique mutants carry
     // either bit.
-    if (expect_patch &&
+    if (expect_cache &&
         (r.patch_hits == 0 || r.patch_fallbacks == 0 ||
          r.patch_hits + r.patch_fallbacks > unique)) {
       std::fprintf(stderr,
@@ -661,7 +660,7 @@ int usage(std::FILE* to) {
       "  --progress           throttled records/s + ETA heartbeat on stderr\n"
       "                       (per-job heartbeats under --serve)\n"
       "  --assert-counters    fail unless dedup + prefix cache engaged\n"
-      "                       (and, unless --no-bytecode-patch/--walker,\n"
+      "                       (and, unless --walker,\n"
       "                       bytecode patching both hit and fell back)\n"
       "                       (with --faults: fail unless faults fired and\n"
       "                       CDevil detected strictly more than C)\n"

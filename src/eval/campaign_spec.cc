@@ -74,7 +74,6 @@ void fill_common(const CampaignSpec& spec,
   cfg->threads = spec.threads;
   cfg->engine = spec.engine;
   cfg->dedup = spec.dedup;
-  cfg->bytecode_patch = spec.bytecode_patch;
   cfg->flight_recorder = spec.flight_recorder;
 }
 
@@ -151,7 +150,6 @@ support::JsonValue campaign_spec_to_json(const CampaignSpec& spec) {
   v.set("sample_percent", static_cast<uint64_t>(spec.sample_percent));
   v.set("step_budget", spec.step_budget);
   v.set("dedup", spec.dedup);
-  v.set("bytecode_patch", spec.bytecode_patch);
   v.set("flight_recorder", spec.flight_recorder);
   v.set("watchdog_ms", spec.watchdog_ms);
   v.set("threads", static_cast<uint64_t>(spec.threads));
@@ -168,65 +166,32 @@ support::JsonValue campaign_spec_to_json(const CampaignSpec& spec) {
 
 CampaignSpec campaign_spec_from_json(const support::JsonValue& v,
                                      const std::string& ctx) {
-  if (v.kind() != support::JsonValue::Kind::kObject) {
-    throw std::runtime_error(ctx + ": campaign spec must be an object, got " +
-                             support::json_kind_name(v.kind()));
-  }
-  auto require = [&](const char* key) -> const support::JsonValue& {
-    const support::JsonValue* f = v.find(key);
-    if (!f) {
-      throw std::runtime_error(ctx + ": missing field '" + key + "'");
-    }
-    return *f;
-  };
-  auto require_u64 = [&](const char* key, uint64_t max) {
-    int64_t raw = require(key).as_int();
-    if (raw < 0 || static_cast<uint64_t>(raw) > max) {
-      throw std::runtime_error(ctx + ": field '" + key +
-                               "' out of range (0-" + std::to_string(max) +
-                               "), got " + std::to_string(raw));
-    }
-    return static_cast<uint64_t>(raw);
-  };
-
-  if (require("format").as_string() != "devil-repro-campaign-spec") {
-    throw std::runtime_error(ctx + ": not a campaign spec (format tag '" +
-                             require("format").as_string() + "')");
-  }
-  if (require("version").as_int() != 1) {
-    throw std::runtime_error(ctx + ": unsupported campaign-spec version " +
-                             std::to_string(require("version").as_int()));
-  }
-
-  static const char* const kKnown[] = {
-      "format", "version", "kind", "device", "engine", "seed",
-      "sample_percent", "step_budget", "dedup", "bytecode_patch",
-      "flight_recorder", "watchdog_ms", "threads", "fault_triggers",
-      "fault_sample_percent", "survivor_samples"};
-  for (const auto& [key, value] : v.members()) {
-    (void)value;
-    bool known = false;
-    for (const char* k : kKnown) known |= key == k;
-    if (!known) {
-      throw std::runtime_error(ctx + ": unknown field '" + key + "'");
-    }
-  }
+  support::check_format(v, ctx, "devil-repro-campaign-spec", 1);
+  support::check_known_fields(
+      v, ctx,
+      {"format", "version", "kind", "device", "engine", "seed",
+       "sample_percent", "step_budget", "dedup", "flight_recorder",
+       "watchdog_ms", "threads", "fault_triggers", "fault_sample_percent",
+       "survivor_samples"});
+  using support::require;
+  using support::require_string;
+  using support::require_u64;
 
   CampaignSpec spec;
-  spec.kind = kind_from_name(require("kind").as_string(), ctx);
-  spec.device = require("device").as_string();
-  spec.engine = engine_from_name(require("engine").as_string(), ctx);
-  spec.seed = require_u64("seed", UINT64_MAX / 2);
-  spec.sample_percent = static_cast<unsigned>(require_u64("sample_percent",
-                                                          100));
-  spec.step_budget = require_u64("step_budget", UINT64_MAX / 2);
-  spec.dedup = require("dedup").as_bool();
-  spec.bytecode_patch = require("bytecode_patch").as_bool();
-  spec.flight_recorder = require("flight_recorder").as_bool();
-  spec.watchdog_ms = require_u64("watchdog_ms", 99'999'999);
-  spec.threads = static_cast<unsigned>(require_u64("threads", 9999));
+  spec.kind = kind_from_name(require_string(v, "kind", ctx), ctx);
+  spec.device = require_string(v, "device", ctx);
+  spec.engine = engine_from_name(require_string(v, "engine", ctx), ctx);
+  spec.seed = require_u64(v, "seed", ctx, UINT64_MAX / 2);
+  spec.sample_percent =
+      static_cast<unsigned>(require_u64(v, "sample_percent", ctx, 100));
+  spec.step_budget = require_u64(v, "step_budget", ctx, UINT64_MAX / 2);
+  spec.dedup = require(v, "dedup", ctx).as_bool();
+  spec.flight_recorder = require(v, "flight_recorder", ctx).as_bool();
+  spec.watchdog_ms = require_u64(v, "watchdog_ms", ctx, 99'999'999);
+  spec.threads = static_cast<unsigned>(require_u64(v, "threads", ctx, 9999));
   spec.fault_triggers.clear();
-  for (const support::JsonValue& t : require("fault_triggers").items()) {
+  for (const support::JsonValue& t :
+       require(v, "fault_triggers", ctx).items()) {
     int64_t raw = t.as_int();
     if (raw < 0 || raw > 999'999) {
       throw std::runtime_error(ctx + ": fault_triggers entry out of range "
@@ -235,9 +200,9 @@ CampaignSpec campaign_spec_from_json(const support::JsonValue& v,
     spec.fault_triggers.push_back(static_cast<uint32_t>(raw));
   }
   spec.fault_sample_percent =
-      static_cast<unsigned>(require_u64("fault_sample_percent", 100));
+      static_cast<unsigned>(require_u64(v, "fault_sample_percent", ctx, 100));
   spec.survivor_samples =
-      static_cast<unsigned>(require_u64("survivor_samples", 9999));
+      static_cast<unsigned>(require_u64(v, "survivor_samples", ctx, 9999));
 
   std::vector<std::string> diags = validate_campaign_spec(spec);
   if (!diags.empty()) {
@@ -337,8 +302,6 @@ const std::vector<CampaignFlag>& campaign_spec_flags() {
        "percent of mutants booted (0 = per-corpus default)"},
       {"--step-budget", "N", true, "interpreter steps per boot"},
       {"--no-dedup", nullptr, true, "disable canonical token-class dedup"},
-      {"--no-bytecode-patch", nullptr, false,
-       "recompile every mutant instead of patching bytecode"},
       {"--flight-recorder", nullptr, false,
        "attach port-access post-mortems to non-clean records"},
       {"--watchdog-ms", "N", false,
@@ -420,10 +383,6 @@ std::string apply_campaign_flag(CampaignSpec& spec, const CampaignFlag& flag,
     spec.dedup = false;
     return "";
   }
-  if (name == "--no-bytecode-patch") {
-    spec.bytecode_patch = false;
-    return "";
-  }
   if (name == "--flight-recorder") {
     spec.flight_recorder = true;
     return "";
@@ -480,7 +439,6 @@ std::vector<std::string> campaign_spec_to_args(const CampaignSpec& spec) {
   args.insert(args.end(), {"--step-budget",
                            std::to_string(spec.step_budget)});
   if (!spec.dedup) args.push_back("--no-dedup");
-  if (!spec.bytecode_patch) args.push_back("--no-bytecode-patch");
   if (spec.flight_recorder) args.push_back("--flight-recorder");
   args.insert(args.end(), {"--watchdog-ms",
                            std::to_string(spec.watchdog_ms)});

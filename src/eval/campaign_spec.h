@@ -15,9 +15,9 @@
 //    or a dispatcher worker, so all of them fingerprint alike;
 //  - `campaign_spec_fingerprint` folds those per-device fingerprints into
 //    one digest pinning everything that can change results. Thread count,
-//    worker count, the bytecode-patch flag and the watchdog cap are
-//    deliberately excluded (they cannot change records or tallies), which
-//    is exactly what makes the digest a safe result-cache key;
+//    worker count and the watchdog cap are deliberately excluded (they
+//    cannot change records or tallies), which is exactly what makes the
+//    digest a safe result-cache key;
 //  - the flag table (`find_campaign_flag` + `apply_campaign_flag` +
 //    `campaign_spec_to_args`) is shared between the CLI parser and the
 //    dispatcher's worker argv builder, so flag -> spec field is one table
@@ -55,7 +55,6 @@ struct CampaignSpec {
   unsigned sample_percent = 0;
   uint64_t step_budget = 3'000'000;
   bool dedup = true;
-  bool bytecode_patch = true;
   bool flight_recorder = false;
   uint64_t watchdog_ms = 10'000;
   /// Worker threads per campaign (0 = all cores). Never fingerprinted:
@@ -121,9 +120,9 @@ struct DeviceFaultConfigs {
 /// Digest of everything in the spec that can change campaign results: the
 /// kind, then every selected campaign's config fingerprint (driver and
 /// fault kinds) or the spec corpus text plus the dedup/survivor knobs (spec
-/// kind). Specs that differ only in threads, watchdog_ms or bytecode_patch
-/// fingerprint identically — the cache-replay guarantee. Compiles corpus
-/// Devil specs to derive configs; throws std::runtime_error when one fails.
+/// kind). Specs that differ only in threads or watchdog_ms fingerprint
+/// identically — the cache-replay guarantee. Compiles corpus Devil specs to
+/// derive configs; throws std::runtime_error when one fails.
 [[nodiscard]] std::string campaign_spec_fingerprint(const CampaignSpec& spec);
 
 /// One row of the shared flag table. `value_name` is nullptr for boolean

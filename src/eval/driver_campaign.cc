@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "hw/fault_injection.h"
 #include "hw/flight_recorder.h"
 #include "hw/io_bus.h"
 #include "minic/bytecode/patcher.h"
@@ -35,16 +36,6 @@ const char* outcome_name(Outcome o) {
   return "?";
 }
 
-void map_bound_device(hw::IoBus& bus, const DeviceBinding& binding,
-                      std::shared_ptr<hw::Device> dev) {
-  bus.map(binding.port_base, binding.port_span, std::move(dev),
-          binding.irq_line);
-  if (binding.irq_line >= 0) {
-    bus.map(hw::kIrqStatusPortBase, 1,
-            std::make_shared<hw::IrqStatusPort>(&bus.irq_controller()));
-  }
-}
-
 const char* outcome_short(Outcome o) {
   switch (o) {
     case Outcome::kCompileTime: return "compile";
@@ -59,32 +50,172 @@ const char* outcome_short(Outcome o) {
   return "?";
 }
 
+// --- shared by the mutation and fault kernels ---------------------------------
+
+KernelContext check_kernel_preconditions(const char* kind,
+                                         const DriverCampaignConfig& config,
+                                         SampleSlice slice) {
+  // Diagnostics name the configured device and entry so a failing campaign
+  // of one device is never mistaken for another's.
+  KernelContext ctx;
+  ctx.who = std::string(kind) + " [" +
+            (config.device.device.empty() ? std::string("?")
+                                          : config.device.device) +
+            "]: ";
+  if (slice.count == 0 || slice.index >= slice.count) {
+    throw std::logic_error(ctx.who + "invalid sample slice " +
+                           std::to_string(slice.index) + "/" +
+                           std::to_string(slice.count) +
+                           " (need 0 <= index < count)");
+  }
+  if (!config.device.ok()) {
+    throw std::logic_error(ctx.who +
+                           "no device binding configured (set "
+                           "DriverCampaignConfig::device; the standard "
+                           "bindings live in eval/device_bindings.h)");
+  }
+  ctx.entry = config.entry.empty() ? config.device.entry : config.entry;
+  if (ctx.entry.empty()) {
+    throw std::logic_error(ctx.who + "no boot entry configured (neither the "
+                           "config nor the device binding names one)");
+  }
+  return ctx;
+}
+
+void check_baseline_boot(const KernelContext& ctx, const minic::RunOutcome& run,
+                         const hw::Device& device) {
+  if (run.fault != minic::FaultKind::kNone) {
+    throw std::logic_error(ctx.who + "unmutated driver faults on healthy "
+                           "hardware (entry " + ctx.entry + "): " +
+                           run.fault_message);
+  }
+  if (run.return_value <= 0) {
+    throw std::logic_error(ctx.who + "unmutated driver returned a "
+                           "non-positive boot fingerprint on healthy "
+                           "hardware (entry " + ctx.entry + ")");
+  }
+  if (device.damaged()) {
+    throw std::logic_error(ctx.who + "unmutated driver damaged the healthy "
+                           "device: " + device.damage_note());
+  }
+}
+
+std::vector<size_t> sample_slice(size_t population, unsigned percent,
+                                 uint64_t seed, SampleSlice slice,
+                                 CampaignSideband* sideband) {
+  auto sample = support::sample_indices(population, percent, seed);
+  const auto [lo, hi] = sample_slice_bounds(sample.size(), slice);
+  if (sideband) {
+    sideband->sample_size = sample.size();
+    sideband->slice_begin = lo;
+    sideband->slice_end = hi;
+    sideband->prefix_cache_hit.clear();
+    sideband->canonical_hash.clear();
+  }
+  return std::vector<size_t>(sample.begin() + lo, sample.begin() + hi);
+}
+
+void run_boots(const KernelContext& ctx, size_t n, unsigned threads,
+               const std::function<void(size_t)>& boot_one) {
+  support::ProgressMeter progress(ctx.who + "booting", n);
+  std::vector<uint64_t> worker_shares;
+  support::parallel_for(
+      n, threads,
+      [&](size_t i) {
+        boot_one(i);
+        progress.tick();
+      },
+      support::Metrics::enabled() ? &worker_shares : nullptr);
+  support::Metrics::add_worker_records(worker_shares);
+}
+
+BootRig::BootRig(hw::DevicePool& pool, const DeviceBinding& binding,
+                 bool record, const hw::FaultPlan* fault)
+    : pool_(pool), device_(pool.acquire()) {
+  std::shared_ptr<hw::Device> top = device_;
+  if (fault != nullptr) {
+    shim_ = std::make_shared<hw::FaultInjector>(device_, binding.port_base,
+                                                *fault);
+    top = shim_;
+  }
+  if (record) {
+    // Outermost shim: the recorder sees exactly the driver-visible traffic —
+    // post-fault values, and through the bus observer tap the post-injector
+    // IRQ traffic — step-stamped through the bus's probe.
+    recorder_ = std::make_shared<hw::FlightRecorder>(top, binding.port_base,
+                                                     &bus_);
+    bus_.set_irq_observer(recorder_.get());
+    top = recorder_;
+  }
+  // The outermost shim goes at the binding's port window, wired to the
+  // binding's IRQ line when it has one — and then the IRQ status window, so
+  // drivers can read the in-service bitmap. Every campaign boot goes through
+  // here so polled and event-driven bindings stay interchangeable.
+  bus_.map(binding.port_base, binding.port_span, std::move(top),
+           binding.irq_line);
+  if (binding.irq_line >= 0) {
+    bus_.map(hw::kIrqStatusPortBase, 1,
+             std::make_shared<hw::IrqStatusPort>(&bus_.irq_controller()));
+  }
+}
+
+BootRig::~BootRig() {
+  // Drop the bus mapping and the shims' inner references first: the pool
+  // only takes back a device its caller holds the sole reference to.
+  bus_ = hw::IoBus();
+  recorder_.reset();
+  shim_.reset();
+  pool_.release(std::move(device_));
+}
+
+BootEnd classify_boot(const minic::RunOutcome& run, const BootRig& rig,
+                      int64_t clean_fingerprint, std::string* detail) {
+  if (run.fault != minic::FaultKind::kNone) {
+    *detail = run.fault_message;
+    switch (run.fault) {
+      case minic::FaultKind::kDevilAssertion:
+        return BootEnd::kDevilAssertion;
+      case minic::FaultKind::kPanic:
+        return BootEnd::kPanic;
+      case minic::FaultKind::kStepLimit:
+        return BootEnd::kHang;
+      case minic::FaultKind::kWatchdog:
+        // Wall-clock containment of a wedged boot: same bucket as the step
+        // budget, but counted separately (the trip is host-speed dependent).
+        support::Metrics::add_watchdog_trip();
+        return BootEnd::kHang;
+      case minic::FaultKind::kBusFault:
+      case minic::FaultKind::kDivByZero:
+      case minic::FaultKind::kBadIndex:
+      case minic::FaultKind::kStackOverflow:
+        return BootEnd::kCrash;
+      case minic::FaultKind::kNone:
+      case minic::FaultKind::kInternal:
+        break;
+    }
+    throw std::logic_error("unclassifiable fault kind");
+  }
+  // Boot completed but the system is visibly wrong: persistent device
+  // damage or a different world view (wrong fingerprint computed from what
+  // the driver read).
+  if (rig.device().damaged()) {
+    *detail = rig.device().damage_note();
+    return BootEnd::kWrongState;
+  }
+  if (run.return_value != clean_fingerprint) {
+    *detail = "wrong boot fingerprint";
+    return BootEnd::kWrongState;
+  }
+  return BootEnd::kClean;
+}
+
 namespace {
 
-Outcome classify_fault(minic::FaultKind kind) {
-  switch (kind) {
-    case minic::FaultKind::kDevilAssertion:
-      return Outcome::kRunTime;
-    case minic::FaultKind::kPanic:
-      return Outcome::kHalt;
-    case minic::FaultKind::kStepLimit:
-      return Outcome::kInfiniteLoop;
-    case minic::FaultKind::kWatchdog:
-      // Wall-clock containment of a wedged boot: same bucket as the step
-      // budget, but counted separately (the trip is host-speed dependent).
-      support::Metrics::add_watchdog_trip();
-      return Outcome::kInfiniteLoop;
-    case minic::FaultKind::kBusFault:
-    case minic::FaultKind::kDivByZero:
-    case minic::FaultKind::kBadIndex:
-    case minic::FaultKind::kStackOverflow:
-      return Outcome::kCrash;
-    case minic::FaultKind::kNone:
-    case minic::FaultKind::kInternal:
-      break;
-  }
-  throw std::logic_error("unclassifiable fault kind");
-}
+/// The mutation tables' outcome for each non-clean BootEnd (a clean boot is
+/// Boot or Dead code, depending on whether the mutated line ran).
+constexpr Outcome kMutantOutcome[] = {Outcome::kRunTime, Outcome::kHalt,
+                                      Outcome::kInfiniteLoop, Outcome::kCrash,
+                                      Outcome::kDamagedBoot};
 
 /// Byte range one clean-stream token's serialization occupies inside the
 /// precomputed canonical key, plus the token's (prefix-offset) line — enough
@@ -105,8 +236,8 @@ struct PreparedCampaign {
   std::vector<mutation::Mutant> mutants;
   int64_t clean_fingerprint = 0;
   /// Clean-tail recording compile + the patcher built from it. `patcher` is
-  /// null when patching is off, the engine is the walker, or the clean tail
-  /// needed the whole-unit fallback — then every mutant recompiles.
+  /// null when the engine is the walker or the clean tail needed the
+  /// whole-unit fallback — then every mutant recompiles.
   minic::SplicedProgram clean_tail;
   minic::TailRecording recorded;
   std::unique_ptr<minic::bytecode::Patcher> patcher;
@@ -466,7 +597,7 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
     // segment exactly like the splice its recompile would have taken
     // (patchable mutants never change tail declarations, so their
     // recompile can never hit the whole-unit fallback). Counting it keeps
-    // prefix_cache_hits byte-identical with patching on or off.
+    // prefix_cache_hits equal to what recompiling every mutant would count.
     if (cache_hit) *cache_hit = 1;
     // The patched module IS the clean tail with operands rewritten; the
     // clean macro-use map is the mutant's too (patch requests never touch
@@ -509,29 +640,18 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
     return rec;
   }
 
-  hw::IoBus bus;
-  auto dev = prep.device_pool.acquire();
-  std::shared_ptr<hw::FlightRecorder> recorder;
-  if (config.flight_recorder) {
-    // Outermost shim: the recorder sees exactly the driver-visible traffic,
-    // step-stamped through the bus's probe.
-    recorder = std::make_shared<hw::FlightRecorder>(
-        dev, config.device.port_base, &bus);
-    bus.set_irq_observer(recorder.get());
-    map_bound_device(bus, config.device, recorder);
-  } else {
-    map_bound_device(bus, config.device, dev);
-  }
+  BootRig rig(prep.device_pool, config.device, config.flight_recorder);
   minic::RunOutcome run;
   if (patched) {
-    run = minic::run_module(*patched, bus, prep.entry, config.step_budget,
-                            nullptr, config.watchdog_ms);
+    run = minic::run_module(*patched, rig.bus(), prep.entry,
+                            config.step_budget, nullptr, config.watchdog_ms);
   } else if (spliced.ok()) {
-    run = minic::run_module(*spliced.module, bus, prep.entry,
+    run = minic::run_module(*spliced.module, rig.bus(), prep.entry,
                             config.step_budget, nullptr, config.watchdog_ms);
   } else {
-    run = minic::run_unit(*prog.unit, bus, prep.entry, config.step_budget,
-                          config.engine, nullptr, config.watchdog_ms);
+    run = minic::run_unit(*prog.unit, rig.bus(), prep.entry,
+                          config.step_budget, config.engine, nullptr,
+                          config.watchdog_ms);
   }
 
   if (run.fault == minic::FaultKind::kInternal) {
@@ -540,23 +660,12 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
   support::StageTimer classify_timer(support::Stage::kClassify);
   rec.steps = run.steps_used;
   rec.skipped_steps = run.skipped_steps;
-  bool clean = false;
-  if (run.fault != minic::FaultKind::kNone) {
-    rec.outcome = classify_fault(run.fault);
-    rec.detail = run.fault_message;
-  } else if (dev->damaged() ||
-             run.return_value != prep.clean_fingerprint) {
-    // Boot completed but the system is visibly wrong: persistent device
-    // damage or a different world view (wrong fingerprint computed from
-    // what the driver read).
-    rec.outcome = Outcome::kDamagedBoot;
-    rec.detail = dev->damaged() ? dev->damage_note()
-                                : "wrong boot fingerprint";
-  } else {
-    clean = true;
-    rec.outcome = classify_clean(prep, site, run.executed, *macro_uses);
-  }
-  if (recorder && !clean) rec.trace = recorder->render_tail();
+  const BootEnd end =
+      classify_boot(run, rig, prep.clean_fingerprint, &rec.detail);
+  const bool clean = end == BootEnd::kClean;
+  rec.outcome = clean ? classify_clean(prep, site, run.executed, *macro_uses)
+                      : kMutantOutcome[static_cast<size_t>(end)];
+  if (rig.recorder() && !clean) rec.trace = rig.recorder()->render_tail();
   if (snap) {
     snap->clean = clean;
     snap->outcome = rec.outcome;
@@ -569,11 +678,6 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
       snap->macro_use_lines = *macro_uses;
     }
   }
-  // Drop the bus mapping (and the recorder's inner reference) before
-  // recycling the device.
-  bus = hw::IoBus();
-  recorder.reset();
-  prep.device_pool.release(std::move(dev));
   return rec;
 }
 
@@ -659,8 +763,7 @@ std::optional<std::string> fast_canonical_key(const PreparedCampaign& prep,
 
 /// Runs the clean tail through the recording compile and, when it splices
 /// cleanly, builds the patcher plus the fast-key spans. Called once per
-/// campaign, after the site scan, only on the VM engine with patching
-/// enabled.
+/// campaign, after the site scan, only on the VM engine.
 void build_patch_context(PreparedCampaign& prep) {
   const DriverCampaignConfig& config = *prep.config;
   std::vector<minic::SiteSpan>& spans = prep.recorded.site_spans;
@@ -678,7 +781,7 @@ void build_patch_context(PreparedCampaign& prep) {
       minic::compile_tail(prep.prefix, config.driver, &prep.recorded);
   // The clean driver compiled whole-unit moments ago (baseline boot), so a
   // missing tail unit can only mean the whole-unit fallback — every mutant
-  // then recompiles, exactly as with patching off.
+  // then recompiles, exactly as on the walker.
   if (prep.recorded.tail_unit == nullptr) return;
   prep.patcher = std::make_unique<minic::bytecode::Patcher>(
       *prep.clean_tail.module, prep.prefix.compiled->unit,
@@ -721,33 +824,12 @@ DriverCampaignResult run_driver_campaign(const DriverCampaignConfig& config) {
 DriverCampaignResult run_driver_campaign_slice(
     const DriverCampaignConfig& config, SampleSlice slice,
     CampaignSideband* sideband) {
-  // Diagnostics name the configured device and entry so a failing campaign
-  // of one device is never mistaken for another's.
-  const std::string who = "driver campaign [" +
-                          (config.device.device.empty() ? std::string("?")
-                                                        : config.device.device) +
-                          "]: ";
-  if (slice.count == 0 || slice.index >= slice.count) {
-    throw std::logic_error(who + "invalid sample slice " +
-                           std::to_string(slice.index) + "/" +
-                           std::to_string(slice.count) +
-                           " (need 0 <= index < count)");
-  }
-  if (!config.device.ok()) {
-    throw std::logic_error(who +
-                           "no device binding configured (set "
-                           "DriverCampaignConfig::device; the standard "
-                           "bindings live in eval/device_bindings.h)");
-  }
+  const KernelContext kc =
+      check_kernel_preconditions("driver campaign", config, slice);
   PreparedCampaign prep;
   prep.config = &config;
-  prep.entry = config.entry.empty() ? config.device.entry : config.entry;
-  if (prep.entry.empty()) {
-    throw std::logic_error(who + "no boot entry configured (neither the "
-                           "config nor the device binding names one)");
-  }
+  prep.entry = kc.entry;
   prep.device_pool.set_factory(config.device.make_device);
-  const std::string at_entry = " (entry " + prep.entry + ")";
 
   // Lex the invariant stub prefix once; every mutant re-lexes only the
   // driver tail. Mutants never touch the stubs (sites are scanned in the
@@ -756,7 +838,7 @@ DriverCampaignResult run_driver_campaign_slice(
       config.stubs.empty() ? std::string() : config.stubs + "\n";
   prep.prefix = minic::prepare_prefix(config.unit_name, prefix_text);
   if (!prep.prefix.ok()) {
-    throw std::logic_error(who + "driver stubs do not lex:\n" +
+    throw std::logic_error(kc.who + "driver stubs do not lex:\n" +
                            prep.prefix.diags.render());
   }
 
@@ -764,40 +846,25 @@ DriverCampaignResult run_driver_campaign_slice(
   minic::Program clean = minic::compile_with_prefix(prep.prefix,
                                                     config.driver);
   if (!clean.ok()) {
-    throw std::logic_error(who + "unmutated driver does not compile:\n" +
+    throw std::logic_error(kc.who + "unmutated driver does not compile:\n" +
                            clean.diags.render());
   }
   DriverCampaignResult result;
   result.device = config.device.device;
   result.entry = prep.entry;
   {
-    hw::IoBus bus;
-    auto dev = prep.device_pool.acquire();
-    map_bound_device(bus, config.device, dev);
+    BootRig rig(prep.device_pool, config.device);
     // The baseline boot doubles as the campaign's deterministic profile
     // run: steps retired and (on the VM) the per-opcode dispatch counts.
     // Every shard recomputes these; merge validation rejects disagreement.
     const bool vm_engine = config.engine == minic::ExecEngine::kBytecodeVm;
-    auto run = minic::run_unit(*clean.unit, bus, prep.entry,
+    auto run = minic::run_unit(*clean.unit, rig.bus(), prep.entry,
                                config.step_budget, config.engine,
                                vm_engine ? &result.baseline_opcodes : nullptr,
                                config.watchdog_ms);
     result.baseline_steps = run.steps_used;
-    if (run.fault != minic::FaultKind::kNone) {
-      throw std::logic_error(who + "unmutated driver faults at boot" +
-                             at_entry + ": " + run.fault_message);
-    }
-    if (run.return_value <= 0) {
-      throw std::logic_error(who + "unmutated driver returned a non-positive "
-                             "boot fingerprint" + at_entry);
-    }
-    if (dev->damaged()) {
-      throw std::logic_error(who + "unmutated driver damaged the device: " +
-                             dev->damage_note());
-    }
+    check_baseline_boot(kc, run, rig.device());
     result.clean_fingerprint = run.return_value;
-    bus = hw::IoBus();
-    prep.device_pool.release(std::move(dev));
   }
   prep.clean_fingerprint = result.clean_fingerprint;
 
@@ -813,27 +880,17 @@ DriverCampaignResult run_driver_campaign_slice(
   result.total_mutants = prep.mutants.size();
 
   // --- clean-tail recording compile (patching + fast dedup keys) ------------------
-  if (config.bytecode_patch &&
-      config.engine == minic::ExecEngine::kBytecodeVm && !prep.sites.empty()) {
+  if (config.engine == minic::ExecEngine::kBytecodeVm && !prep.sites.empty()) {
     build_patch_context(prep);
   }
 
-  // The full deterministic sample is derived in every slice; the slice then
-  // covers a contiguous subrange of it, so N slices together boot exactly
-  // the mutants the unsharded campaign would.
-  auto sample = support::sample_indices(prep.mutants.size(),
-                                        config.sample_percent, config.seed);
-  const auto [slice_lo, slice_hi] = sample_slice_bounds(sample.size(), slice);
-  std::vector<size_t> selected(sample.begin() + slice_lo,
-                               sample.begin() + slice_hi);
+  const std::vector<size_t> selected =
+      sample_slice(prep.mutants.size(), config.sample_percent, config.seed,
+                   slice, sideband);
   result.sampled_mutants = selected.size();
-  if (sideband) {
-    sideband->sample_size = sample.size();
-    sideband->slice_begin = slice_lo;
-    sideband->slice_end = slice_hi;
-    // prefix_cache_hit is assigned wholesale after the boot phase.
-    sideband->canonical_hash.clear();
-    if (config.dedup) sideband->canonical_hash.resize(selected.size());
+  // prefix_cache_hit is assigned wholesale after the boot phase.
+  if (sideband && config.dedup) {
+    sideband->canonical_hash.resize(selected.size());
   }
 
   // --- canonical dedup (phases 1-2) ----------------------------------------------
@@ -850,7 +907,8 @@ DriverCampaignResult run_driver_campaign_slice(
       // Token-local mutants splice their key into the precomputed clean
       // key; the rest (define-body sites, macro-involved replacements,
       // token merges) re-lex the spliced driver as before. Byte-identical
-      // either way, so dedup grouping never depends on the patch flag.
+      // either way, so dedup grouping never depends on which key path ran
+      // (the walker, which builds no patch context, re-lexes every key).
       if (auto fast = fast_canonical_key(prep, m)) {
         keys[i] = std::move(*fast);
       } else {
@@ -883,21 +941,13 @@ DriverCampaignResult run_driver_campaign_slice(
     if (dup_of[i] == static_cast<size_t>(-1)) unique_ix.push_back(i);
   }
   std::vector<uint8_t> cache_hits(selected.size(), 0);
-  support::ProgressMeter progress(who + "booting", unique_ix.size());
-  std::vector<uint64_t> worker_shares;
-  support::parallel_for(
-      unique_ix.size(), config.threads,
-      [&](size_t u) {
-        size_t i = unique_ix[u];
-        BootSnapshot* snap = wants_snapshot[i] ? &snapshots[i] : nullptr;
-        result.records[i] = run_one_mutant(
-            prep, selected[i], snap,
-            config.dedup ? std::move(spliced[i]) : std::string(),
-            &cache_hits[i]);
-        progress.tick();
-      },
-      support::Metrics::enabled() ? &worker_shares : nullptr);
-  support::Metrics::add_worker_records(worker_shares);
+  run_boots(kc, unique_ix.size(), config.threads, [&](size_t u) {
+    size_t i = unique_ix[u];
+    BootSnapshot* snap = wants_snapshot[i] ? &snapshots[i] : nullptr;
+    result.records[i] = run_one_mutant(
+        prep, selected[i], snap,
+        config.dedup ? std::move(spliced[i]) : std::string(), &cache_hits[i]);
+  });
   for (uint8_t hit : cache_hits) result.prefix_cache_hits += hit;
   if (sideband) sideband->prefix_cache_hit = cache_hits;
 

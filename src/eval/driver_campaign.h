@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -19,6 +20,12 @@
 #include "hw/io_bus.h"
 #include "minic/program.h"
 #include "mutation/site.h"
+
+namespace hw {
+class FaultInjector;
+class FlightRecorder;
+struct FaultPlan;
+}  // namespace hw
 
 namespace eval {
 
@@ -47,14 +54,6 @@ struct DeviceBinding {
 
   [[nodiscard]] bool ok() const { return make_device != nullptr; }
 };
-
-/// Maps `dev` (the outermost shim of a boot's device stack) at the binding's
-/// port window, wiring the binding's IRQ line when it has one — and then the
-/// IRQ status window, so drivers can read the in-service bitmap. Every
-/// campaign boot goes through this so polled and event-driven bindings stay
-/// interchangeable.
-void map_bound_device(hw::IoBus& bus, const DeviceBinding& binding,
-                      std::shared_ptr<hw::Device> dev);
 
 struct DriverCampaignConfig {
   /// Generated Devil stubs, prepended to the driver. Empty for the plain C
@@ -100,13 +99,6 @@ struct DriverCampaignConfig {
   /// visible in the records — classified against their own site from the
   /// representative's boot — and tallies are unchanged.
   bool dedup = true;
-  /// Boot token-local mutants from a patched copy of the clean tail
-  /// bytecode (minic::bytecode::Patcher) instead of re-running the front
-  /// end. Only effective on the VM engine. Patched and recompiled boots are
-  /// byte-identical (ctest-enforced), so this flag is deliberately NOT part
-  /// of the campaign fingerprint — like `threads`, it can never change
-  /// records or tallies, only `patched`/`patch_fallback` telemetry bits.
-  bool bytecode_patch = true;
   /// Wrap every boot's device in a `hw::FlightRecorder` and attach the
   /// rendered port-access tail to each non-clean record (`MutantRecord::
   /// trace`). Off by default — it is part of the campaign fingerprint, so
@@ -133,7 +125,7 @@ struct MutantRecord {
   /// (no per-mutant front end ran). Telemetry only — the boot itself is
   /// byte-identical to a recompiled one.
   bool patched = false;
-  /// True when patching was enabled for the campaign but this mutant was
+  /// True when the campaign built a patcher but this mutant was
   /// structure-changing (or otherwise ineligible) and recompiled instead.
   /// Duplicates carry neither bit: they never boot at all.
   bool patch_fallback = false;
@@ -144,11 +136,24 @@ struct MutantRecord {
   uint64_t skipped_steps = 0;
 };
 
-struct DriverCampaignResult {
+/// What every campaign result (mutation or fault) and every shard slice of
+/// one (eval/shard.h SliceHeader) carries about the campaign's setup.
+struct CampaignBaseline {
   /// Device name and entry the campaign ran against (from the binding /
   /// config), echoed so reports can label tables per device.
   std::string device;
   std::string entry;
+  /// The unmutated driver's boot on healthy hardware: the fingerprint every
+  /// other boot is checked against, the steps it retired, and its
+  /// per-opcode dispatch profile (bytecode engine only; all-zero on the
+  /// walker). Deterministic campaign telemetry: every shard recomputes the
+  /// same values, and merge validation rejects disagreement.
+  int64_t clean_fingerprint = 0;
+  uint64_t baseline_steps = 0;
+  minic::bytecode::OpcodeProfile baseline_opcodes;
+};
+
+struct DriverCampaignResult : CampaignBaseline {
   size_t total_sites = 0;
   size_t total_mutants = 0;    // before sampling
   size_t sampled_mutants = 0;
@@ -160,8 +165,8 @@ struct DriverCampaignResult {
   size_t prefix_cache_hits = 0;
   /// Mutants booted from a patched clean-tail module (sum of the records'
   /// `patched` bits) vs mutants that fell back to a recompile while
-  /// patching was enabled (`patch_fallback` bits). Both zero when
-  /// `bytecode_patch` was off or the campaign could not build a patcher.
+  /// the campaign had a patcher (`patch_fallback` bits). Both zero on the
+  /// tree walker or when the campaign could not build a patcher.
   size_t patch_hits = 0;
   size_t patch_fallbacks = 0;
   /// Boots the loop fast-forward shortened, and the steps it skipped
@@ -169,13 +174,6 @@ struct DriverCampaignResult {
   size_t fast_forwards = 0;
   uint64_t skipped_steps = 0;
   Tally tally;
-  int64_t clean_fingerprint = 0;
-  /// Steps the unmutated baseline boot retired, and its per-opcode dispatch
-  /// profile (bytecode engine only; all-zero on the walker). Deterministic
-  /// campaign telemetry: every shard recomputes the same values, and merge
-  /// validation rejects disagreement.
-  uint64_t baseline_steps = 0;
-  minic::bytecode::OpcodeProfile baseline_opcodes;
   std::vector<MutantRecord> records;  // one per sampled mutant
 };
 
@@ -234,5 +232,91 @@ struct CampaignSideband {
 
 /// Classifies one already-compiled-or-failed mutant run; exposed for tests.
 [[nodiscard]] const char* outcome_short(Outcome o);
+
+// --- shared by the mutation and fault kernels (eval/fault_campaign.cc) ------
+
+/// A kernel run's diagnostic prefix and resolved boot entry.
+struct KernelContext {
+  std::string who;    // e.g. "driver campaign [ide]: "
+  std::string entry;  // the config's override, else the binding's default
+};
+
+/// The preconditions both kernels check before any work: a valid `slice`, a
+/// populated device binding and a resolvable boot entry. `kind` names the
+/// kernel in diagnostics ("driver campaign", "fault campaign"); violations
+/// throw std::logic_error.
+[[nodiscard]] KernelContext check_kernel_preconditions(
+    const char* kind, const DriverCampaignConfig& config, SampleSlice slice);
+
+/// The check both kernels run on the unmutated driver's boot on healthy
+/// hardware: no fault, a positive boot fingerprint and an undamaged
+/// `device`. Violations throw std::logic_error naming device and entry.
+void check_baseline_boot(const KernelContext& ctx, const minic::RunOutcome& run,
+                         const hw::Device& device);
+
+/// The deterministic sample of a campaign over `population` mutants or
+/// scenarios, cut to `slice`. Every slice derives the full sample, so N
+/// slices together boot exactly what the unsharded campaign would. The
+/// sideband (optional) gets the sample size and slice bounds; its
+/// per-record vectors are cleared.
+[[nodiscard]] std::vector<size_t> sample_slice(size_t population,
+                                               unsigned percent, uint64_t seed,
+                                               SampleSlice slice,
+                                               CampaignSideband* sideband);
+
+/// Runs `boot_one(i)` for every i in [0, n) on `threads` workers, with a
+/// progress heartbeat and the per-worker record telemetry. Workers write
+/// only per-index state and every order-sensitive reduction happens after
+/// the join, so results are identical at any thread count.
+void run_boots(const KernelContext& ctx, size_t n, unsigned threads,
+               const std::function<void(size_t)>& boot_one);
+
+/// One boot's device stack: a pooled device, the optional fault shim around
+/// it, and the optional flight recorder outermost, mapped on a fresh bus at
+/// the binding's window. The destructor tears it down in reverse (bus
+/// mapping, recorder, shim) and recycles the device into its pool.
+class BootRig {
+ public:
+  BootRig(hw::DevicePool& pool, const DeviceBinding& binding,
+          bool record = false, const hw::FaultPlan* fault = nullptr);
+  BootRig(const BootRig&) = delete;
+  BootRig& operator=(const BootRig&) = delete;
+  ~BootRig();
+
+  [[nodiscard]] hw::IoBus& bus() { return bus_; }
+  /// The pooled device below every shim, where damage is recorded.
+  [[nodiscard]] const hw::Device& device() const { return *device_; }
+  [[nodiscard]] const hw::FaultInjector* shim() const { return shim_.get(); }
+  [[nodiscard]] const hw::FlightRecorder* recorder() const {
+    return recorder_.get();
+  }
+
+ private:
+  hw::DevicePool& pool_;
+  hw::IoBus bus_;
+  std::shared_ptr<hw::Device> device_;
+  std::shared_ptr<hw::FaultInjector> shim_;
+  std::shared_ptr<hw::FlightRecorder> recorder_;
+};
+
+/// How a finished boot ended, in the buckets both kernels tally; each maps
+/// them onto its own outcome enum, in this order.
+enum class BootEnd {
+  kDevilAssertion,  // a generated Devil check fired
+  kPanic,           // the driver's own sanity check panicked
+  kHang,            // step budget exhausted, or the wall-clock watchdog
+  kCrash,           // bus fault, division by zero, bad index, stack overflow
+  kWrongState,      // booted, but the device is damaged or the fingerprint
+                    // differs from the clean boot's
+  kClean,
+};
+
+/// Buckets a finished (non-internal-error) boot on `rig`, counting watchdog
+/// trips in the process metrics. The fault message or damage note goes to
+/// `detail`.
+[[nodiscard]] BootEnd classify_boot(const minic::RunOutcome& run,
+                                    const BootRig& rig,
+                                    int64_t clean_fingerprint,
+                                    std::string* detail);
 
 }  // namespace eval

@@ -1,6 +1,5 @@
 #include "eval/fault_campaign.h"
 
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -9,8 +8,6 @@
 #include "hw/io_bus.h"
 #include "minic/program.h"
 #include "support/metrics.h"
-#include "support/parallel.h"
-#include "support/rng.h"
 #include "support/strings.h"
 
 namespace eval {
@@ -41,29 +38,12 @@ const char* fault_outcome_short(FaultOutcome o) {
 
 namespace {
 
-FaultOutcome classify_run_fault(minic::FaultKind kind) {
-  switch (kind) {
-    case minic::FaultKind::kDevilAssertion:
-      return FaultOutcome::kDevilCheck;
-    case minic::FaultKind::kPanic:
-      return FaultOutcome::kDriverPanic;
-    case minic::FaultKind::kStepLimit:
-      return FaultOutcome::kHang;
-    case minic::FaultKind::kWatchdog:
-      // Wall-clock containment: the boot wedged for real time, not steps.
-      support::Metrics::add_watchdog_trip();
-      return FaultOutcome::kHang;
-    case minic::FaultKind::kBusFault:
-    case minic::FaultKind::kDivByZero:
-    case minic::FaultKind::kBadIndex:
-    case minic::FaultKind::kStackOverflow:
-      return FaultOutcome::kCrash;
-    case minic::FaultKind::kNone:
-    case minic::FaultKind::kInternal:
-      break;
-  }
-  throw std::logic_error("unclassifiable fault kind");
-}
+/// The fault tables' outcome for each BootEnd.
+constexpr FaultOutcome kScenarioOutcome[] = {
+    FaultOutcome::kDevilCheck, FaultOutcome::kDriverPanic,
+    FaultOutcome::kHang,       FaultOutcome::kCrash,
+    FaultOutcome::kCorruptBoot, FaultOutcome::kCleanBoot,
+};
 
 }  // namespace
 
@@ -156,34 +136,16 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
                                              SampleSlice slice,
                                              CampaignSideband* sideband) {
   const DriverCampaignConfig& base = config.base;
-  const std::string who = "fault campaign [" +
-                          (base.device.device.empty() ? std::string("?")
-                                                      : base.device.device) +
-                          "]: ";
-  if (slice.count == 0 || slice.index >= slice.count) {
-    throw std::logic_error(who + "invalid sample slice " +
-                           std::to_string(slice.index) + "/" +
-                           std::to_string(slice.count) +
-                           " (need 0 <= index < count)");
-  }
-  if (!base.device.ok()) {
-    throw std::logic_error(who +
-                           "no device binding configured (set "
-                           "DriverCampaignConfig::device; the standard "
-                           "bindings live in eval/device_bindings.h)");
-  }
+  const KernelContext kc =
+      check_kernel_preconditions("fault campaign", base, slice);
+  const std::string& who = kc.who;
+  const std::string& entry = kc.entry;
   if (config.triggers.empty()) {
     throw std::logic_error(who + "empty trigger list (the scenario matrix "
                            "needs at least one trigger offset)");
   }
-  const std::string entry = base.entry.empty() ? base.device.entry : base.entry;
-  if (entry.empty()) {
-    throw std::logic_error(who + "no boot entry configured (neither the "
-                           "config nor the device binding names one)");
-  }
   hw::DevicePool device_pool;
   device_pool.set_factory(base.device.make_device);
-  const std::string at_entry = " (entry " + entry + ")";
 
   // The driver is never mutated here: one compile and, on the VM, one
   // lowering, shared read-only by every scenario worker (each boot builds
@@ -220,120 +182,63 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
 
   // --- fault-free baseline --------------------------------------------------------
   {
-    hw::IoBus bus;
-    auto dev = device_pool.acquire();
-    map_bound_device(bus, base.device, dev);
-    auto run = boot(bus, &result.baseline_opcodes);
+    BootRig rig(device_pool, base.device);
+    auto run = boot(rig.bus(), &result.baseline_opcodes);
     result.baseline_steps = run.steps_used;
-    if (run.fault != minic::FaultKind::kNone) {
-      throw std::logic_error(who + "driver faults on healthy hardware" +
-                             at_entry + ": " + run.fault_message);
-    }
-    if (run.return_value <= 0) {
-      throw std::logic_error(who + "driver returned a non-positive boot "
-                             "fingerprint on healthy hardware" + at_entry);
-    }
-    if (dev->damaged()) {
-      throw std::logic_error(who + "driver damaged the healthy device: " +
-                             dev->damage_note());
-    }
+    check_baseline_boot(kc, run, rig.device());
     result.clean_fingerprint = run.return_value;
-    bus = hw::IoBus();
-    device_pool.release(std::move(dev));
   }
 
   // --- scenario matrix + deterministic sample -------------------------------------
   const std::vector<hw::FaultPlan> matrix =
       fault_scenario_matrix(base.device, config.triggers);
   result.total_scenarios = matrix.size();
-  auto sample = support::sample_indices(matrix.size(), config.sample_percent,
-                                        fault_scenario_seed(config));
-  const auto [slice_lo, slice_hi] = sample_slice_bounds(sample.size(), slice);
-  std::vector<size_t> selected(sample.begin() + slice_lo,
-                               sample.begin() + slice_hi);
+  // Scenarios are never deduped: the sideband's per-record vectors stay
+  // empty.
+  const std::vector<size_t> selected =
+      sample_slice(matrix.size(), config.sample_percent,
+                   fault_scenario_seed(config), slice, sideband);
   result.sampled_scenarios = selected.size();
-  if (sideband) {
-    sideband->sample_size = sample.size();
-    sideband->slice_begin = slice_lo;
-    sideband->slice_end = slice_hi;
-    sideband->prefix_cache_hit.clear();
-    sideband->canonical_hash.clear();  // scenarios are never deduped
-  }
 
   // --- per-scenario boot (parallel map) -------------------------------------------
   // Workers write only their own records[i]; the order-sensitive tally (and
   // the triggered count) is reduced after the join, so the result is
   // identical at any thread count.
   result.records.resize(selected.size());
-  support::ProgressMeter progress(who + "booting", selected.size());
-  std::vector<uint64_t> worker_shares;
-  support::parallel_for(
-      selected.size(), base.threads,
-      [&](size_t i) {
-        const size_t scenario_ix = selected[i];
-        const hw::FaultPlan& plan = matrix[scenario_ix];
+  run_boots(kc, selected.size(), base.threads, [&](size_t i) {
+    const size_t scenario_ix = selected[i];
+    const hw::FaultPlan& plan = matrix[scenario_ix];
 
-        FaultRecord rec;
-        rec.scenario_index = scenario_ix;
-        rec.plan = plan;
+    FaultRecord rec;
+    rec.scenario_index = scenario_ix;
+    rec.plan = plan;
 
-        hw::IoBus bus;
-        auto dev = device_pool.acquire();
-        auto shim = std::make_shared<hw::FaultInjector>(
-            dev, base.device.port_base, plan);
-        std::shared_ptr<hw::FlightRecorder> recorder;
-        if (base.flight_recorder) {
-          // Recorder outermost: the trace shows the post-fault values the
-          // driver actually read, not the healthy device's — and, through
-          // the bus observer tap, the post-injector IRQ traffic.
-          recorder = std::make_shared<hw::FlightRecorder>(
-              shim, base.device.port_base, &bus);
-          bus.set_irq_observer(recorder.get());
-          map_bound_device(bus, base.device, recorder);
-        } else {
-          map_bound_device(bus, base.device, shim);
-        }
-        auto run = boot(bus, nullptr);
-        if (run.fault == minic::FaultKind::kInternal) {
-          throw std::logic_error(who + "interpreter bug under fault [" +
-                                 plan.describe() + "]: " + run.fault_message);
-        }
-        support::StageTimer classify_timer(support::Stage::kClassify);
-        rec.triggered = shim->fired() > 0;
-        rec.steps = run.steps_used;
-        rec.skipped_steps = run.skipped_steps;
-        if (run.fault != minic::FaultKind::kNone) {
-          rec.outcome = classify_run_fault(run.fault);
-          rec.detail = run.fault_message;
-        } else if (dev->damaged() ||
-                   run.return_value != result.clean_fingerprint) {
-          rec.outcome = FaultOutcome::kCorruptBoot;
-          rec.detail = dev->damaged() ? dev->damage_note()
-                                      : "wrong boot fingerprint";
-        } else {
-          rec.outcome = FaultOutcome::kCleanBoot;
-        }
-        if (recorder && rec.outcome != FaultOutcome::kCleanBoot) {
-          rec.trace = recorder->render_tail();
-        }
-        if (!rec.triggered && rec.outcome != FaultOutcome::kCleanBoot) {
-          // An unfired fault cannot have changed the traffic; any non-clean
-          // outcome here means the shim miscounted or the boot is flaky.
-          throw std::logic_error(who + "scenario [" + plan.describe() +
-                                 "] never triggered yet boot was not clean (" +
-                                 fault_outcome_short(rec.outcome) + ")");
-        }
-        // Drop the bus mapping and the shims before recycling the device
-        // (the pool requires the caller to hold the only reference).
-        bus = hw::IoBus();
-        recorder.reset();
-        shim.reset();
-        device_pool.release(std::move(dev));
-        result.records[i] = std::move(rec);
-        progress.tick();
-      },
-      support::Metrics::enabled() ? &worker_shares : nullptr);
-  support::Metrics::add_worker_records(worker_shares);
+    // Recorder outermost: the trace shows the post-fault values the driver
+    // actually read, not the healthy device's.
+    BootRig rig(device_pool, base.device, base.flight_recorder, &plan);
+    auto run = boot(rig.bus(), nullptr);
+    if (run.fault == minic::FaultKind::kInternal) {
+      throw std::logic_error(who + "interpreter bug under fault [" +
+                             plan.describe() + "]: " + run.fault_message);
+    }
+    support::StageTimer classify_timer(support::Stage::kClassify);
+    rec.triggered = rig.shim()->fired() > 0;
+    rec.steps = run.steps_used;
+    rec.skipped_steps = run.skipped_steps;
+    rec.outcome = kScenarioOutcome[static_cast<size_t>(classify_boot(
+        run, rig, result.clean_fingerprint, &rec.detail))];
+    if (rig.recorder() && rec.outcome != FaultOutcome::kCleanBoot) {
+      rec.trace = rig.recorder()->render_tail();
+    }
+    if (!rec.triggered && rec.outcome != FaultOutcome::kCleanBoot) {
+      // An unfired fault cannot have changed the traffic; any non-clean
+      // outcome here means the shim miscounted or the boot is flaky.
+      throw std::logic_error(who + "scenario [" + plan.describe() +
+                             "] never triggered yet boot was not clean (" +
+                             fault_outcome_short(rec.outcome) + ")");
+    }
+    result.records[i] = std::move(rec);
+  });
 
   for (const FaultRecord& rec : result.records) {
     result.tally.add(rec.outcome, rec.plan.port);

@@ -25,51 +25,31 @@
 namespace eval {
 
 /// One campaign reassembled from all its shards.
-struct MergedCampaign {
+template <class Result>
+struct MergedResult {
   std::string device;
-  std::string label;   // "C" / "CDevil" (ShardArtifact::label)
+  std::string label;   // "C" / "CDevil" (SliceHeader::label)
   std::string engine;  // shard-validated minic::exec_engine_name
-  DriverCampaignResult result;
+  Result result;
 };
-
-/// Merges one campaign's shard artifacts, given in any order. Throws
-/// std::runtime_error naming the offence when the artifacts do not tile
-/// exactly one campaign: mismatched config fingerprints, duplicate or
-/// missing shard indices, disagreeing shard counts, slice bounds that do
-/// not match the canonical i/N partition, or metadata that disagrees
-/// between shards. `shards[i].first` is the 1-based shard index the
-/// artifact came from (its bundle's ShardSpec).
-[[nodiscard]] DriverCampaignResult merge_shard_artifacts(
-    const std::vector<std::pair<unsigned, const ShardArtifact*>>& shards);
+using MergedCampaign = MergedResult<DriverCampaignResult>;
+using MergedFaultCampaign = MergedResult<FaultCampaignResult>;
 
 /// Merges whole bundles (one per shard process): validates the shard
 /// coordinates (same count everywhere, indices exactly 1..N), requires
 /// every bundle to carry the same campaign list (device/label, in order),
 /// and merges each campaign across the bundles. Campaigns come back in the
-/// bundles' common list order.
+/// bundles' common list order. A campaign's artifacts must tile exactly
+/// that campaign — one config fingerprint, agreeing metadata and baseline
+/// telemetry, slice bounds matching the canonical i/N partition — or the
+/// merge throws std::runtime_error naming the offence.
 [[nodiscard]] std::vector<MergedCampaign> merge_shard_bundles(
     const std::vector<ShardBundle>& bundles);
 
-/// One fault campaign reassembled from all its shards.
-struct MergedFaultCampaign {
-  std::string device;
-  std::string label;   // "C" / "CDevil" (FaultShardArtifact::label)
-  std::string engine;  // shard-validated minic::exec_engine_name
-  FaultCampaignResult result;
-};
-
-/// Merges one fault campaign's shard artifacts, given in any order. Same
-/// validation as merge_shard_artifacts (fingerprints, index coverage,
-/// canonical slice tiling, metadata agreement); fault scenarios are never
-/// deduped, so the merge is a straight concatenation in shard order with
-/// the tally and triggered count recomputed.
-[[nodiscard]] FaultCampaignResult merge_fault_artifacts(
-    const std::vector<std::pair<unsigned, const FaultShardArtifact*>>& shards);
-
-/// Merges the fault campaigns of whole bundles, mirroring
-/// merge_shard_bundles: same shard-coordinate validation, every bundle must
-/// carry the same fault-campaign list (device/label, in order). Bundles
-/// without fault campaigns merge to an empty list.
+/// Merges the fault campaigns of whole bundles with the same validation.
+/// Fault scenarios are never deduped, so each campaign is a straight
+/// concatenation in shard order with the tally and triggered count
+/// recomputed. Bundles without fault campaigns merge to an empty list.
 [[nodiscard]] std::vector<MergedFaultCampaign> merge_fault_bundles(
     const std::vector<ShardBundle>& bundles);
 

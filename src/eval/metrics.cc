@@ -18,28 +18,9 @@ constexpr const char* kFormatTag = "devil-repro-metrics";
 // strictly, so the new stage alone re-versions the format).
 constexpr int64_t kFormatVersion = 2;
 
-const support::JsonValue& require(const support::JsonValue& obj,
-                                  const char* key, const std::string& ctx) {
-  const support::JsonValue* v = obj.find(key);
-  if (!v) {
-    throw std::runtime_error(ctx + ": missing field '" + key + "'");
-  }
-  return *v;
-}
-
-uint64_t require_u64(const support::JsonValue& obj, const char* key,
-                     const std::string& ctx) {
-  int64_t v = require(obj, key, ctx).as_int();
-  if (v < 0) {
-    throw std::runtime_error(ctx + ": field '" + key + "' is negative");
-  }
-  return static_cast<uint64_t>(v);
-}
-
-const std::string& require_string(const support::JsonValue& obj,
-                                  const char* key, const std::string& ctx) {
-  return require(obj, key, ctx).as_string();
-}
+using support::require;
+using support::require_string;
+using support::require_u64;
 
 /// Zero-suppressed (name, count) pairs as an insertion-ordered JSON object.
 support::JsonValue pairs_to_json(
@@ -398,18 +379,7 @@ MetricsArtifact parse_metrics(const std::string& text) {
   }();
   try {
     const std::string ctx = "metrics artifact";
-    const std::string& format = require_string(root, "format", ctx);
-    if (format != kFormatTag) {
-      throw std::runtime_error("not a metrics artifact: format tag is '" +
-                               format + "', expected '" + kFormatTag + "'");
-    }
-    int64_t version = require(root, "version", ctx).as_int();
-    if (version != kFormatVersion) {
-      throw std::runtime_error("unsupported metrics artifact version " +
-                               std::to_string(version) + " (this build reads "
-                               "version " + std::to_string(kFormatVersion) +
-                               ")");
-    }
+    support::check_format(root, ctx, kFormatTag, kFormatVersion);
     MetricsArtifact artifact;
     const support::JsonValue& det = require(root, "deterministic", ctx);
     const auto& campaigns = require(det, "campaigns", ctx).items();

@@ -43,7 +43,7 @@ struct CampaignMetricsRow {
   uint64_t deduped = 0;            // mutation rows only
   uint64_t prefix_cache_hits = 0;  // mutation rows only
   /// Mutation rows only: boots from a patched clean-tail module vs
-  /// recompiles while patching was enabled. Deterministic (the patched
+  /// recompiles while the campaign had a patcher. Deterministic (the patched
   /// split is a pure function of each mutant), so they live in the
   /// deterministic section like the dedup counters.
   uint64_t patch_hits = 0;

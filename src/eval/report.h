@@ -35,39 +35,12 @@ namespace eval {
     const DriverCampaignResult& c_result,
     const DriverCampaignResult& cdevil_result);
 
-/// Flight-recorder post-mortems for a mutation campaign: one block per
-/// traced record (MutantRecord::trace — non-clean boots of a campaign run
-/// with DriverCampaignConfig::flight_recorder), capped at the first `cap`
-/// records so multi-thousand-mutant fleets stay readable. Returns "" when
-/// no record carries a trace, so callers can print unconditionally.
-[[nodiscard]] std::string render_postmortems(const std::string& title,
-                                             const DriverCampaignResult& r,
-                                             size_t cap);
-
 /// Tables-3/4-shaped table for one fault-injection campaign: a detection
 /// line (Devil checks only shown when any fired, mirroring the run-time
 /// check row), the failure behaviours, then totals. The footer names the
 /// scenario counts and the device binding.
 [[nodiscard]] std::string render_fault_table(const std::string& title,
                                              const FaultCampaignResult& result);
-
-/// Headline comparison of the two fault campaigns: detected fraction
-/// (Devil check or driver panic) and the silent corrupt-boot fraction (the
-/// worst case for the developer — the system limps on with bad hardware).
-[[nodiscard]] std::string render_fault_comparison(
-    const FaultCampaignResult& c_result,
-    const FaultCampaignResult& cdevil_result);
-
-/// Flight-recorder post-mortems for a fault campaign (FaultRecord::trace),
-/// mirroring render_postmortems: first `cap` traced records, "" when none.
-[[nodiscard]] std::string render_fault_postmortems(
-    const std::string& title, const FaultCampaignResult& r, size_t cap);
-
-/// One device's full fault-injection evaluation: Table F3 (original C
-/// driver), Table F4 (CDevil driver) and the comparison.
-[[nodiscard]] std::string render_fault_tables(
-    const FaultCampaignResult& c_result,
-    const FaultCampaignResult& cdevil_result);
 
 /// One device's complete report section: the "=== device ===" banner, the
 /// paired campaign tables, the engine-counter line and (when any record
@@ -79,8 +52,11 @@ namespace eval {
     const std::string& device, const DriverCampaignResult& c_result,
     const DriverCampaignResult& cdevil_result);
 
-/// The fault-campaign sibling of render_device_section: banner, paired
-/// fault tables, the scenario-counter line, post-mortems.
+/// The fault-campaign sibling of render_device_section: banner, Table F3
+/// (original C driver) and Table F4 (CDevil driver) under injected hardware
+/// faults, the headline comparison — detected fraction (Devil check or
+/// driver panic) and the silent corrupt-boot fraction, the worst case for
+/// the developer — the scenario-counter line, post-mortems.
 [[nodiscard]] std::string render_fault_section(
     const std::string& device, const FaultCampaignResult& c_result,
     const FaultCampaignResult& cdevil_result);

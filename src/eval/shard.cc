@@ -4,8 +4,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "support/json_io.h"
 #include "support/strings.h"
@@ -30,26 +33,11 @@ constexpr Outcome kAllOutcomes[] = {
     Outcome::kHalt,        Outcome::kDamagedBoot,
 };
 
-Outcome outcome_from_short(const std::string& name, const std::string& ctx) {
-  for (Outcome o : kAllOutcomes) {
-    if (name == outcome_short(o)) return o;
-  }
-  throw std::runtime_error(ctx + ": unknown outcome '" + name + "'");
-}
-
 constexpr FaultOutcome kAllFaultOutcomes[] = {
     FaultOutcome::kDevilCheck, FaultOutcome::kDriverPanic,
     FaultOutcome::kCrash,      FaultOutcome::kHang,
     FaultOutcome::kCorruptBoot, FaultOutcome::kCleanBoot,
 };
-
-FaultOutcome fault_outcome_from_short(const std::string& name,
-                                      const std::string& ctx) {
-  for (FaultOutcome o : kAllFaultOutcomes) {
-    if (name == fault_outcome_short(o)) return o;
-  }
-  throw std::runtime_error(ctx + ": unknown fault outcome '" + name + "'");
-}
 
 constexpr hw::FaultKind kAllFaultKinds[] = {
     hw::FaultKind::kStuckZero,   hw::FaultKind::kStuckOne,
@@ -59,12 +47,16 @@ constexpr hw::FaultKind kAllFaultKinds[] = {
     hw::FaultKind::kIrqStorm,    hw::FaultKind::kDelayIrq,
 };
 
-hw::FaultKind fault_kind_from_short(const std::string& name,
-                                    const std::string& ctx) {
-  for (hw::FaultKind k : kAllFaultKinds) {
-    if (name == hw::fault_kind_name(k)) return k;
+/// Reverse lookup of a serialized enum name (`what` names the enum in the
+/// diagnostic: "outcome", "fault outcome", "fault kind").
+template <class E, size_t N>
+E enum_from_name(const E (&all)[N], const char* (*name_of)(E),
+                 const std::string& name, const std::string& ctx,
+                 const char* what) {
+  for (E e : all) {
+    if (name == name_of(e)) return e;
   }
-  throw std::runtime_error(ctx + ": unknown fault kind '" + name + "'");
+  throw std::runtime_error(ctx + ": unknown " + what + " '" + name + "'");
 }
 
 bool all_digits(const std::string& s) {
@@ -99,28 +91,9 @@ std::pair<uint64_t, uint64_t> parse_hex128(const std::string& s,
 
 // --- typed field access with artifact-shaped diagnostics ---------------------
 
-const support::JsonValue& require(const support::JsonValue& obj,
-                                  const char* key, const std::string& ctx) {
-  const support::JsonValue* v = obj.find(key);
-  if (!v) {
-    throw std::runtime_error(ctx + ": missing field '" + key + "'");
-  }
-  return *v;
-}
-
-size_t require_size(const support::JsonValue& obj, const char* key,
-                    const std::string& ctx) {
-  int64_t v = require(obj, key, ctx).as_int();
-  if (v < 0) {
-    throw std::runtime_error(ctx + ": field '" + key + "' is negative");
-  }
-  return static_cast<size_t>(v);
-}
-
-const std::string& require_string(const support::JsonValue& obj,
-                                  const char* key, const std::string& ctx) {
-  return require(obj, key, ctx).as_string();
-}
+using support::require;
+using support::require_string;
+using support::require_u64;
 
 /// Reads an optional boolean that the writer omits when false.
 bool optional_flag(const support::JsonValue& obj, const char* key) {
@@ -131,7 +104,7 @@ bool optional_flag(const support::JsonValue& obj, const char* key) {
 /// Reads an optional non-negative integer that the writer omits when zero.
 size_t optional_size(const support::JsonValue& obj, const char* key,
                      const std::string& ctx) {
-  return obj.find(key) ? require_size(obj, key, ctx) : 0;
+  return obj.find(key) ? require_u64(obj, key, ctx) : 0;
 }
 
 /// Opcode profiles serialize as zero-suppressed [opcode index, count] pairs
@@ -173,6 +146,273 @@ minic::bytecode::OpcodeProfile opcode_profile_from_json(
     prev = ix;
   }
   return profile;
+}
+
+// --- the slice steps both artifact kinds share --------------------------------
+
+/// The 0-based kernel slice of a 1-based shard spec.
+SampleSlice kernel_slice(ShardSpec spec) {
+  if (spec.count == 0 || spec.index == 0 || spec.index > spec.count) {
+    throw std::invalid_argument("bad shard spec " + spec.to_string() +
+                                ": shard index is 1-based and must be between "
+                                "1 and the shard count");
+  }
+  return SampleSlice{spec.index - 1, spec.count};
+}
+
+/// Copies the header fields out of a slice kernel's result and sideband.
+void fill_header(SliceHeader& h, const CampaignBaseline& res,
+                 const CampaignSideband& side, const std::string& label,
+                 minic::ExecEngine engine, std::string fingerprint) {
+  static_cast<CampaignBaseline&>(h) = res;
+  h.label = label;
+  h.engine = minic::exec_engine_name(engine);
+  h.fingerprint = std::move(fingerprint);
+  h.sample_size = side.sample_size;
+  h.slice_begin = side.slice_begin;
+  h.slice_end = side.slice_end;
+}
+
+using KindFields =
+    std::initializer_list<std::pair<const char*, support::JsonValue>>;
+
+/// Serializes the header in artifact key order, with the kind's scalar
+/// fields where artifacts have always carried them: after the fingerprint,
+/// after the slice bounds, and after the clean fingerprint.
+support::JsonValue header_to_json(const SliceHeader& h,
+                                  KindFields after_fingerprint,
+                                  KindFields after_slice,
+                                  KindFields after_clean) {
+  support::JsonValue c = support::JsonValue::object();
+  auto put = [&c](KindFields fields) {
+    for (const auto& [key, value] : fields) c.set(key, value);
+  };
+  c.set("device", h.device);
+  c.set("label", h.label);
+  c.set("entry", h.entry);
+  c.set("engine", h.engine);
+  c.set("fingerprint", h.fingerprint);
+  put(after_fingerprint);
+  c.set("sample_size", h.sample_size);
+  c.set("slice_begin", h.slice_begin);
+  c.set("slice_end", h.slice_end);
+  put(after_slice);
+  c.set("clean_fingerprint", h.clean_fingerprint);
+  put(after_clean);
+  c.set("baseline_steps", h.baseline_steps);
+  c.set("baseline_opcodes", opcode_profile_to_json(h.baseline_opcodes));
+  return c;
+}
+
+/// Shard-local tally, keyed by the short outcome names in enum order
+/// (std::map iteration), zero rows omitted — byte-stable.
+template <class O>
+support::JsonValue tally_to_json(const std::map<O, size_t>& counts,
+                                 const char* (*short_name)(O)) {
+  support::JsonValue tally = support::JsonValue::object();
+  for (const auto& [outcome, count] : counts) {
+    if (count > 0) tally.set(short_name(outcome), count);
+  }
+  return tally;
+}
+
+/// Reads the header of the `position`-th artifact of a `kind` section
+/// ("campaign", "fault campaign") into `h`. Returns the context that names
+/// the campaign ("campaign ide/C") for the kind's own diagnostics.
+std::string read_header(const support::JsonValue& c, const char* kind,
+                        size_t position, SliceHeader& h) {
+  std::string ctx = std::string(kind) + " #" + std::to_string(position);
+  h.device = require_string(c, "device", ctx);
+  h.label = require_string(c, "label", ctx);
+  ctx = std::string(kind) + " " + h.device + "/" + h.label;
+  h.entry = require_string(c, "entry", ctx);
+  h.engine = require_string(c, "engine", ctx);
+  h.fingerprint = require_string(c, "fingerprint", ctx);
+  h.sample_size = require_u64(c, "sample_size", ctx);
+  h.slice_begin = require_u64(c, "slice_begin", ctx);
+  h.slice_end = require_u64(c, "slice_end", ctx);
+  h.clean_fingerprint = require(c, "clean_fingerprint", ctx).as_int();
+  h.baseline_steps = require_u64(c, "baseline_steps", ctx);
+  h.baseline_opcodes = opcode_profile_from_json(
+      require(c, "baseline_opcodes", ctx), ctx + " baseline_opcodes");
+  return ctx;
+}
+
+/// Checks the header against itself — the sample fits the `generated`
+/// population (mutants or scenarios), the slice fits the sample — and
+/// returns the records, which must fill the slice exactly.
+const support::JsonValue::Array& slice_records(const support::JsonValue& c,
+                                               const SliceHeader& h,
+                                               size_t generated,
+                                               const std::string& ctx) {
+  if (h.sample_size > generated) {
+    throw std::runtime_error(ctx + ": sample of " +
+                             std::to_string(h.sample_size) +
+                             " exceeds the generated matrix of " +
+                             std::to_string(generated));
+  }
+  if (h.slice_begin > h.slice_end || h.slice_end > h.sample_size) {
+    throw std::runtime_error(ctx + ": slice [" +
+                             std::to_string(h.slice_begin) + ", " +
+                             std::to_string(h.slice_end) +
+                             ") does not fit the sample of " +
+                             std::to_string(h.sample_size));
+  }
+  const auto& records = require(c, "records", ctx).items();
+  if (records.size() != h.slice_end - h.slice_begin) {
+    throw std::runtime_error(
+        ctx + ": " + std::to_string(records.size()) +
+        " records do not fill the slice of " +
+        std::to_string(h.slice_end - h.slice_begin) +
+        " (truncated artifact?)");
+  }
+  return records;
+}
+
+// The stored tally and counters must be re-derivable from the records — a
+// mismatch means the artifact was edited or corrupted after the run.
+
+void check_counter(const std::string& ctx, const char* field, size_t stored,
+                   size_t recounted) {
+  if (stored != recounted) {
+    throw std::runtime_error(ctx + ": " + field + " says " +
+                             std::to_string(stored) +
+                             " but the records carry " +
+                             std::to_string(recounted) +
+                             " (corrupt artifact?)");
+  }
+}
+
+template <class O, size_t N>
+void check_tally(const support::JsonValue& c, const std::string& ctx,
+                 const O (&outcomes)[N], const char* (*short_name)(O),
+                 const std::map<O, size_t>& recounted) {
+  const support::JsonValue& stored = require(c, "tally", ctx);
+  for (O o : outcomes) {
+    const char* name = short_name(o);
+    const size_t stored_count =
+        stored.find(name) ? require_u64(stored, name, ctx) : 0;
+    const auto it = recounted.find(o);
+    const size_t count = it == recounted.end() ? 0 : it->second;
+    if (stored_count != count) {
+      throw std::runtime_error(ctx + ": tally['" + name + "'] says " +
+                               std::to_string(stored_count) +
+                               " but the records tally " +
+                               std::to_string(count) + " (corrupt artifact?)");
+    }
+  }
+}
+
+// --- per-kind artifact readers -------------------------------------------------
+
+ShardArtifact parse_artifact(const support::JsonValue& c, size_t position) {
+  ShardArtifact a;
+  const std::string ctx = read_header(c, "campaign", position, a);
+  a.dedup = require(c, "dedup", ctx).as_bool();
+  a.total_sites = require_u64(c, "total_sites", ctx);
+  a.total_mutants = require_u64(c, "total_mutants", ctx);
+  a.deduped_mutants = require_u64(c, "deduped_mutants", ctx);
+  a.prefix_cache_hits = require_u64(c, "prefix_cache_hits", ctx);
+  a.patch_hits = require_u64(c, "patch_hits", ctx);
+  a.patch_fallbacks = require_u64(c, "patch_fallbacks", ctx);
+
+  const auto& records = slice_records(c, a, a.total_mutants, ctx);
+  a.records.reserve(records.size());
+  size_t deduped = 0, cache_hits = 0, patch_hits = 0, patch_fallbacks = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const std::string rctx = ctx + " record #" + std::to_string(i);
+    const support::JsonValue& rj = records[i];
+    ShardRecord r;
+    r.rec.mutant_index = require_u64(rj, "mutant", rctx);
+    r.rec.site = require_u64(rj, "site", rctx);
+    r.rec.outcome = enum_from_name(kAllOutcomes, outcome_short,
+                                   require_string(rj, "outcome", rctx), rctx,
+                                   "outcome");
+    r.rec.steps = require_u64(rj, "steps", rctx);
+    if (const support::JsonValue* detail = rj.find("detail")) {
+      r.rec.detail = detail->as_string();
+    }
+    r.rec.deduped = optional_flag(rj, "deduped");
+    r.cache_hit = optional_flag(rj, "cache_hit");
+    r.rec.patched = optional_flag(rj, "patched");
+    r.rec.patch_fallback = optional_flag(rj, "patch_fallback");
+    if (const support::JsonValue* trace = rj.find("trace")) {
+      r.rec.trace = trace->as_string();
+    }
+    if (a.dedup) {
+      std::tie(r.key_hi, r.key_lo) =
+          parse_hex128(require_string(rj, "key", rctx), rctx + " field 'key'");
+    } else if (rj.find("key") != nullptr) {
+      throw std::runtime_error(rctx + ": has a dedup key but the campaign "
+                               "ran with dedup off");
+    }
+    deduped += r.rec.deduped ? 1 : 0;
+    cache_hits += r.cache_hit ? 1 : 0;
+    patch_hits += r.rec.patched ? 1 : 0;
+    patch_fallbacks += r.rec.patch_fallback ? 1 : 0;
+    a.records.push_back(std::move(r));
+  }
+
+  check_counter(ctx, "deduped_mutants", a.deduped_mutants, deduped);
+  check_counter(ctx, "prefix_cache_hits", a.prefix_cache_hits, cache_hits);
+  check_counter(ctx, "patch_hits", a.patch_hits, patch_hits);
+  check_counter(ctx, "patch_fallbacks", a.patch_fallbacks, patch_fallbacks);
+  for (const ShardRecord& r : a.records) {
+    a.tally.add(r.rec.outcome, r.rec.site);
+  }
+  check_tally(c, ctx, kAllOutcomes, outcome_short, a.tally.mutants);
+  return a;
+}
+
+FaultShardArtifact parse_fault_artifact(const support::JsonValue& c,
+                                        size_t position) {
+  FaultShardArtifact a;
+  const std::string ctx = read_header(c, "fault campaign", position, a);
+  a.total_scenarios = require_u64(c, "total_scenarios", ctx);
+  a.triggered = require_u64(c, "triggered", ctx);
+
+  const auto& records = slice_records(c, a, a.total_scenarios, ctx);
+  a.records.reserve(records.size());
+  size_t triggered = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const std::string rctx = ctx + " record #" + std::to_string(i);
+    const support::JsonValue& rj = records[i];
+    FaultRecord r;
+    r.scenario_index = require_u64(rj, "scenario", rctx);
+    r.plan.port = static_cast<uint32_t>(require_u64(rj, "port", rctx));
+    r.plan.kind = enum_from_name(kAllFaultKinds, hw::fault_kind_name,
+                                 require_string(rj, "kind", rctx), rctx,
+                                 "fault kind");
+    r.plan.after = static_cast<uint32_t>(require_u64(rj, "after", rctx));
+    r.plan.mask = static_cast<uint32_t>(optional_size(rj, "mask", rctx));
+    r.plan.value = static_cast<uint32_t>(optional_size(rj, "value", rctx));
+    r.outcome = enum_from_name(kAllFaultOutcomes, fault_outcome_short,
+                               require_string(rj, "outcome", rctx), rctx,
+                               "fault outcome");
+    r.steps = require_u64(rj, "steps", rctx);
+    if (const support::JsonValue* detail = rj.find("detail")) {
+      r.detail = detail->as_string();
+    }
+    r.triggered = optional_flag(rj, "triggered");
+    if (const support::JsonValue* trace = rj.find("trace")) {
+      r.trace = trace->as_string();
+    }
+    if (!r.triggered && r.outcome != FaultOutcome::kCleanBoot) {
+      throw std::runtime_error(rctx + ": untriggered scenario with outcome '" +
+                               fault_outcome_short(r.outcome) +
+                               "' (corrupt artifact?)");
+    }
+    triggered += r.triggered ? 1 : 0;
+    a.records.push_back(std::move(r));
+  }
+
+  check_counter(ctx, "triggered", a.triggered, triggered);
+  for (const FaultRecord& r : a.records) {
+    a.tally.add(r.outcome, r.plan.port);
+  }
+  check_tally(c, ctx, kAllFaultOutcomes, fault_outcome_short,
+              a.tally.scenarios);
+  return a;
 }
 
 }  // namespace
@@ -226,42 +466,26 @@ std::string campaign_fingerprint(const DriverCampaignConfig& config) {
   h.update_u64(config.flight_recorder ? 1 : 0);
   // Deliberately not hashed: config.threads — results are thread-count
   // invariant (ctest-enforced), so shards may run at different widths.
-  // Likewise config.bytecode_patch: patched and recompiled boots are
-  // byte-identical (ctest-enforced), so the flag only moves telemetry bits.
   return h.hex();
 }
 
 ShardArtifact run_campaign_shard(const DriverCampaignConfig& config,
                                  const std::string& label, ShardSpec spec) {
-  if (spec.count == 0 || spec.index == 0 || spec.index > spec.count) {
-    throw std::invalid_argument("bad shard spec " + spec.to_string() +
-                                ": shard index is 1-based and must be between "
-                                "1 and the shard count");
-  }
   CampaignSideband side;
-  DriverCampaignResult res = run_driver_campaign_slice(
-      config, SampleSlice{spec.index - 1, spec.count}, &side);
+  DriverCampaignResult res =
+      run_driver_campaign_slice(config, kernel_slice(spec), &side);
 
   ShardArtifact a;
-  a.device = res.device;
-  a.label = label;
-  a.entry = res.entry;
-  a.engine = minic::exec_engine_name(config.engine);
-  a.fingerprint = campaign_fingerprint(config);
+  fill_header(a, res, side, label, config.engine,
+              campaign_fingerprint(config));
   a.dedup = config.dedup;
-  a.sample_size = side.sample_size;
-  a.slice_begin = side.slice_begin;
-  a.slice_end = side.slice_end;
   a.total_sites = res.total_sites;
   a.total_mutants = res.total_mutants;
-  a.clean_fingerprint = res.clean_fingerprint;
   a.deduped_mutants = res.deduped_mutants;
   a.prefix_cache_hits = res.prefix_cache_hits;
   a.patch_hits = res.patch_hits;
   a.patch_fallbacks = res.patch_fallbacks;
   a.tally = res.tally;
-  a.baseline_steps = res.baseline_steps;
-  a.baseline_opcodes = res.baseline_opcodes;
   a.records.resize(res.records.size());
   for (size_t i = 0; i < res.records.size(); ++i) {
     ShardRecord& r = a.records[i];
@@ -291,30 +515,16 @@ std::string fault_campaign_fingerprint(const FaultCampaignConfig& config) {
 FaultShardArtifact run_fault_campaign_shard(const FaultCampaignConfig& config,
                                             const std::string& label,
                                             ShardSpec spec) {
-  if (spec.count == 0 || spec.index == 0 || spec.index > spec.count) {
-    throw std::invalid_argument("bad shard spec " + spec.to_string() +
-                                ": shard index is 1-based and must be between "
-                                "1 and the shard count");
-  }
   CampaignSideband side;
-  FaultCampaignResult res = run_fault_campaign_slice(
-      config, SampleSlice{spec.index - 1, spec.count}, &side);
+  FaultCampaignResult res =
+      run_fault_campaign_slice(config, kernel_slice(spec), &side);
 
   FaultShardArtifact a;
-  a.device = res.device;
-  a.label = label;
-  a.entry = res.entry;
-  a.engine = minic::exec_engine_name(config.base.engine);
-  a.fingerprint = fault_campaign_fingerprint(config);
+  fill_header(a, res, side, label, config.base.engine,
+              fault_campaign_fingerprint(config));
   a.total_scenarios = res.total_scenarios;
-  a.sample_size = side.sample_size;
-  a.slice_begin = side.slice_begin;
-  a.slice_end = side.slice_end;
-  a.clean_fingerprint = res.clean_fingerprint;
   a.triggered = res.triggered_scenarios;
   a.tally = res.tally;
-  a.baseline_steps = res.baseline_steps;
-  a.baseline_opcodes = res.baseline_opcodes;
   a.records = std::move(res.records);
   return a;
 }
@@ -333,33 +543,14 @@ std::string serialize_shard_bundle(const ShardBundle& bundle) {
 
   JsonValue campaigns = JsonValue::array();
   for (const ShardArtifact& a : bundle.campaigns) {
-    JsonValue c = JsonValue::object();
-    c.set("device", a.device);
-    c.set("label", a.label);
-    c.set("entry", a.entry);
-    c.set("engine", a.engine);
-    c.set("fingerprint", a.fingerprint);
-    c.set("dedup", a.dedup);
-    c.set("sample_size", a.sample_size);
-    c.set("slice_begin", a.slice_begin);
-    c.set("slice_end", a.slice_end);
-    c.set("total_sites", a.total_sites);
-    c.set("total_mutants", a.total_mutants);
-    c.set("clean_fingerprint", a.clean_fingerprint);
-    c.set("deduped_mutants", a.deduped_mutants);
-    c.set("prefix_cache_hits", a.prefix_cache_hits);
-    c.set("patch_hits", a.patch_hits);
-    c.set("patch_fallbacks", a.patch_fallbacks);
-    c.set("baseline_steps", a.baseline_steps);
-    c.set("baseline_opcodes", opcode_profile_to_json(a.baseline_opcodes));
-
-    // Shard-local tally, keyed by the short outcome names in enum order
-    // (std::map iteration), zero rows omitted — byte-stable.
-    JsonValue tally = JsonValue::object();
-    for (const auto& [outcome, count] : a.tally.mutants) {
-      if (count > 0) tally.set(outcome_short(outcome), count);
-    }
-    c.set("tally", std::move(tally));
+    JsonValue c = header_to_json(
+        a, {{"dedup", a.dedup}},
+        {{"total_sites", a.total_sites}, {"total_mutants", a.total_mutants}},
+        {{"deduped_mutants", a.deduped_mutants},
+         {"prefix_cache_hits", a.prefix_cache_hits},
+         {"patch_hits", a.patch_hits},
+         {"patch_fallbacks", a.patch_fallbacks}});
+    c.set("tally", tally_to_json(a.tally.mutants, outcome_short));
 
     JsonValue records = JsonValue::array();
     for (const ShardRecord& r : a.records) {
@@ -388,26 +579,10 @@ std::string serialize_shard_bundle(const ShardBundle& bundle) {
   if (!bundle.fault_campaigns.empty()) {
     JsonValue fault_campaigns = JsonValue::array();
     for (const FaultShardArtifact& a : bundle.fault_campaigns) {
-      JsonValue c = JsonValue::object();
-      c.set("device", a.device);
-      c.set("label", a.label);
-      c.set("entry", a.entry);
-      c.set("engine", a.engine);
-      c.set("fingerprint", a.fingerprint);
-      c.set("total_scenarios", a.total_scenarios);
-      c.set("sample_size", a.sample_size);
-      c.set("slice_begin", a.slice_begin);
-      c.set("slice_end", a.slice_end);
-      c.set("clean_fingerprint", a.clean_fingerprint);
-      c.set("triggered", a.triggered);
-      c.set("baseline_steps", a.baseline_steps);
-      c.set("baseline_opcodes", opcode_profile_to_json(a.baseline_opcodes));
-
-      JsonValue tally = JsonValue::object();
-      for (const auto& [outcome, count] : a.tally.scenarios) {
-        if (count > 0) tally.set(fault_outcome_short(outcome), count);
-      }
-      c.set("tally", std::move(tally));
+      JsonValue c =
+          header_to_json(a, {{"total_scenarios", a.total_scenarios}}, {},
+                         {{"triggered", a.triggered}});
+      c.set("tally", tally_to_json(a.tally.scenarios, fault_outcome_short));
 
       JsonValue records = JsonValue::array();
       for (const FaultRecord& r : a.records) {
@@ -440,233 +615,6 @@ std::string serialize_shard_bundle(const ShardBundle& bundle) {
   return to_json(root);
 }
 
-namespace {
-
-ShardArtifact parse_artifact(const support::JsonValue& c, size_t position) {
-  std::string ctx = "campaign #" + std::to_string(position);
-  ShardArtifact a;
-  a.device = require_string(c, "device", ctx);
-  a.label = require_string(c, "label", ctx);
-  ctx = "campaign " + a.device + "/" + a.label;
-  a.entry = require_string(c, "entry", ctx);
-  a.engine = require_string(c, "engine", ctx);
-  a.fingerprint = require_string(c, "fingerprint", ctx);
-  a.dedup = require(c, "dedup", ctx).as_bool();
-  a.sample_size = require_size(c, "sample_size", ctx);
-  a.slice_begin = require_size(c, "slice_begin", ctx);
-  a.slice_end = require_size(c, "slice_end", ctx);
-  a.total_sites = require_size(c, "total_sites", ctx);
-  a.total_mutants = require_size(c, "total_mutants", ctx);
-  a.clean_fingerprint = require(c, "clean_fingerprint", ctx).as_int();
-  a.deduped_mutants = require_size(c, "deduped_mutants", ctx);
-  a.prefix_cache_hits = require_size(c, "prefix_cache_hits", ctx);
-  a.patch_hits = require_size(c, "patch_hits", ctx);
-  a.patch_fallbacks = require_size(c, "patch_fallbacks", ctx);
-  a.baseline_steps = static_cast<uint64_t>(
-      require_size(c, "baseline_steps", ctx));
-  a.baseline_opcodes = opcode_profile_from_json(
-      require(c, "baseline_opcodes", ctx), ctx + " baseline_opcodes");
-
-  if (a.slice_begin > a.slice_end || a.slice_end > a.sample_size) {
-    throw std::runtime_error(ctx + ": slice [" +
-                             std::to_string(a.slice_begin) + ", " +
-                             std::to_string(a.slice_end) +
-                             ") does not fit the sample of " +
-                             std::to_string(a.sample_size));
-  }
-
-  const auto& records = require(c, "records", ctx).items();
-  if (records.size() != a.slice_end - a.slice_begin) {
-    throw std::runtime_error(
-        ctx + ": " + std::to_string(records.size()) +
-        " records do not fill the slice of " +
-        std::to_string(a.slice_end - a.slice_begin) +
-        " (truncated artifact?)");
-  }
-  a.records.reserve(records.size());
-  size_t deduped = 0, cache_hits = 0, patch_hits = 0, patch_fallbacks = 0;
-  for (size_t i = 0; i < records.size(); ++i) {
-    const std::string rctx = ctx + " record #" + std::to_string(i);
-    const support::JsonValue& rj = records[i];
-    ShardRecord r;
-    r.rec.mutant_index = require_size(rj, "mutant", rctx);
-    r.rec.site = require_size(rj, "site", rctx);
-    r.rec.outcome =
-        outcome_from_short(require_string(rj, "outcome", rctx), rctx);
-    r.rec.steps = static_cast<uint64_t>(require_size(rj, "steps", rctx));
-    if (const support::JsonValue* detail = rj.find("detail")) {
-      r.rec.detail = detail->as_string();
-    }
-    r.rec.deduped = optional_flag(rj, "deduped");
-    r.cache_hit = optional_flag(rj, "cache_hit");
-    r.rec.patched = optional_flag(rj, "patched");
-    r.rec.patch_fallback = optional_flag(rj, "patch_fallback");
-    if (const support::JsonValue* trace = rj.find("trace")) {
-      r.rec.trace = trace->as_string();
-    }
-    if (a.dedup) {
-      std::tie(r.key_hi, r.key_lo) =
-          parse_hex128(require_string(rj, "key", rctx), rctx + " field 'key'");
-    } else if (rj.find("key") != nullptr) {
-      throw std::runtime_error(rctx + ": has a dedup key but the campaign "
-                               "ran with dedup off");
-    }
-    deduped += r.rec.deduped ? 1 : 0;
-    cache_hits += r.cache_hit ? 1 : 0;
-    patch_hits += r.rec.patched ? 1 : 0;
-    patch_fallbacks += r.rec.patch_fallback ? 1 : 0;
-    a.records.push_back(std::move(r));
-  }
-
-  // The tally and counters must be re-derivable from the records — a
-  // mismatch means the artifact was edited or corrupted after the run.
-  if (deduped != a.deduped_mutants) {
-    throw std::runtime_error(ctx + ": deduped_mutants says " +
-                             std::to_string(a.deduped_mutants) +
-                             " but the records carry " +
-                             std::to_string(deduped) + " (corrupt artifact?)");
-  }
-  if (cache_hits != a.prefix_cache_hits) {
-    throw std::runtime_error(ctx + ": prefix_cache_hits says " +
-                             std::to_string(a.prefix_cache_hits) +
-                             " but the records carry " +
-                             std::to_string(cache_hits) +
-                             " (corrupt artifact?)");
-  }
-  if (patch_hits != a.patch_hits) {
-    throw std::runtime_error(ctx + ": patch_hits says " +
-                             std::to_string(a.patch_hits) +
-                             " but the records carry " +
-                             std::to_string(patch_hits) +
-                             " (corrupt artifact?)");
-  }
-  if (patch_fallbacks != a.patch_fallbacks) {
-    throw std::runtime_error(ctx + ": patch_fallbacks says " +
-                             std::to_string(a.patch_fallbacks) +
-                             " but the records carry " +
-                             std::to_string(patch_fallbacks) +
-                             " (corrupt artifact?)");
-  }
-  for (const ShardRecord& r : a.records) {
-    a.tally.add(r.rec.outcome, r.rec.site);
-  }
-  const auto& stored = require(c, "tally", ctx);
-  for (Outcome o : kAllOutcomes) {
-    const support::JsonValue* v = stored.find(outcome_short(o));
-    size_t stored_count = v ? require_size(stored, outcome_short(o), ctx) : 0;
-    if (stored_count != a.tally.mutants_of(o)) {
-      throw std::runtime_error(
-          ctx + ": tally['" + std::string(outcome_short(o)) + "'] says " +
-          std::to_string(stored_count) + " but the records tally " +
-          std::to_string(a.tally.mutants_of(o)) + " (corrupt artifact?)");
-    }
-  }
-  return a;
-}
-
-FaultShardArtifact parse_fault_artifact(const support::JsonValue& c,
-                                        size_t position) {
-  std::string ctx = "fault campaign #" + std::to_string(position);
-  FaultShardArtifact a;
-  a.device = require_string(c, "device", ctx);
-  a.label = require_string(c, "label", ctx);
-  ctx = "fault campaign " + a.device + "/" + a.label;
-  a.entry = require_string(c, "entry", ctx);
-  a.engine = require_string(c, "engine", ctx);
-  a.fingerprint = require_string(c, "fingerprint", ctx);
-  a.total_scenarios = require_size(c, "total_scenarios", ctx);
-  a.sample_size = require_size(c, "sample_size", ctx);
-  a.slice_begin = require_size(c, "slice_begin", ctx);
-  a.slice_end = require_size(c, "slice_end", ctx);
-  a.clean_fingerprint = require(c, "clean_fingerprint", ctx).as_int();
-  a.triggered = require_size(c, "triggered", ctx);
-  a.baseline_steps = static_cast<uint64_t>(
-      require_size(c, "baseline_steps", ctx));
-  a.baseline_opcodes = opcode_profile_from_json(
-      require(c, "baseline_opcodes", ctx), ctx + " baseline_opcodes");
-
-  if (a.sample_size > a.total_scenarios) {
-    throw std::runtime_error(ctx + ": sample of " +
-                             std::to_string(a.sample_size) +
-                             " exceeds the generated matrix of " +
-                             std::to_string(a.total_scenarios));
-  }
-  if (a.slice_begin > a.slice_end || a.slice_end > a.sample_size) {
-    throw std::runtime_error(ctx + ": slice [" +
-                             std::to_string(a.slice_begin) + ", " +
-                             std::to_string(a.slice_end) +
-                             ") does not fit the sample of " +
-                             std::to_string(a.sample_size));
-  }
-
-  const auto& records = require(c, "records", ctx).items();
-  if (records.size() != a.slice_end - a.slice_begin) {
-    throw std::runtime_error(
-        ctx + ": " + std::to_string(records.size()) +
-        " records do not fill the slice of " +
-        std::to_string(a.slice_end - a.slice_begin) +
-        " (truncated artifact?)");
-  }
-  a.records.reserve(records.size());
-  size_t triggered = 0;
-  for (size_t i = 0; i < records.size(); ++i) {
-    const std::string rctx = ctx + " record #" + std::to_string(i);
-    const support::JsonValue& rj = records[i];
-    FaultRecord r;
-    r.scenario_index = require_size(rj, "scenario", rctx);
-    r.plan.port = static_cast<uint32_t>(require_size(rj, "port", rctx));
-    r.plan.kind =
-        fault_kind_from_short(require_string(rj, "kind", rctx), rctx);
-    r.plan.after = static_cast<uint32_t>(require_size(rj, "after", rctx));
-    r.plan.mask = static_cast<uint32_t>(optional_size(rj, "mask", rctx));
-    r.plan.value = static_cast<uint32_t>(optional_size(rj, "value", rctx));
-    r.outcome =
-        fault_outcome_from_short(require_string(rj, "outcome", rctx), rctx);
-    r.steps = static_cast<uint64_t>(require_size(rj, "steps", rctx));
-    if (const support::JsonValue* detail = rj.find("detail")) {
-      r.detail = detail->as_string();
-    }
-    r.triggered = optional_flag(rj, "triggered");
-    if (const support::JsonValue* trace = rj.find("trace")) {
-      r.trace = trace->as_string();
-    }
-    if (!r.triggered && r.outcome != FaultOutcome::kCleanBoot) {
-      throw std::runtime_error(rctx + ": untriggered scenario with outcome '" +
-                               fault_outcome_short(r.outcome) +
-                               "' (corrupt artifact?)");
-    }
-    triggered += r.triggered ? 1 : 0;
-    a.records.push_back(std::move(r));
-  }
-
-  if (triggered != a.triggered) {
-    throw std::runtime_error(ctx + ": triggered says " +
-                             std::to_string(a.triggered) +
-                             " but the records carry " +
-                             std::to_string(triggered) +
-                             " (corrupt artifact?)");
-  }
-  for (const FaultRecord& r : a.records) {
-    a.tally.add(r.outcome, r.plan.port);
-  }
-  const auto& stored = require(c, "tally", ctx);
-  for (FaultOutcome o : kAllFaultOutcomes) {
-    const support::JsonValue* v = stored.find(fault_outcome_short(o));
-    size_t stored_count =
-        v ? require_size(stored, fault_outcome_short(o), ctx) : 0;
-    if (stored_count != a.tally.scenarios_of(o)) {
-      throw std::runtime_error(
-          ctx + ": tally['" + std::string(fault_outcome_short(o)) +
-          "'] says " + std::to_string(stored_count) +
-          " but the records tally " + std::to_string(a.tally.scenarios_of(o)) +
-          " (corrupt artifact?)");
-    }
-  }
-  return a;
-}
-
-}  // namespace
-
 ShardBundle parse_shard_bundle(const std::string& text) {
   support::JsonValue root = [&] {
     try {
@@ -678,24 +626,13 @@ ShardBundle parse_shard_bundle(const std::string& text) {
   }();
   try {
     const std::string ctx = "shard artifact";
-    const std::string& format = require_string(root, "format", ctx);
-    if (format != kFormatTag) {
-      throw std::runtime_error("not a shard artifact: format tag is '" +
-                               format + "', expected '" + kFormatTag + "'");
-    }
-    int64_t version = require(root, "version", ctx).as_int();
-    if (version != kFormatVersion) {
-      throw std::runtime_error("unsupported shard artifact version " +
-                               std::to_string(version) + " (this build reads "
-                               "version " + std::to_string(kFormatVersion) +
-                               ")");
-    }
+    support::check_format(root, ctx, kFormatTag, kFormatVersion);
     ShardBundle bundle;
     const support::JsonValue& shard = require(root, "shard", ctx);
     bundle.shard.index =
-        static_cast<unsigned>(require_size(shard, "index", "shard"));
+        static_cast<unsigned>(require_u64(shard, "index", "shard"));
     bundle.shard.count =
-        static_cast<unsigned>(require_size(shard, "count", "shard"));
+        static_cast<unsigned>(require_u64(shard, "count", "shard"));
     if (bundle.shard.count == 0 || bundle.shard.index == 0 ||
         bundle.shard.index > bundle.shard.count) {
       throw std::runtime_error("shard artifact has invalid shard coordinates " +
@@ -730,15 +667,12 @@ CampaignMetricsRow shard_metrics_row(const ShardArtifact& a) {
   // Reassemble a slice-shaped campaign result and reuse the canonical row
   // builder, so shard-local rows and full-run rows can never drift.
   DriverCampaignResult res;
-  res.device = a.device;
-  res.entry = a.entry;
+  static_cast<CampaignBaseline&>(res) = a;
   res.deduped_mutants = a.deduped_mutants;
   res.prefix_cache_hits = a.prefix_cache_hits;
   res.patch_hits = a.patch_hits;
   res.patch_fallbacks = a.patch_fallbacks;
   res.tally = a.tally;
-  res.baseline_steps = a.baseline_steps;
-  res.baseline_opcodes = a.baseline_opcodes;
   res.records.reserve(a.records.size());
   for (const ShardRecord& r : a.records) res.records.push_back(r.rec);
   return campaign_metrics_row(res, a.label, a.engine);
@@ -746,12 +680,9 @@ CampaignMetricsRow shard_metrics_row(const ShardArtifact& a) {
 
 CampaignMetricsRow shard_fault_metrics_row(const FaultShardArtifact& a) {
   FaultCampaignResult res;
-  res.device = a.device;
-  res.entry = a.entry;
+  static_cast<CampaignBaseline&>(res) = a;
   res.triggered_scenarios = a.triggered;
   res.tally = a.tally;
-  res.baseline_steps = a.baseline_steps;
-  res.baseline_opcodes = a.baseline_opcodes;
   res.records = a.records;
   return fault_metrics_row(res, a.label, a.engine);
 }

@@ -52,27 +52,30 @@ struct ShardRecord {
   uint64_t key_lo = 0;
 };
 
-/// One campaign's shard slice, as serialized. `label` distinguishes the
+/// The fields every shard slice carries, mutation and fault campaigns alike:
+/// the campaign's baseline (device, entry, clean boot — every shard
+/// recomputes identical values; the merge validates agreement), which
+/// campaign it is and which slice of its sample. `label` distinguishes the
 /// paper's two campaigns per device ("C", "CDevil"); `fingerprint` is a
 /// 128-bit hex digest of every config field that can change records or
-/// counters (driver and stub text, device binding, entry, sample seed and
-/// percent, step budget, engine, dedup and prefix-cache flags — but not
-/// the thread count, which never changes results). Tallies and counters
-/// are shard-local; the merge recomputes the global ones.
-struct ShardArtifact {
-  std::string device;
+/// counters (campaign_fingerprint / fault_campaign_fingerprint — never the
+/// thread count, which cannot).
+struct SliceHeader : CampaignBaseline {
   std::string label;
-  std::string entry;
   std::string engine;  // minic::exec_engine_name of the engine that ran
   std::string fingerprint;
-  bool dedup = true;
 
-  size_t sample_size = 0;   // full campaign sample, before slicing
-  size_t slice_begin = 0;   // this shard's range, in sample positions
+  size_t sample_size = 0;  // full campaign sample, before slicing
+  size_t slice_begin = 0;  // this shard's range, in sample positions
   size_t slice_end = 0;
+};
+
+/// One mutation campaign's shard slice, as serialized. Tallies and counters
+/// are shard-local; the merge recomputes the global ones.
+struct ShardArtifact : SliceHeader {
+  bool dedup = true;
   size_t total_sites = 0;
   size_t total_mutants = 0;
-  int64_t clean_fingerprint = 0;
 
   size_t deduped_mutants = 0;    // shard-local (dedup never crosses shards)
   size_t prefix_cache_hits = 0;  // shard-local
@@ -83,38 +86,17 @@ struct ShardArtifact {
   size_t patch_fallbacks = 0;    // shard-local
   Tally tally;                   // shard-local, over `records`
 
-  /// Deterministic baseline telemetry (DriverCampaignResult): every shard
-  /// recomputes identical values; the merge validates agreement.
-  uint64_t baseline_steps = 0;
-  minic::bytecode::OpcodeProfile baseline_opcodes;
-
   std::vector<ShardRecord> records;
 };
 
 /// One fault-injection campaign's shard slice (eval/fault_campaign.h), as
-/// serialized. Mirrors ShardArtifact: `fingerprint` pins the fault-campaign
-/// configuration (fault_campaign_fingerprint), tallies and the triggered
-/// count are shard-local, and the merge recomputes the global ones. Fault
+/// serialized. The triggered count and tally are shard-local. Fault
 /// scenarios are never deduped, so there is no sideband beyond the records.
-struct FaultShardArtifact {
-  std::string device;
-  std::string label;
-  std::string entry;
-  std::string engine;  // minic::exec_engine_name of the engine that ran
-  std::string fingerprint;
-
+struct FaultShardArtifact : SliceHeader {
   size_t total_scenarios = 0;  // full matrix, before sampling
-  size_t sample_size = 0;      // sampled scenarios, before slicing
-  size_t slice_begin = 0;      // this shard's range, in sample positions
-  size_t slice_end = 0;
-  int64_t clean_fingerprint = 0;
 
   size_t triggered = 0;  // shard-local: records whose fault fired
   FaultTally tally;      // shard-local, over `records`
-
-  /// Deterministic baseline telemetry, as on ShardArtifact.
-  uint64_t baseline_steps = 0;
-  minic::bytecode::OpcodeProfile baseline_opcodes;
 
   std::vector<FaultRecord> records;
 };

@@ -281,45 +281,8 @@ namespace {
 constexpr const char* kRequestTag = "devil-repro-campaign-request";
 constexpr const char* kResponseTag = "devil-repro-campaign-response";
 
-const support::JsonValue& require(const support::JsonValue& v,
-                                  const char* key, const std::string& ctx) {
-  const support::JsonValue* f = v.find(key);
-  if (!f) fail(ctx + ": missing field '" + key + "'");
-  return *f;
-}
-
-uint64_t require_u64(const support::JsonValue& v, const char* key,
-                     const std::string& ctx, uint64_t max) {
-  int64_t raw = require(v, key, ctx).as_int();
-  if (raw < 0 || static_cast<uint64_t>(raw) > max) {
-    fail(ctx + ": field '" + key + "' out of range (0-" +
-         std::to_string(max) + "), got " + std::to_string(raw));
-  }
-  return static_cast<uint64_t>(raw);
-}
-
-void check_envelope(const support::JsonValue& v, const char* tag,
-                    const std::string& ctx,
-                    std::initializer_list<const char*> known) {
-  if (v.kind() != support::JsonValue::Kind::kObject) {
-    fail(ctx + ": payload must be a JSON object, got " +
-         support::json_kind_name(v.kind()));
-  }
-  const std::string& format = require(v, "format", ctx).as_string();
-  if (format != tag) {
-    fail(ctx + ": format tag is '" + format + "', expected '" + tag + "'");
-  }
-  int64_t version = require(v, "version", ctx).as_int();
-  if (version != 1) {
-    fail(ctx + ": unsupported version " + std::to_string(version));
-  }
-  for (const auto& [key, value] : v.members()) {
-    (void)value;
-    bool ok = key == "format" || key == "version";
-    for (const char* k : known) ok |= key == k;
-    if (!ok) fail(ctx + ": unknown field '" + key + "'");
-  }
-}
+using support::require;
+using support::require_u64;
 
 support::JsonValue parse_payload(const std::string& payload,
                                  const std::string& ctx) {
@@ -347,8 +310,9 @@ CampaignRequest parse_campaign_request(const std::string& payload) {
   const std::string ctx = "campaign request";
   support::JsonValue v = parse_payload(payload, ctx);
   try {
-    check_envelope(v, kRequestTag, ctx,
-                   {"spec", "workers", "cache", "kill_shard"});
+    support::check_format(v, ctx, kRequestTag, 1);
+    support::check_known_fields(
+        v, ctx, {"format", "version", "spec", "workers", "cache", "kill_shard"});
     CampaignRequest req;
     req.spec = eval::campaign_spec_from_json(require(v, "spec", ctx),
                                              ctx + " spec");
@@ -382,9 +346,11 @@ CampaignResponse parse_campaign_response(const std::string& payload) {
   const std::string ctx = "campaign response";
   support::JsonValue v = parse_payload(payload, ctx);
   try {
-    check_envelope(v, kResponseTag, ctx,
-                   {"ok", "error", "fingerprint", "cache_hit",
-                    "workers_spawned", "worker_retries", "report"});
+    support::check_format(v, ctx, kResponseTag, 1);
+    support::check_known_fields(
+        v, ctx,
+        {"format", "version", "ok", "error", "fingerprint", "cache_hit",
+         "workers_spawned", "worker_retries", "report"});
     CampaignResponse resp;
     resp.ok = require(v, "ok", ctx).as_bool();
     resp.error = require(v, "error", ctx).as_string();

@@ -439,4 +439,60 @@ JsonValue parse_json(std::string_view text) {
   return Parser(text).parse_document();
 }
 
+// --- strict field access -----------------------------------------------------
+
+const JsonValue& require(const JsonValue& obj, const char* key,
+                         const std::string& ctx) {
+  const JsonValue* v = obj.find(key);
+  if (!v) {
+    throw std::runtime_error(ctx + ": missing field '" + key + "'");
+  }
+  return *v;
+}
+
+const std::string& require_string(const JsonValue& obj, const char* key,
+                                  const std::string& ctx) {
+  return require(obj, key, ctx).as_string();
+}
+
+uint64_t require_u64(const JsonValue& obj, const char* key,
+                     const std::string& ctx, uint64_t max) {
+  int64_t raw = require(obj, key, ctx).as_int();
+  if (raw < 0 || static_cast<uint64_t>(raw) > max) {
+    throw std::runtime_error(ctx + ": field '" + key + "' out of range (0-" +
+                             std::to_string(max) + "), got " +
+                             std::to_string(raw));
+  }
+  return static_cast<uint64_t>(raw);
+}
+
+void check_format(const JsonValue& obj, const std::string& ctx,
+                  const char* tag, int64_t version) {
+  if (obj.kind() != JsonValue::Kind::kObject) {
+    throw std::runtime_error(ctx + ": expected a JSON object, got " +
+                             json_kind_name(obj.kind()));
+  }
+  const std::string& format = require_string(obj, "format", ctx);
+  if (format != tag) {
+    throw std::runtime_error(ctx + ": format tag is '" + format +
+                             "', expected '" + tag + "'");
+  }
+  int64_t got = require(obj, "version", ctx).as_int();
+  if (got != version) {
+    throw std::runtime_error(ctx + ": unsupported version " +
+                             std::to_string(got) + " (this build reads "
+                             "version " + std::to_string(version) + ")");
+  }
+}
+
+void check_known_fields(const JsonValue& obj, const std::string& ctx,
+                        std::initializer_list<const char*> known) {
+  for (const auto& [key, value] : obj.members()) {
+    (void)value;
+    bool ok = false;
+    for (const char* k : known) ok |= key == k;
+    if (!ok) throw std::runtime_error(ctx + ": unknown field '" + key + "'");
+  }
+}
+
 }  // namespace support

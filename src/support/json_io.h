@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -89,5 +90,31 @@ class JsonValue {
 /// Parses exactly one JSON document. Throws JsonError with line/column on
 /// malformed, truncated or trailing-garbage input.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
+
+// --- strict field access for format readers ----------------------------------
+//
+// Shared by every artifact and wire reader. Schema violations throw
+// std::runtime_error (not JsonError) whose message starts with `ctx` and
+// names the field, e.g. "campaign ide/C: missing field 'entry'"; a present
+// field of the wrong kind still throws JsonError from the typed accessor.
+
+/// Member `key` of object `obj`.
+[[nodiscard]] const JsonValue& require(const JsonValue& obj, const char* key,
+                                       const std::string& ctx);
+[[nodiscard]] const std::string& require_string(const JsonValue& obj,
+                                                const char* key,
+                                                const std::string& ctx);
+/// An integer member in [0, max].
+[[nodiscard]] uint64_t require_u64(
+    const JsonValue& obj, const char* key, const std::string& ctx,
+    uint64_t max = static_cast<uint64_t>(INT64_MAX));
+
+/// Checks a document's envelope: `obj` is an object whose "format" member is
+/// `tag` and whose "version" member is `version`.
+void check_format(const JsonValue& obj, const std::string& ctx,
+                  const char* tag, int64_t version);
+/// Rejects any member of `obj` whose key is not in `known`.
+void check_known_fields(const JsonValue& obj, const std::string& ctx,
+                        std::initializer_list<const char*> known);
 
 }  // namespace support

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign_kernels.h"
 #include "corpus/drivers.h"
 #include "corpus/specs.h"
 #include "devil/compiler.h"
@@ -280,39 +281,46 @@ TEST(BusmouseCampaign, PaperShapeHolds) {
 // Binding-derived defaults and diagnostics (the entry/"ide" bugfix).
 // ---------------------------------------------------------------------------
 
+// Both kernels (mutation and fault) share these checks.
 TEST(BusmouseCampaign, DiagnosticsNameTheDeviceAndEntry) {
-  eval::DriverCampaignConfig cfg;
-  cfg.driver = "int mouse_boot() { return undefined_thing; }";
-  cfg.device = eval::busmouse_binding();
-  try {
-    (void)eval::run_driver_campaign(cfg);
-    FAIL() << "expected logic_error";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("busmouse"), std::string::npos)
-        << e.what();
-  }
+  for (bool fault : {false, true}) {
+    SCOPED_TRACE(campaign_kernels::kernel_name(fault));
+    eval::DriverCampaignConfig cfg;
+    cfg.driver = "int mouse_boot() { return undefined_thing; }";
+    cfg.device = eval::busmouse_binding();
+    try {
+      campaign_kernels::run_kernel(cfg, fault);
+      FAIL() << "expected logic_error";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("busmouse"), std::string::npos)
+          << e.what();
+    }
 
-  cfg.driver = "int mouse_boot() { panic(\"boom\"); return 1; }";
-  try {
-    (void)eval::run_driver_campaign(cfg);
-    FAIL() << "expected logic_error";
-  } catch (const std::logic_error& e) {
-    std::string msg = e.what();
-    EXPECT_NE(msg.find("busmouse"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("mouse_boot"), std::string::npos) << msg;
+    cfg.driver = "int mouse_boot() { panic(\"boom\"); return 1; }";
+    try {
+      campaign_kernels::run_kernel(cfg, fault);
+      FAIL() << "expected logic_error";
+    } catch (const std::logic_error& e) {
+      std::string msg = e.what();
+      EXPECT_NE(msg.find("busmouse"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("mouse_boot"), std::string::npos) << msg;
+    }
   }
 }
 
 TEST(BusmouseCampaign, MissingBindingIsRejectedUpFront) {
-  eval::DriverCampaignConfig cfg;
-  cfg.driver = "int mouse_boot() { return 1; }";
-  try {
-    (void)eval::run_driver_campaign(cfg);
-    FAIL() << "expected logic_error";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("no device binding"),
-              std::string::npos)
-        << e.what();
+  for (bool fault : {false, true}) {
+    SCOPED_TRACE(campaign_kernels::kernel_name(fault));
+    eval::DriverCampaignConfig cfg;
+    cfg.driver = "int mouse_boot() { return 1; }";
+    try {
+      campaign_kernels::run_kernel(cfg, fault);
+      FAIL() << "expected logic_error";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("no device binding"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,9 +1,11 @@
 // Bytecode-patch mutation: classification goldens for the Table 1 typo
-// rules, patched-vs-recompiled byte identity on every corpus device, and the
-// corrupted-patch-table guard. The differential suites double as coverage of
-// the fast canonical dedup-key path: dedup grouping (the records' `deduped`
-// flags and `deduped_mutants`) must not depend on the patch flag, and the
-// fast key only runs when patch context was built.
+// rules, patched-vs-recompiled byte identity on every corpus device (the
+// tree walker, which recompiles every mutant as a whole unit, is the
+// reference), and the corrupted-patch-table guard. The differential suites
+// double as coverage of the fast canonical dedup-key path: the walker builds
+// no patch context, so every one of its keys is a full re-lex, and dedup
+// grouping (the records' `deduped` flags and `deduped_mutants`) must match
+// the VM's fast keys.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -204,7 +206,7 @@ TEST(BytecodePatch, DISABLED_CorruptTableSplicesSilently) {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign differentials: patching on/off, thread counts, pool recycling.
+// Campaign differentials: VM vs walker, thread counts, pool recycling.
 // ---------------------------------------------------------------------------
 
 const corpus::CampaignDrivers& drivers_for(const char* device) {
@@ -235,17 +237,22 @@ eval::DriverCampaignConfig patch_config(const corpus::CampaignDrivers& d,
 }
 
 /// Everything a campaign result reports except the patch telemetry bits:
-/// outcomes, details, steps, traces, dedup grouping, cache hits, baseline.
+/// outcomes, details, steps, traces, dedup grouping, baseline — and, between
+/// two runs on one engine, cache hits and the baseline opcode profile (the
+/// walker produces neither).
 void expect_identical(const eval::DriverCampaignResult& a,
-                      const eval::DriverCampaignResult& b) {
+                      const eval::DriverCampaignResult& b,
+                      bool same_engine = true) {
   EXPECT_EQ(a.clean_fingerprint, b.clean_fingerprint);
   EXPECT_EQ(a.total_sites, b.total_sites);
   EXPECT_EQ(a.total_mutants, b.total_mutants);
   EXPECT_EQ(a.sampled_mutants, b.sampled_mutants);
   EXPECT_EQ(a.deduped_mutants, b.deduped_mutants);
-  EXPECT_EQ(a.prefix_cache_hits, b.prefix_cache_hits);
+  if (same_engine) {
+    EXPECT_EQ(a.prefix_cache_hits, b.prefix_cache_hits);
+    EXPECT_TRUE(a.baseline_opcodes == b.baseline_opcodes);
+  }
   EXPECT_EQ(a.baseline_steps, b.baseline_steps);
-  EXPECT_TRUE(a.baseline_opcodes == b.baseline_opcodes);
   EXPECT_EQ(a.tally.mutants, b.tally.mutants);
   EXPECT_EQ(a.tally.sites, b.tally.sites);
   EXPECT_EQ(a.tally.total_mutants, b.tally.total_mutants);
@@ -295,10 +302,17 @@ void expect_bit_partition(const eval::DriverCampaignResult& r) {
   }
 }
 
+/// The same campaign on the tree walker: every mutant recompiled as a whole
+/// unit, every dedup key re-lexed.
+eval::DriverCampaignResult run_on_walker(eval::DriverCampaignConfig cfg) {
+  cfg.engine = minic::ExecEngine::kTreeWalker;
+  return eval::run_driver_campaign(cfg);
+}
+
 // Patched boots must be byte-identical to recompiled boots — outcome,
-// detail, steps, flight-recorder trace, dedup grouping, cache hits — on
-// every corpus device (polled and interrupt-driven), both driver flavors,
-// at one and at four threads.
+// detail, steps, flight-recorder trace, dedup grouping — on every corpus
+// device (polled and interrupt-driven), both driver flavors, at one and at
+// four threads.
 TEST(BytecodePatch, PatchedMatchesRecompiledOnEveryCorpusDevice) {
   std::vector<corpus::CampaignDrivers> all = corpus::campaign_drivers();
   for (const auto& d : corpus::irq_campaign_drivers()) all.push_back(d);
@@ -309,18 +323,16 @@ TEST(BytecodePatch, PatchedMatchesRecompiledOnEveryCorpusDevice) {
       auto cfg = patch_config(d, cdevil);
       cfg.threads = 1;
       auto on1 = eval::run_driver_campaign(cfg);
-      cfg.bytecode_patch = false;
-      auto off = eval::run_driver_campaign(cfg);
-      cfg.bytecode_patch = true;
+      auto walker = run_on_walker(cfg);
       cfg.threads = 4;
       auto on4 = eval::run_driver_campaign(cfg);
 
-      expect_identical(on1, off);
+      expect_identical(on1, walker, /*same_engine=*/false);
       expect_identical(on1, on4);
       expect_same_patch_bits(on1, on4);
       expect_bit_partition(on1);
-      EXPECT_EQ(off.patch_hits, 0u);
-      EXPECT_EQ(off.patch_fallbacks, 0u);
+      EXPECT_EQ(walker.patch_hits, 0u);
+      EXPECT_EQ(walker.patch_fallbacks, 0u);
       total_hits += on1.patch_hits;
       total_fallbacks += on1.patch_fallbacks;
     }
@@ -335,15 +347,13 @@ TEST(BytecodePatch, PatchedMatchesRecompiledOnEveryCorpusDevice) {
 // `|` -> `&` opcode rewrite keeps the clean parse tree while a recompile
 // re-associates (`&` binds tighter), so the classifier must recompile it.
 // Only the full sample reaches every such mutant.
-TEST(BytecodePatch, FullBusmouseSampleIdenticalPatchOnOrOff) {
+TEST(BytecodePatch, FullBusmouseSamplePatchedMatchesWalker) {
   const auto& d = drivers_for("busmouse");
   auto cfg = patch_config(d, false);
   cfg.sample_percent = d.sample_percent;  // the full corpus
   cfg.threads = 4;
   auto on = eval::run_driver_campaign(cfg);
-  cfg.bytecode_patch = false;
-  auto off = eval::run_driver_campaign(cfg);
-  expect_identical(on, off);
+  expect_identical(on, run_on_walker(cfg), /*same_engine=*/false);
   expect_bit_partition(on);
   EXPECT_GT(on.patch_hits, 0u);
   EXPECT_GT(on.patch_fallbacks, 0u);

@@ -2,6 +2,7 @@
 // campaign drivers.
 #include <gtest/gtest.h>
 
+#include "campaign_kernels.h"
 #include "corpus/drivers.h"
 #include "corpus/specs.h"
 #include "devil/compiler.h"
@@ -70,21 +71,70 @@ TEST(SpecCampaign, DeterministicAcrossRuns) {
   EXPECT_EQ(a.detected, b.detected);
 }
 
-// ---- driver campaign preconditions -----------------------------------------
+// ---- campaign kernel preconditions (mutation and fault kernels) -----------
+
+using campaign_kernels::kernel_name;
+using campaign_kernels::run_kernel;
+
+/// Expects both kernels to reject `cfg` (on `slice`) with a logic_error
+/// whose message contains `needle`.
+void expect_both_kernels_reject(const eval::DriverCampaignConfig& cfg,
+                                const std::string& needle,
+                                eval::SampleSlice slice = {}) {
+  for (bool fault : {false, true}) {
+    SCOPED_TRACE(kernel_name(fault));
+    try {
+      run_kernel(cfg, fault, slice);
+      ADD_FAILURE() << "expected logic_error: " << needle;
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  }
+}
 
 TEST(DriverCampaign, RejectsNonCompilingBaseline) {
-  auto cfg = tiny("int ide_boot() { return undefined_thing; }");
-  EXPECT_THROW((void)eval::run_driver_campaign(cfg), std::logic_error);
+  expect_both_kernels_reject(tiny("int ide_boot() { return undefined_thing; }"),
+                             "does not compile");
 }
 
 TEST(DriverCampaign, RejectsFaultingBaseline) {
-  auto cfg = tiny("int ide_boot() { panic(\"boom\"); return 1; }");
-  EXPECT_THROW((void)eval::run_driver_campaign(cfg), std::logic_error);
+  expect_both_kernels_reject(
+      tiny("int ide_boot() { panic(\"boom\"); return 1; }"),
+      "faults on healthy hardware");
 }
 
 TEST(DriverCampaign, RejectsNonPositiveFingerprint) {
-  auto cfg = tiny("int ide_boot() { return 0; }");
-  EXPECT_THROW((void)eval::run_driver_campaign(cfg), std::logic_error);
+  expect_both_kernels_reject(tiny("int ide_boot() { return 0; }"),
+                             "non-positive boot fingerprint");
+}
+
+TEST(DriverCampaign, RejectsInvalidSlice) {
+  auto cfg = tiny("int ide_boot() { return 1; }");
+  expect_both_kernels_reject(cfg, "invalid sample slice 3/3",
+                             eval::SampleSlice{3, 3});
+  expect_both_kernels_reject(cfg, "invalid sample slice 0/0",
+                             eval::SampleSlice{0, 0});
+}
+
+TEST(DriverCampaign, RejectsMissingEntry) {
+  auto cfg = tiny("int ide_boot() { return 1; }");
+  cfg.device.entry.clear();
+  expect_both_kernels_reject(cfg, "no boot entry configured");
+}
+
+TEST(DriverCampaign, FaultKernelRejectsEmptyTriggerList) {
+  eval::FaultCampaignConfig cfg;
+  cfg.base = tiny("int ide_boot() { return 1; }");
+  cfg.triggers.clear();
+  try {
+    (void)eval::run_fault_campaign(cfg);
+    FAIL() << "expected logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("empty trigger list"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- classification through real mini-campaigns ------------------------------

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "support/json_io.h"
@@ -150,6 +151,59 @@ TEST(JsonIo, TruncatedMidEscapeFailsCleanly) {
   expect_error_mentions(R"("abc\u)", "unexpected end of \\u escape");
   expect_error_mentions(R"("abc\u0)", "unexpected end of \\u escape");
   expect_error_mentions(R"("abc\u00a)", "unexpected end of \\u escape");
+}
+
+// The strict field readers every artifact and wire parser shares: schema
+// violations name the context and the field, and throw std::runtime_error
+// rather than JsonError so callers can tell them from malformed JSON.
+void expect_schema_error(void (*read)(const JsonValue&), const JsonValue& v,
+                         const std::string& needle) {
+  try {
+    read(v);
+    ADD_FAILURE() << "expected a schema error mentioning " << needle;
+  } catch (const JsonError& e) {
+    ADD_FAILURE() << "JsonError instead of a schema error: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(JsonIo, StrictFieldReadersNameContextAndField) {
+  const JsonValue doc = parse_json(
+      R"({"format":"tag","version":2,"n":7,"neg":-1,"s":"x","extra":true})");
+  EXPECT_EQ(support::require_u64(doc, "n", "doc", 7), 7u);
+  EXPECT_EQ(support::require_string(doc, "s", "doc"), "x");
+  support::check_format(doc, "doc", "tag", 2);
+  support::check_known_fields(doc, "doc",
+                              {"format", "version", "n", "neg", "s", "extra"});
+
+  expect_schema_error(
+      [](const JsonValue& v) { (void)support::require(v, "entry", "doc"); },
+      doc, "doc: missing field 'entry'");
+  expect_schema_error(
+      [](const JsonValue& v) { (void)support::require_u64(v, "n", "doc", 6); },
+      doc, "doc: field 'n' out of range (0-6), got 7");
+  expect_schema_error(
+      [](const JsonValue& v) { (void)support::require_u64(v, "neg", "doc"); },
+      doc, "doc: field 'neg' out of range");
+  expect_schema_error(
+      [](const JsonValue& v) { support::check_format(v, "doc", "other", 2); },
+      doc, "doc: format tag is 'tag', expected 'other'");
+  expect_schema_error(
+      [](const JsonValue& v) { support::check_format(v, "doc", "tag", 3); },
+      doc, "doc: unsupported version 2");
+  expect_schema_error(
+      [](const JsonValue& v) { support::check_format(v, "doc", "tag", 2); },
+      parse_json("[1]"), "doc: expected a JSON object, got array");
+  expect_schema_error(
+      [](const JsonValue& v) {
+        support::check_known_fields(v, "doc", {"format", "version"});
+      },
+      doc, "doc: unknown field 'n'");
+
+  // A present field of the wrong kind stays a JsonError from the accessor.
+  EXPECT_THROW((void)support::require_u64(doc, "s", "doc"), JsonError);
 }
 
 }  // namespace

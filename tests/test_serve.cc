@@ -183,7 +183,6 @@ TEST(CampaignSpecJson, RoundTripReproducesNonDefaultSpec) {
   spec.sample_percent = 33;
   spec.step_budget = 123456;
   spec.dedup = false;
-  spec.bytecode_patch = false;
   spec.flight_recorder = true;
   spec.watchdog_ms = 250;
   spec.threads = 4;
@@ -208,6 +207,10 @@ TEST(CampaignSpecJson, UnknownFieldRejected) {
   support::JsonValue retired =
       eval::campaign_spec_to_json(eval::CampaignSpec{});
   retired.set("prefix_cache", false);
+  EXPECT_THROW((void)eval::campaign_spec_from_json(retired, "strict"),
+               std::runtime_error);
+  retired = eval::campaign_spec_to_json(eval::CampaignSpec{});
+  retired.set("bytecode_patch", true);
   EXPECT_THROW((void)eval::campaign_spec_from_json(retired, "strict"),
                std::runtime_error);
 }

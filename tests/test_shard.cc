@@ -5,7 +5,9 @@
 // The merge must reject anything that does not tile exactly one campaign
 // (mismatched config fingerprints, duplicate/missing/overlapping slices,
 // corrupt or truncated artifacts), and shard artifacts must be invariant
-// under the worker thread count inside each shard.
+// under the worker thread count inside each shard. Mutation and fault
+// artifacts share one header, parser and merge, so every rejection test
+// runs over both kinds.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,6 +22,7 @@
 #include "devil/compiler.h"
 #include "eval/device_bindings.h"
 #include "eval/driver_campaign.h"
+#include "eval/fault_campaign.h"
 #include "eval/merge.h"
 #include "eval/report.h"
 #include "eval/shard.h"
@@ -274,84 +277,129 @@ TEST(ShardMergeTest, CrossShardDuplicatesAreReDeduped) {
 }
 
 // ---------------------------------------------------------------------------
-// Merge rejections: anything that does not tile exactly one campaign.
+// Merge rejections: anything that does not tile exactly one campaign. Each
+// case runs over a mutation bundle and a fault bundle.
 // ---------------------------------------------------------------------------
 
-void expect_merge_error(std::vector<ShardBundle> bundles,
+enum class Kind { kMutation, kFault };
+constexpr Kind kKinds[] = {Kind::kMutation, Kind::kFault};
+
+const char* kind_name(Kind kind) {
+  return kind == Kind::kMutation ? "mutation" : "fault";
+}
+
+/// Shard `spec` of the busmouse C campaign of `kind` as a one-campaign
+/// bundle; `seed_bump` perturbs the campaign seed (and so the fingerprint).
+ShardBundle busmouse_bundle(Kind kind, ShardSpec spec,
+                            uint64_t seed_bump = 0) {
+  DriverCampaignConfig cfg = busmouse_c_config();
+  cfg.seed += seed_bump;
+  ShardBundle bundle;
+  bundle.shard = spec;
+  if (kind == Kind::kMutation) {
+    bundle.campaigns.push_back(eval::run_campaign_shard(cfg, "C", spec));
+  } else {
+    eval::FaultCampaignConfig fault;
+    fault.base = cfg;
+    bundle.fault_campaigns.push_back(
+        eval::run_fault_campaign_shard(fault, "C", spec));
+  }
+  return bundle;
+}
+
+/// Two-way sharding of the small busmouse C campaign, reused by the
+/// rejection tests.
+std::vector<ShardBundle> two_shards(Kind kind) {
+  return {busmouse_bundle(kind, ShardSpec{1, 2}),
+          busmouse_bundle(kind, ShardSpec{2, 2})};
+}
+
+/// The `kind` section of a bundle, seen through the shared header.
+size_t campaign_count(const ShardBundle& b, Kind kind) {
+  return kind == Kind::kMutation ? b.campaigns.size()
+                                 : b.fault_campaigns.size();
+}
+eval::SliceHeader& campaign(ShardBundle& b, Kind kind, size_t j) {
+  if (kind == Kind::kMutation) return b.campaigns.at(j);
+  return b.fault_campaigns.at(j);
+}
+
+void expect_merge_error(Kind kind, const std::vector<ShardBundle>& bundles,
                         const std::string& needle) {
   try {
-    (void)eval::merge_shard_bundles(bundles);
-    FAIL() << "merge should have rejected: " << needle;
+    if (kind == Kind::kMutation) {
+      (void)eval::merge_shard_bundles(bundles);
+    } else {
+      (void)eval::merge_fault_bundles(bundles);
+    }
+    ADD_FAILURE() << "merge should have rejected: " << needle;
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << "actual error: " << e.what();
   }
 }
 
-/// Two-way sharding of the small busmouse C campaign, reused by the
-/// rejection tests.
-std::vector<ShardBundle> two_shards(const DriverCampaignConfig& cfg) {
-  std::vector<ShardBundle> bundles;
-  for (unsigned i = 1; i <= 2; ++i) {
-    ShardBundle bundle;
-    bundle.shard = ShardSpec{i, 2};
-    bundle.campaigns.push_back(
-        eval::run_campaign_shard(cfg, "C", bundle.shard));
-    bundles.push_back(std::move(bundle));
-  }
-  return bundles;
-}
-
 TEST(ShardMergeTest, RejectsFingerprintMismatch) {
-  auto cfg = busmouse_c_config();
-  auto bundles = two_shards(cfg);
-  // Same device, same shard shape — but a different campaign seed. The
-  // fingerprint must catch it.
-  auto other = cfg;
-  other.seed += 1;
-  ShardBundle rogue;
-  rogue.shard = ShardSpec{2, 2};
-  rogue.campaigns.push_back(eval::run_campaign_shard(other, "C", rogue.shard));
-  bundles[1] = std::move(rogue);
-  expect_merge_error(std::move(bundles), "fingerprint mismatch");
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(kind_name(kind));
+    auto bundles = two_shards(kind);
+    // Same device, same shard shape — but a different campaign seed. The
+    // fingerprint must catch it.
+    bundles[1] = busmouse_bundle(kind, ShardSpec{2, 2}, /*seed_bump=*/1);
+    expect_merge_error(kind, bundles, "fingerprint mismatch");
+  }
 }
 
 TEST(ShardMergeTest, RejectsDuplicateShard) {
-  auto bundles = two_shards(busmouse_c_config());
-  bundles.push_back(bundles[1]);  // 1/2, 2/2, 2/2
-  expect_merge_error(std::move(bundles), "duplicate shard 2/2");
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(kind_name(kind));
+    auto bundles = two_shards(kind);
+    bundles.push_back(bundles[1]);  // 1/2, 2/2, 2/2
+    expect_merge_error(kind, bundles, "duplicate shard 2/2");
+  }
 }
 
 TEST(ShardMergeTest, RejectsMissingShard) {
-  auto bundles = two_shards(busmouse_c_config());
-  bundles.pop_back();  // only 1/2
-  expect_merge_error(std::move(bundles), "missing shard 2/2");
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(kind_name(kind));
+    auto bundles = two_shards(kind);
+    bundles.pop_back();  // only 1/2
+    expect_merge_error(kind, bundles, "missing shard 2/2");
+  }
 }
 
 TEST(ShardMergeTest, RejectsShardCountMismatch) {
-  auto bundles = two_shards(busmouse_c_config());
-  ShardBundle third;
-  third.shard = ShardSpec{3, 3};
-  third.campaigns.push_back(eval::run_campaign_shard(
-      busmouse_c_config(), "C", third.shard));
-  bundles.push_back(std::move(third));
-  expect_merge_error(std::move(bundles), "shard count mismatch");
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(kind_name(kind));
+    auto bundles = two_shards(kind);
+    bundles.push_back(busmouse_bundle(kind, ShardSpec{3, 3}));
+    expect_merge_error(kind, bundles, "shard count mismatch");
+  }
 }
 
 TEST(ShardMergeTest, RejectsDisagreeingCampaignLists) {
-  auto cfg = busmouse_c_config();
-  auto bundles = two_shards(cfg);
-  // Shard 2 "forgot" one campaign.
-  bundles[1].campaigns.clear();
-  expect_merge_error(std::move(bundles), "carries 0 campaigns");
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(kind_name(kind));
+    auto bundles = two_shards(kind);
+    // Shard 2 "forgot" one campaign.
+    bundles[1].campaigns.clear();
+    bundles[1].fault_campaigns.clear();
+    expect_merge_error(kind, bundles,
+                       kind == Kind::kMutation ? "carries 0 campaigns"
+                                               : "carries 0 fault campaigns");
 
-  bundles = two_shards(cfg);
-  bundles[1].campaigns.front().label = "CDevil";
-  expect_merge_error(std::move(bundles), "in that position");
+    bundles = two_shards(kind);
+    ASSERT_EQ(campaign_count(bundles[1], kind), 1u);
+    campaign(bundles[1], kind, 0).label = "CDevil";
+    expect_merge_error(kind, bundles, "in that position");
+  }
 }
 
 TEST(ShardMergeTest, RejectsEmptyInput) {
-  expect_merge_error({}, "no shard artifacts");
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(kind_name(kind));
+    expect_merge_error(kind, {}, "no shard artifacts");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -379,45 +427,110 @@ TEST(ShardArtifactTest, SerializeParseRoundTripIsByteStable) {
             text);
 }
 
+/// Replaces the first occurrence of `from` in `text`; fails the test when
+/// there is none.
+std::string replace_first(std::string text, const std::string& from,
+                          const std::string& to) {
+  size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << "no '" << from << "' to tamper with";
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
 TEST(ShardArtifactTest, RejectsTruncatedAndCorruptArtifacts) {
-  ShardBundle bundle;
-  bundle.shard = ShardSpec{1, 2};
-  bundle.campaigns.push_back(eval::run_campaign_shard(
-      busmouse_c_config(), "C", bundle.shard));
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(kind_name(kind));
+    const std::string text =
+        eval::serialize_shard_bundle(busmouse_bundle(kind, ShardSpec{1, 2}));
+
+    // Truncation at any of a few depths: always a parse diagnostic.
+    expect_parse_error(text.substr(0, text.size() / 2), "JSON parse error");
+    expect_parse_error(text.substr(0, 10), "JSON parse error");
+    expect_parse_error("", "JSON parse error");
+    expect_parse_error("hello", "not a shard artifact");
+    expect_parse_error(R"({"format":"something-else","version":1})",
+                       "format tag");
+    expect_parse_error(R"({"format":"devil-repro-shard","version":99})",
+                       "version 99");
+
+    // A flipped outcome makes the stored tally disagree with the records.
+    const bool mutation = kind == Kind::kMutation;
+    expect_parse_error(
+        mutation ? replace_first(text, "\"outcome\":\"boot\"",
+                                 "\"outcome\":\"halt\"")
+                 : replace_first(text, "\"outcome\":\"corrupt\"",
+                                 "\"outcome\":\"crash\""),
+        "corrupt artifact?");
+
+    // A missing required field is named.
+    expect_parse_error(replace_first(text, "\"entry\":", "\"entrX\":"),
+                       "missing field 'entry'");
+
+    // Dropping a record breaks the slice coverage.
+    const std::string record = mutation ? "{\"mutant\":" : "{\"scenario\":";
+    std::string shorter = text;
+    size_t at = shorter.find(record);
+    size_t end = shorter.find("}," + record);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_NE(end, std::string::npos);
+    shorter.erase(at, end + 2 - at);
+    expect_parse_error(shorter, "truncated artifact?");
+  }
+}
+
+TEST(ShardArtifactTest, RejectsSampleLargerThanTheGeneratedPopulation) {
+  // A 1/1 busmouse shard whose generated-mutant (or scenario) count was
+  // edited below its sample size cannot come from any campaign run.
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(kind_name(kind));
+    ShardBundle bundle = busmouse_bundle(kind, ShardSpec{1, 1});
+    const eval::SliceHeader& h = campaign(bundle, kind, 0);
+    ASSERT_GT(h.sample_size, 10u);
+    const std::string field = kind == Kind::kMutation ? "\"total_mutants\":"
+                                                      : "\"total_scenarios\":";
+    const size_t generated =
+        kind == Kind::kMutation ? bundle.campaigns[0].total_mutants
+                                : bundle.fault_campaigns[0].total_scenarios;
+    expect_parse_error(
+        replace_first(eval::serialize_shard_bundle(bundle),
+                      field + std::to_string(generated) + ",",
+                      field + "10,"),
+        "sample of " + std::to_string(h.sample_size) +
+            " exceeds the generated matrix of 10");
+  }
+}
+
+TEST(ShardArtifactTest, RejectsFaultRecordsThatContradictTheirCounters) {
+  ShardBundle bundle = busmouse_bundle(Kind::kFault, ShardSpec{1, 1});
+  const eval::FaultShardArtifact& a = bundle.fault_campaigns.at(0);
   const std::string text = eval::serialize_shard_bundle(bundle);
 
-  // Truncation at any of a few depths: always a parse diagnostic.
-  expect_parse_error(text.substr(0, text.size() / 2), "JSON parse error");
-  expect_parse_error(text.substr(0, 10), "JSON parse error");
-  expect_parse_error("", "JSON parse error");
-  expect_parse_error("hello", "not a shard artifact");
-  expect_parse_error(R"({"format":"something-else","version":1})",
-                     "format tag");
-  expect_parse_error(R"({"format":"devil-repro-shard","version":99})",
-                     "version 99");
+  // An untriggered scenario cannot boot anything but clean.
+  size_t untriggered = a.records.size();
+  for (size_t i = 0; i < a.records.size(); ++i) {
+    if (!a.records[i].triggered) {
+      untriggered = i;
+      break;
+    }
+  }
+  ASSERT_LT(untriggered, a.records.size());
+  const std::string clean =
+      "{\"scenario\":" + std::to_string(a.records[untriggered].scenario_index) +
+      ",";
+  const size_t record = text.find(clean);
+  ASSERT_NE(record, std::string::npos);
+  const size_t outcome = text.find("\"outcome\":\"clean\"", record);
+  ASSERT_NE(outcome, std::string::npos);
+  std::string hung = text;
+  hung.replace(outcome, 17, "\"outcome\":\"hang\"");
+  expect_parse_error(hung, "untriggered scenario with outcome 'hang'");
 
-  // A flipped outcome makes the stored tally disagree with the records.
-  std::string tampered = text;
-  size_t at = tampered.find("\"outcome\":\"boot\"");
-  ASSERT_NE(at, std::string::npos);
-  tampered.replace(at, 16, "\"outcome\":\"halt\"");
-  expect_parse_error(tampered, "corrupt artifact?");
-
-  // A missing required field is named.
-  std::string renamed = text;
-  at = renamed.find("\"entry\":");
-  ASSERT_NE(at, std::string::npos);
-  renamed.replace(at, 8, "\"entrX\":");
-  expect_parse_error(renamed, "missing field 'entry'");
-
-  // Dropping a record breaks the slice coverage.
-  std::string shorter = text;
-  at = shorter.find("{\"mutant\":");
-  size_t end = shorter.find("},{\"mutant\":");
-  ASSERT_NE(at, std::string::npos);
-  ASSERT_NE(end, std::string::npos);
-  shorter.erase(at, end + 2 - at);
-  expect_parse_error(shorter, "truncated artifact?");
+  // The stored triggered count must match the records' bits.
+  expect_parse_error(
+      replace_first(text, "\"triggered\":" + std::to_string(a.triggered) + ",",
+                    "\"triggered\":" + std::to_string(a.triggered + 1) +
+                        ","),
+      "triggered says " + std::to_string(a.triggered + 1));
 }
 
 TEST(ShardArtifactTest, LoadReportsMissingFile) {
