@@ -113,7 +113,7 @@ void campaign_engine_bench(benchmark::State& state,
   size_t mutants = 0, deduped = 0;
   for (auto _ : state) {
     auto res = eval::run_driver_campaign(cfg);
-    mutants = res.sampled_mutants;
+    mutants = res.sample_size;
     deduped = res.deduped_mutants;
     benchmark::DoNotOptimize(res.tally.total_mutants);
   }
@@ -369,7 +369,7 @@ void BM_CampaignParallel(benchmark::State& state) {
   size_t mutants = 0;
   for (auto _ : state) {
     auto res = eval::run_driver_campaign(cfg);
-    mutants = res.sampled_mutants;
+    mutants = res.sample_size;
     benchmark::DoNotOptimize(res.tally.total_mutants);
   }
   state.counters["mutants"] = static_cast<double>(mutants);
@@ -405,7 +405,7 @@ void busmouse_campaign_bench(benchmark::State& state, bool cdevil) {
   size_t mutants = 0, deduped = 0;
   for (auto _ : state) {
     auto res = eval::run_driver_campaign(cfg);
-    mutants = res.sampled_mutants;
+    mutants = res.sample_size;
     deduped = res.deduped_mutants;
     benchmark::DoNotOptimize(res.tally.total_mutants);
   }
@@ -446,8 +446,8 @@ void BM_CampaignShardBusmouseC(benchmark::State& state) {
   for (auto _ : state) {
     auto artifact =
         eval::run_campaign_shard(cfg, "C", eval::ShardSpec{1, 3});
-    records = artifact.records.size();
-    benchmark::DoNotOptimize(artifact.tally.total_mutants);
+    records = artifact.result.records.size();
+    benchmark::DoNotOptimize(artifact.result.tally.total_mutants);
   }
   state.counters["records"] = static_cast<double>(records);
   state.counters["mutants_per_s"] = benchmark::Counter(
@@ -488,7 +488,7 @@ void BM_CampaignParallelCDevil(benchmark::State& state) {
   size_t mutants = 0;
   for (auto _ : state) {
     auto res = eval::run_driver_campaign(cfg);
-    mutants = res.sampled_mutants;
+    mutants = res.sample_size;
     benchmark::DoNotOptimize(res.tally.total_mutants);
   }
   state.counters["mutants"] = static_cast<double>(mutants);
@@ -516,7 +516,7 @@ void BM_FaultCampaign(benchmark::State& state) {
   size_t scenarios = 0, triggered = 0;
   for (auto _ : state) {
     auto res = eval::run_fault_campaign(cfg);
-    scenarios = res.sampled_scenarios;
+    scenarios = res.sample_size;
     triggered = res.triggered_scenarios;
     benchmark::DoNotOptimize(res.tally.total);
   }

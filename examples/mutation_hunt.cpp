@@ -197,7 +197,7 @@ bool run_device_campaigns(const eval::CampaignSpec& spec,
                    drivers.device, what);
       return false;
     }
-    size_t unique = r.sampled_mutants - r.deduped_mutants;
+    size_t unique = r.sample_size - r.deduped_mutants;
     if (expect_cache &&
         (r.prefix_cache_hits == 0 || r.prefix_cache_hits > unique)) {
       std::fprintf(stderr,
@@ -414,8 +414,9 @@ int run_shard(const eval::CampaignSpec& campaign, eval::ShardSpec spec,
       std::fprintf(stderr,
                    "shard %s [%s faults]: C records %zu of %zu sampled, "
                    "CDevil records %zu of %zu sampled\n",
-                   spec.to_string().c_str(), drivers.device, c.records.size(),
-                   c.sample_size, d.records.size(), d.sample_size);
+                   spec.to_string().c_str(), drivers.device,
+                   c.result.records.size(), c.result.sample_size,
+                   d.result.records.size(), d.result.sample_size);
       continue;
     }
     eval::DeviceCampaignConfigs cfgs;
@@ -434,8 +435,9 @@ int run_shard(const eval::CampaignSpec& campaign, eval::ShardSpec spec,
     std::fprintf(stderr,
                  "shard %s [%s]: C records %zu of %zu sampled, "
                  "CDevil records %zu of %zu sampled\n",
-                 spec.to_string().c_str(), drivers.device, c.records.size(),
-                 c.sample_size, d.records.size(), d.sample_size);
+                 spec.to_string().c_str(), drivers.device,
+                 c.result.records.size(), c.result.sample_size,
+                 d.result.records.size(), d.result.sample_size);
   }
   if (!metrics_path.empty()) {
     // Embed the process timings in the bundle (so --merge can aggregate
@@ -452,10 +454,12 @@ int run_shard(const eval::CampaignSpec& campaign, eval::ShardSpec spec,
     // are shard-local: they cover this slice only).
     eval::MetricsArtifact artifact;
     for (const eval::ShardArtifact& a : bundle.campaigns) {
-      artifact.campaigns.push_back(eval::shard_metrics_row(a));
+      artifact.campaigns.push_back(
+          eval::campaign_metrics_row(a.result, a.label, a.engine));
     }
     for (const eval::FaultShardArtifact& a : bundle.fault_campaigns) {
-      artifact.fault_campaigns.push_back(eval::shard_fault_metrics_row(a));
+      artifact.fault_campaigns.push_back(
+          eval::fault_metrics_row(a.result, a.label, a.engine));
     }
     artifact.process = bundle.metrics;
     try {

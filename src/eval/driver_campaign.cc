@@ -102,16 +102,10 @@ void check_baseline_boot(const KernelContext& ctx, const minic::RunOutcome& run,
 
 std::vector<size_t> sample_slice(size_t population, unsigned percent,
                                  uint64_t seed, SampleSlice slice,
-                                 CampaignSideband* sideband) {
+                                 size_t& sample_size) {
   auto sample = support::sample_indices(population, percent, seed);
+  sample_size = sample.size();
   const auto [lo, hi] = sample_slice_bounds(sample.size(), slice);
-  if (sideband) {
-    sideband->sample_size = sample.size();
-    sideband->slice_begin = lo;
-    sideband->slice_end = hi;
-    sideband->prefix_cache_hit.clear();
-    sideband->canonical_hash.clear();
-  }
   return std::vector<size_t>(sample.begin() + lo, sample.begin() + hi);
 }
 
@@ -559,8 +553,7 @@ std::optional<minic::bytecode::PatchRequest> derive_patch_request(
 /// run concurrently. When `snap` is non-null the site-independent boot
 /// residue is captured for duplicate classification.
 MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
-                            BootSnapshot* snap, std::string pre_spliced = {},
-                            uint8_t* cache_hit = nullptr) {
+                            BootSnapshot* snap, std::string pre_spliced = {}) {
   const DriverCampaignConfig& config = *prep.config;
   const mutation::Mutant& m = prep.mutants[mutant_ix];
   const mutation::Site& site = prep.sites[m.site];
@@ -598,7 +591,7 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
     // (patchable mutants never change tail declarations, so their
     // recompile can never hit the whole-unit fallback). Counting it keeps
     // prefix_cache_hits equal to what recompiling every mutant would count.
-    if (cache_hit) *cache_hit = 1;
+    rec.prefix_cache_hit = true;
     // The patched module IS the clean tail with operands rewritten; the
     // clean macro-use map is the mutant's too (patch requests never touch
     // macro names, and a macro-body literal patch moves no use lines).
@@ -617,7 +610,7 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
       }
       // A *measured* hit: only the tail-compile path counts, not the
       // whole-unit fallback.
-      if (cache_hit && !spliced.whole_unit_fallback) *cache_hit = 1;
+      rec.prefix_cache_hit = !spliced.whole_unit_fallback;
       macro_uses = &spliced.macro_use_lines;
       compile_ok = spliced.ok();
       diags = &spliced.diags;
@@ -821,9 +814,25 @@ DriverCampaignResult run_driver_campaign(const DriverCampaignConfig& config) {
   return run_driver_campaign_slice(config, SampleSlice{});
 }
 
+void recount(DriverCampaignResult& result) {
+  result.tally = Tally();
+  result.deduped_mutants = result.prefix_cache_hits = 0;
+  result.patch_hits = result.patch_fallbacks = result.fast_forwards = 0;
+  result.skipped_steps = 0;
+  for (const MutantRecord& rec : result.records) {
+    result.tally.add(rec.outcome, rec.site);
+    result.deduped_mutants += rec.deduped ? 1 : 0;
+    result.prefix_cache_hits += rec.prefix_cache_hit ? 1 : 0;
+    result.patch_hits += rec.patched ? 1 : 0;
+    result.patch_fallbacks += rec.patch_fallback ? 1 : 0;
+    result.fast_forwards += rec.skipped_steps != 0 ? 1 : 0;
+    result.skipped_steps += rec.skipped_steps;
+  }
+}
+
 DriverCampaignResult run_driver_campaign_slice(
     const DriverCampaignConfig& config, SampleSlice slice,
-    CampaignSideband* sideband) {
+    std::vector<KeyHash>* keys) {
   const KernelContext kc =
       check_kernel_preconditions("driver campaign", config, slice);
   PreparedCampaign prep;
@@ -852,6 +861,7 @@ DriverCampaignResult run_driver_campaign_slice(
   DriverCampaignResult result;
   result.device = config.device.device;
   result.entry = prep.entry;
+  result.dedup = config.dedup;
   {
     BootRig rig(prep.device_pool, config.device);
     // The baseline boot doubles as the campaign's deterministic profile
@@ -886,12 +896,8 @@ DriverCampaignResult run_driver_campaign_slice(
 
   const std::vector<size_t> selected =
       sample_slice(prep.mutants.size(), config.sample_percent, config.seed,
-                   slice, sideband);
-  result.sampled_mutants = selected.size();
-  // prefix_cache_hit is assigned wholesale after the boot phase.
-  if (sideband && config.dedup) {
-    sideband->canonical_hash.resize(selected.size());
-  }
+                   slice, result.sample_size);
+  if (keys) keys->assign(config.dedup ? selected.size() : 0, KeyHash{});
 
   // --- canonical dedup (phases 1-2) ----------------------------------------------
   // Keys are computed in parallel (per-index writes only); the first-seen
@@ -901,7 +907,7 @@ DriverCampaignResult run_driver_campaign_slice(
   std::vector<uint8_t> wants_snapshot(selected.size(), 0);
   std::vector<std::string> spliced(config.dedup ? selected.size() : 0);
   if (config.dedup && !selected.empty()) {
-    std::vector<std::string> keys(selected.size());
+    std::vector<std::string> canonical(selected.size());
     support::parallel_for(selected.size(), config.threads, [&](size_t i) {
       const mutation::Mutant& m = prep.mutants[selected[i]];
       // Token-local mutants splice their key into the precomputed clean
@@ -910,21 +916,20 @@ DriverCampaignResult run_driver_campaign_slice(
       // either way, so dedup grouping never depends on which key path ran
       // (the walker, which builds no patch context, re-lexes every key).
       if (auto fast = fast_canonical_key(prep, m)) {
-        keys[i] = std::move(*fast);
+        canonical[i] = std::move(*fast);
       } else {
         spliced[i] = mutation::apply_mutant(config.driver, prep.sites, m);
-        keys[i] = canonical_key(prep, spliced[i]);
+        canonical[i] = canonical_key(prep, spliced[i]);
       }
-      if (sideband) sideband->canonical_hash[i] = support::fnv128(keys[i]);
+      if (keys) (*keys)[i] = support::fnv128(canonical[i]);
     });
     std::unordered_map<std::string, size_t> first_seen;
     first_seen.reserve(selected.size());
     for (size_t i = 0; i < selected.size(); ++i) {
-      auto [it, inserted] = first_seen.emplace(std::move(keys[i]), i);
+      auto [it, inserted] = first_seen.emplace(std::move(canonical[i]), i);
       if (!inserted) {
         dup_of[i] = it->second;
         wants_snapshot[it->second] = 1;
-        ++result.deduped_mutants;
       }
     }
   }
@@ -940,16 +945,13 @@ DriverCampaignResult run_driver_campaign_slice(
   for (size_t i = 0; i < selected.size(); ++i) {
     if (dup_of[i] == static_cast<size_t>(-1)) unique_ix.push_back(i);
   }
-  std::vector<uint8_t> cache_hits(selected.size(), 0);
   run_boots(kc, unique_ix.size(), config.threads, [&](size_t u) {
     size_t i = unique_ix[u];
     BootSnapshot* snap = wants_snapshot[i] ? &snapshots[i] : nullptr;
     result.records[i] = run_one_mutant(
         prep, selected[i], snap,
-        config.dedup ? std::move(spliced[i]) : std::string(), &cache_hits[i]);
+        config.dedup ? std::move(spliced[i]) : std::string());
   });
-  for (uint8_t hit : cache_hits) result.prefix_cache_hits += hit;
-  if (sideband) sideband->prefix_cache_hit = cache_hits;
 
   // --- duplicate classification (phase 4, sequential) -----------------------------
   for (size_t i = 0; i < selected.size(); ++i) {
@@ -959,13 +961,7 @@ DriverCampaignResult run_driver_campaign_slice(
     }
   }
 
-  for (const MutantRecord& rec : result.records) {
-    result.tally.add(rec.outcome, rec.site);
-    result.patch_hits += rec.patched ? 1 : 0;
-    result.patch_fallbacks += rec.patch_fallback ? 1 : 0;
-    result.fast_forwards += rec.skipped_steps != 0 ? 1 : 0;
-    result.skipped_steps += rec.skipped_steps;
-  }
+  recount(result);
   return result;
 }
 

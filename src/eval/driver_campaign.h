@@ -129,6 +129,11 @@ struct MutantRecord {
   /// structure-changing (or otherwise ineligible) and recompiled instead.
   /// Duplicates carry neither bit: they never boot at all.
   bool patch_fallback = false;
+  /// True when this mutant compiled through the per-campaign compiled-prefix
+  /// cache: a tail-only compile spliced onto the shared segment, or a
+  /// patched copy of the clean tail. Never on the tree walker or on
+  /// duplicates.
+  bool prefix_cache_hit = false;
   /// Of `steps`, those the VM's loop fast-forward accounted without
   /// executing (0 for duplicates, which never boot). Telemetry kept in
   /// memory only: reports and artifacts never carry it, since the record is
@@ -136,13 +141,16 @@ struct MutantRecord {
   uint64_t skipped_steps = 0;
 };
 
-/// What every campaign result (mutation or fault) and every shard slice of
-/// one (eval/shard.h SliceHeader) carries about the campaign's setup.
+/// What every campaign result (mutation or fault) carries about the
+/// campaign's setup, whether it covers the whole sample or one slice of it.
 struct CampaignBaseline {
   /// Device name and entry the campaign ran against (from the binding /
   /// config), echoed so reports can label tables per device.
   std::string device;
   std::string entry;
+  /// Mutants or scenarios in the whole deterministic sample, before any
+  /// slicing (a slice's own records are `records.size()`).
+  size_t sample_size = 0;
   /// The unmutated driver's boot on healthy hardware: the fingerprint every
   /// other boot is checked against, the steps it retired, and its
   /// per-opcode dispatch profile (bytecode engine only; all-zero on the
@@ -155,13 +163,13 @@ struct CampaignBaseline {
 
 struct DriverCampaignResult : CampaignBaseline {
   size_t total_sites = 0;
-  size_t total_mutants = 0;    // before sampling
-  size_t sampled_mutants = 0;
+  size_t total_mutants = 0;  // before sampling
+  bool dedup = true;         // DriverCampaignConfig::dedup of the run
+
+  // Counters derived from `records` by recount().
   size_t deduped_mutants = 0;  // sampled mutants that skipped compile+boot
-  /// Mutants compiled through the per-campaign compiled-prefix cache
-  /// (tail-only parse/typecheck/lower spliced onto the shared segment, or a
-  /// patched copy of the clean tail). Always 0 on the tree walker, which
-  /// compiles whole units.
+  /// Sum of the records' `prefix_cache_hit` bits. Always 0 on the tree
+  /// walker, which compiles whole units.
   size_t prefix_cache_hits = 0;
   /// Mutants booted from a patched clean-tail module (sum of the records'
   /// `patched` bits) vs mutants that fell back to a recompile while
@@ -176,6 +184,11 @@ struct DriverCampaignResult : CampaignBaseline {
   Tally tally;
   std::vector<MutantRecord> records;  // one per sampled mutant
 };
+
+/// Rebuilds the tally and every counter of `result` from its records. The
+/// kernel's last step, and how the shard parser checks stored counters and
+/// the merge recomputes global ones.
+void recount(DriverCampaignResult& result);
 
 /// One contiguous slice of the sampled mutant sequence, in sample order:
 /// slice `index` of `count` covers sample positions
@@ -197,18 +210,8 @@ struct SampleSlice {
           sample_size * (slice.index + 1) / slice.count};
 }
 
-/// Per-record sideband a shard artifact (eval/shard.h) needs beyond the
-/// MutantRecords: which records compiled through the prefix cache, and the
-/// canonical dedup-key hash of each record so a merge can re-dedup across
-/// shards. Vectors are indexed like DriverCampaignResult::records;
-/// `canonical_hash` is empty when the config has dedup off.
-struct CampaignSideband {
-  size_t sample_size = 0;   // full sample size, before slicing
-  size_t slice_begin = 0;   // this run's slice, in sample positions
-  size_t slice_end = 0;
-  std::vector<uint8_t> prefix_cache_hit;
-  std::vector<std::pair<uint64_t, uint64_t>> canonical_hash;
-};
+/// 128-bit hash of a mutant's canonical dedup key (support::fnv128).
+using KeyHash = std::pair<uint64_t, uint64_t>;
 
 /// Runs the campaign against the configured device binding. Preconditions
 /// (std::logic_error naming the device and entry otherwise): the binding is
@@ -220,15 +223,14 @@ struct CampaignSideband {
 /// Sliced variant: the full campaign prepared identically (baseline boot,
 /// site scan, deterministic sample), but only the mutants in `slice` are
 /// deduped, compiled and booted. Dedup is slice-local: canonical duplicates
-/// are only detected within the slice, so `deduped_mutants`,
-/// `prefix_cache_hits`, the records' `deduped` flags and the tally are
-/// slice-local too (eval/merge.h re-dedups across slices so a merged run
-/// is byte-identical to the unsharded one). `sampled_mutants` is the slice
-/// record count; the sideband (optional) reports the global sample size.
-/// The {0, 1} slice is exactly run_driver_campaign.
+/// are only detected within the slice, so the records' `deduped` flags and
+/// every counter are slice-local too (eval/merge.h re-dedups across slices
+/// so a merged run is byte-identical to the unsharded one). With dedup on,
+/// `keys` (optional) receives each record's canonical dedup-key hash, which
+/// that re-dedup needs. The {0, 1} slice is exactly run_driver_campaign.
 [[nodiscard]] DriverCampaignResult run_driver_campaign_slice(
     const DriverCampaignConfig& config, SampleSlice slice,
-    CampaignSideband* sideband = nullptr);
+    std::vector<KeyHash>* keys = nullptr);
 
 /// Classifies one already-compiled-or-failed mutant run; exposed for tests.
 [[nodiscard]] const char* outcome_short(Outcome o);
@@ -257,12 +259,11 @@ void check_baseline_boot(const KernelContext& ctx, const minic::RunOutcome& run,
 /// The deterministic sample of a campaign over `population` mutants or
 /// scenarios, cut to `slice`. Every slice derives the full sample, so N
 /// slices together boot exactly what the unsharded campaign would. The
-/// sideband (optional) gets the sample size and slice bounds; its
-/// per-record vectors are cleared.
+/// full sample's size goes to `sample_size`.
 [[nodiscard]] std::vector<size_t> sample_slice(size_t population,
                                                unsigned percent, uint64_t seed,
                                                SampleSlice slice,
-                                               CampaignSideband* sideband);
+                                               size_t& sample_size);
 
 /// Runs `boot_one(i)` for every i in [0, n) on `threads` workers, with a
 /// progress heartbeat and the per-worker record telemetry. Workers write

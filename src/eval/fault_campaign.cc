@@ -132,9 +132,20 @@ FaultCampaignResult run_fault_campaign(const FaultCampaignConfig& config) {
   return run_fault_campaign_slice(config, SampleSlice{});
 }
 
+void recount(FaultCampaignResult& result) {
+  result.tally = FaultTally();
+  result.triggered_scenarios = result.fast_forwards = 0;
+  result.skipped_steps = 0;
+  for (const FaultRecord& rec : result.records) {
+    result.tally.add(rec.outcome, rec.plan.port);
+    result.triggered_scenarios += rec.triggered ? 1 : 0;
+    result.fast_forwards += rec.skipped_steps != 0 ? 1 : 0;
+    result.skipped_steps += rec.skipped_steps;
+  }
+}
+
 FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
-                                             SampleSlice slice,
-                                             CampaignSideband* sideband) {
+                                             SampleSlice slice) {
   const DriverCampaignConfig& base = config.base;
   const KernelContext kc =
       check_kernel_preconditions("fault campaign", base, slice);
@@ -193,12 +204,9 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
   const std::vector<hw::FaultPlan> matrix =
       fault_scenario_matrix(base.device, config.triggers);
   result.total_scenarios = matrix.size();
-  // Scenarios are never deduped: the sideband's per-record vectors stay
-  // empty.
   const std::vector<size_t> selected =
       sample_slice(matrix.size(), config.sample_percent,
-                   fault_scenario_seed(config), slice, sideband);
-  result.sampled_scenarios = selected.size();
+                   fault_scenario_seed(config), slice, result.sample_size);
 
   // --- per-scenario boot (parallel map) -------------------------------------------
   // Workers write only their own records[i]; the order-sensitive tally (and
@@ -240,12 +248,7 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
     result.records[i] = std::move(rec);
   });
 
-  for (const FaultRecord& rec : result.records) {
-    result.tally.add(rec.outcome, rec.plan.port);
-    if (rec.triggered) ++result.triggered_scenarios;
-    if (rec.skipped_steps != 0) ++result.fast_forwards;
-    result.skipped_steps += rec.skipped_steps;
-  }
+  recount(result);
   return result;
 }
 

@@ -110,8 +110,9 @@ struct FaultCampaignConfig {
 };
 
 struct FaultCampaignResult : CampaignBaseline {
-  size_t total_scenarios = 0;      // full matrix, before sampling
-  size_t sampled_scenarios = 0;    // records in this result
+  size_t total_scenarios = 0;  // full matrix, before sampling
+
+  // Counters derived from `records` by recount().
   size_t triggered_scenarios = 0;  // records whose fault actually fired
   /// Boots the loop fast-forward shortened, and the steps it skipped
   /// (sums over the records; in memory only, like FaultRecord's field).
@@ -120,6 +121,10 @@ struct FaultCampaignResult : CampaignBaseline {
   FaultTally tally;
   std::vector<FaultRecord> records;  // in sampled-scenario order
 };
+
+/// Rebuilds the tally and every counter of `result` from its records (see
+/// the DriverCampaignResult overload).
+void recount(FaultCampaignResult& result);
 
 /// The deterministic scenario matrix for one device window: for every port
 /// in [port_base, port_base + port_span), every fault kind — the three
@@ -147,12 +152,9 @@ struct FaultCampaignResult : CampaignBaseline {
     const FaultCampaignConfig& config);
 
 /// Sliced variant for process-level sharding: identical preparation, but
-/// only the sampled scenarios in `slice` are booted. The sideband
-/// (optional) reports the global sample size and slice bounds; its
-/// dedup/cache vectors stay empty (fault scenarios are never deduped). The
-/// {0, 1} slice is exactly run_fault_campaign.
+/// only the sampled scenarios in `slice` are booted. The {0, 1} slice is
+/// exactly run_fault_campaign.
 [[nodiscard]] FaultCampaignResult run_fault_campaign_slice(
-    const FaultCampaignConfig& config, SampleSlice slice,
-    CampaignSideband* sideband = nullptr);
+    const FaultCampaignConfig& config, SampleSlice slice);
 
 }  // namespace eval

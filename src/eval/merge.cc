@@ -48,23 +48,26 @@ std::vector<std::pair<unsigned, const T*>> sort_and_check_indices(
 /// Checks that one campaign's artifacts, given in any order, tile exactly
 /// that campaign, and returns them in shard order. `kind` names the
 /// campaign kind ("campaign", "fault campaign") and `units` what it samples
-/// ("mutants", "scenarios") in diagnostics; `kind_fields(a)` ties the
+/// ("mutants", "scenarios") in diagnostics; `kind_fields(result)` ties the
 /// kind's own metadata, which must agree across shards like the header's.
-template <class Artifact, class KindFields>
-std::vector<std::pair<unsigned, const Artifact*>> check_tiling(
-    const std::vector<std::pair<unsigned, const Artifact*>>& shards,
+template <class Result, class KindFields>
+std::vector<std::pair<unsigned, const CampaignSlice<Result>*>> check_tiling(
+    const std::vector<std::pair<unsigned, const CampaignSlice<Result>*>>&
+        shards,
     const char* kind, const char* units, KindFields kind_fields) {
   if (shards.empty()) fail("no shard artifacts to merge");
 
-  const Artifact& first = *shards.front().second;
+  const CampaignSlice<Result>& first = *shards.front().second;
+  const Result& base = first.result;
   const std::string name =
-      std::string(kind) + " " + first.device + "/" + first.label;
+      std::string(kind) + " " + base.device + "/" + first.label;
   const std::string first_index = std::to_string(shards.front().first);
   const unsigned count = static_cast<unsigned>(shards.size());
 
   // Every artifact must come from the same campaign configuration: the
   // fingerprint pins driver text, device binding, seed, engine and flags.
   for (const auto& [index, artifact] : shards) {
+    const Result& res = artifact->result;
     if (artifact->fingerprint != first.fingerprint) {
       fail("config fingerprint mismatch for " + name + ": shard " +
            std::to_string(index) + " ran " + artifact->fingerprint +
@@ -74,11 +77,11 @@ std::vector<std::pair<unsigned, const Artifact*>> check_tiling(
     }
     // Belt and braces for hand-edited artifacts: the fields the merge
     // copies forward must agree even if the fingerprints were doctored.
-    if (artifact->device != first.device || artifact->label != first.label ||
-        artifact->entry != first.entry || artifact->engine != first.engine ||
-        artifact->sample_size != first.sample_size ||
-        artifact->clean_fingerprint != first.clean_fingerprint ||
-        kind_fields(*artifact) != kind_fields(first)) {
+    if (res.device != base.device || artifact->label != first.label ||
+        res.entry != base.entry || artifact->engine != first.engine ||
+        res.sample_size != base.sample_size ||
+        res.clean_fingerprint != base.clean_fingerprint ||
+        kind_fields(res) != kind_fields(base)) {
       fail("shard " + std::to_string(index) + " of " + name +
            " disagrees with shard " + first_index +
            " on campaign metadata despite equal fingerprints (corrupt "
@@ -86,8 +89,8 @@ std::vector<std::pair<unsigned, const Artifact*>> check_tiling(
     }
     // Baseline telemetry is deterministic: every shard re-boots the same
     // unmutated driver, so step counts and opcode profiles must agree.
-    if (artifact->baseline_steps != first.baseline_steps ||
-        !(artifact->baseline_opcodes == first.baseline_opcodes)) {
+    if (res.baseline_steps != base.baseline_steps ||
+        !(res.baseline_opcodes == base.baseline_opcodes)) {
       fail("shard " + std::to_string(index) + " of " + name +
            " disagrees with shard " + first_index +
            " on the baseline boot telemetry (corrupt artifact?)");
@@ -100,7 +103,7 @@ std::vector<std::pair<unsigned, const Artifact*>> check_tiling(
   // anything else means a shard ran with a different count or the artifact
   // was truncated.
   for (const auto& [index, artifact] : ordered) {
-    auto [lo, hi] = sample_slice_bounds(first.sample_size,
+    auto [lo, hi] = sample_slice_bounds(base.sample_size,
                                         SampleSlice{index - 1, count});
     if (artifact->slice_begin != lo || artifact->slice_end != hi) {
       fail("shard " + std::to_string(index) + "/" + std::to_string(count) +
@@ -108,7 +111,7 @@ std::vector<std::pair<unsigned, const Artifact*>> check_tiling(
            std::to_string(artifact->slice_begin) + ", " +
            std::to_string(artifact->slice_end) + ") but the " +
            std::to_string(count) + "-way split of " +
-           std::to_string(first.sample_size) + " sampled " + units +
+           std::to_string(base.sample_size) + " sampled " + units +
            " expects [" + std::to_string(lo) + ", " + std::to_string(hi) +
            ")");
     }
@@ -116,112 +119,73 @@ std::vector<std::pair<unsigned, const Artifact*>> check_tiling(
   return ordered;
 }
 
-struct Key128 {
-  uint64_t hi, lo;
-  bool operator==(const Key128& o) const { return hi == o.hi && lo == o.lo; }
-};
-struct Key128Hash {
-  size_t operator()(const Key128& k) const {
-    return static_cast<size_t>(k.hi ^ (k.lo * 0x9e3779b97f4a7c15ULL));
+/// Concatenates one campaign's slices, given in shard order, into the slice
+/// that covers the whole sample; the counters are left to recount().
+template <class Result>
+CampaignSlice<Result> concatenate(
+    const std::vector<std::pair<unsigned, const CampaignSlice<Result>*>>&
+        ordered) {
+  // Shard 1 brings the header, baseline and kind fields along, and the
+  // slice that starts the sample.
+  CampaignSlice<Result> merged = *ordered.front().second;
+  merged.slice_end = merged.result.sample_size;
+  auto& records = merged.result.records;
+  records.reserve(merged.slice_end);
+  for (size_t s = 1; s < ordered.size(); ++s) {
+    const CampaignSlice<Result>& a = *ordered[s].second;
+    records.insert(records.end(), a.result.records.begin(),
+                   a.result.records.end());
+    merged.keys.insert(merged.keys.end(), a.keys.begin(), a.keys.end());
+  }
+  return merged;
+}
+
+struct KeyHashHasher {
+  size_t operator()(const KeyHash& k) const {
+    return static_cast<size_t>(k.first ^ (k.second * 0x9e3779b97f4a7c15ULL));
   }
 };
 
-/// Merges one mutation campaign's shard artifacts, re-deduping across
-/// shards (see the file comment in merge.h).
-DriverCampaignResult merge_shard_artifacts(
-    const std::vector<std::pair<unsigned, const ShardArtifact*>>& shards) {
-  const auto ordered =
-      check_tiling(shards, "campaign", "mutants", [](const ShardArtifact& a) {
-        return std::tie(a.dedup, a.total_sites, a.total_mutants);
-      });
-  const ShardArtifact& first = *ordered.front().second;
-
-  DriverCampaignResult merged;
-  static_cast<CampaignBaseline&>(merged) = first;
-  merged.total_sites = first.total_sites;
-  merged.total_mutants = first.total_mutants;
-  merged.sampled_mutants = first.sample_size;
-  merged.records.reserve(first.sample_size);
-
-  // Concatenating in shard order restores sample order; re-dedup globally.
-  // A record whose canonical key appeared in an earlier shard was compiled
-  // and booted there redundantly — the unsharded run would have classified
-  // it from the representative, with an identical outcome (the dedup
-  // invariant), so only its flag and the counters need rewriting.
-  std::unordered_set<Key128, Key128Hash> seen;
-  if (first.dedup) seen.reserve(first.sample_size);
-  for (const auto& [index, artifact] : ordered) {
-    (void)index;
-    for (const ShardRecord& r : artifact->records) {
-      MutantRecord rec = r.rec;
-      if (first.dedup) {
-        auto [it, inserted] = seen.insert(Key128{r.key_hi, r.key_lo});
-        (void)it;
-        rec.deduped = !inserted;
-        if (inserted) {
-          merged.prefix_cache_hits += r.cache_hit ? 1 : 0;
-          merged.patch_hits += rec.patched ? 1 : 0;
-          merged.patch_fallbacks += rec.patch_fallback ? 1 : 0;
-        } else {
-          ++merged.deduped_mutants;
-          // The unsharded run would have classified this record from the
-          // representative without booting — duplicates carry no patch bits.
-          rec.patched = false;
-          rec.patch_fallback = false;
-        }
-      } else {
-        rec.deduped = false;
-        merged.prefix_cache_hits += r.cache_hit ? 1 : 0;
-        merged.patch_hits += rec.patched ? 1 : 0;
-        merged.patch_fallbacks += rec.patch_fallback ? 1 : 0;
-      }
-      merged.records.push_back(std::move(rec));
+/// Re-dedups a concatenated mutation campaign across its shards (see the
+/// file comment in merge.h). A record whose canonical key appeared in an
+/// earlier shard was compiled and booted there redundantly — the unsharded
+/// run would have classified it from the representative, with an identical
+/// outcome (the dedup invariant), so only its flags need rewriting.
+void rededup(ShardArtifact& merged) {
+  std::vector<MutantRecord>& records = merged.result.records;
+  if (merged.result.dedup && merged.keys.size() != records.size()) {
+    fail("campaign " + merged.result.device + "/" + merged.label +
+         " carries " + std::to_string(merged.keys.size()) +
+         " dedup-key hashes for " + std::to_string(records.size()) +
+         " records");
+  }
+  std::unordered_set<KeyHash, KeyHashHasher> seen;
+  seen.reserve(merged.keys.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    MutantRecord& rec = records[i];
+    rec.deduped = merged.result.dedup && !seen.insert(merged.keys[i]).second;
+    if (rec.deduped) {
+      // Duplicates never boot, so they carry no boot telemetry.
+      rec.prefix_cache_hit = rec.patched = rec.patch_fallback = false;
+      rec.skipped_steps = 0;
     }
   }
-  for (const MutantRecord& rec : merged.records) {
-    merged.tally.add(rec.outcome, rec.site);
-  }
-  return merged;
 }
 
-/// Merges one fault campaign's shard artifacts: a straight concatenation in
-/// shard order (scenarios are never deduped) with the tally and triggered
-/// count recomputed.
-FaultCampaignResult merge_fault_artifacts(
-    const std::vector<std::pair<unsigned, const FaultShardArtifact*>>& shards) {
-  const auto ordered = check_tiling(
-      shards, "fault campaign", "scenarios",
-      [](const FaultShardArtifact& a) { return std::tie(a.total_scenarios); });
-  const FaultShardArtifact& first = *ordered.front().second;
-
-  FaultCampaignResult merged;
-  static_cast<CampaignBaseline&>(merged) = first;
-  merged.total_scenarios = first.total_scenarios;
-  merged.sampled_scenarios = first.sample_size;
-  merged.records.reserve(first.sample_size);
-  for (const auto& [index, artifact] : ordered) {
-    (void)index;
-    merged.records.insert(merged.records.end(), artifact->records.begin(),
-                          artifact->records.end());
-  }
-  for (const FaultRecord& rec : merged.records) {
-    merged.tally.add(rec.outcome, rec.plan.port);
-    if (rec.triggered) ++merged.triggered_scenarios;
-  }
-  return merged;
-}
+void rededup(FaultShardArtifact&) {}  // scenarios are never deduped
 
 /// Merges the `list` section (mutation or fault campaigns) of whole bundles:
 /// one shard count everywhere, bundle indices exactly 1..N, and the same
 /// campaign list (device/label, in order) in every bundle — the bundles are
-/// slices of one run, not a grab bag. Each campaign then merges across the
-/// bundles through `merge_one`.
-template <class Artifact, class Result>
-std::vector<MergedResult<Result>> merge_bundles(
+/// slices of one run, not a grab bag. Each campaign's slices must then tile
+/// it (check_tiling, with `units` and `kind_fields`) and are concatenated,
+/// re-deduped and recounted.
+template <class Result, class KindFields>
+std::vector<CampaignSlice<Result>> merge_bundles(
     const std::vector<ShardBundle>& bundles,
-    std::vector<Artifact> ShardBundle::*list, const char* kind,
-    Result (*merge_one)(
-        const std::vector<std::pair<unsigned, const Artifact*>>&)) {
+    std::vector<CampaignSlice<Result>> ShardBundle::*list, const char* kind,
+    const char* units, KindFields kind_fields) {
+  using Artifact = CampaignSlice<Result>;
   if (bundles.empty()) fail("no shard artifacts to merge");
 
   const unsigned count = bundles.front().shard.count;
@@ -247,19 +211,18 @@ std::vector<MergedResult<Result>> merge_bundles(
            std::to_string(reference.size()));
     }
     for (size_t j = 0; j < reference.size(); ++j) {
-      if (campaigns[j].device != reference[j].device ||
-          campaigns[j].label != reference[j].label) {
+      const std::string& device = campaigns[j].result.device;
+      const std::string& ref_device = reference[j].result.device;
+      if (device != ref_device || campaigns[j].label != reference[j].label) {
         fail("shard " + std::to_string(index) + " " + kind + " #" +
-             std::to_string(j) + " is " + campaigns[j].device + "/" +
-             campaigns[j].label + " but shard " +
-             std::to_string(indexed.front().first) + " ran " +
-             reference[j].device + "/" + reference[j].label +
-             " in that position");
+             std::to_string(j) + " is " + device + "/" + campaigns[j].label +
+             " but shard " + std::to_string(indexed.front().first) + " ran " +
+             ref_device + "/" + reference[j].label + " in that position");
       }
     }
   }
 
-  std::vector<MergedResult<Result>> merged;
+  std::vector<Artifact> merged;
   merged.reserve(reference.size());
   for (size_t j = 0; j < reference.size(); ++j) {
     std::vector<std::pair<unsigned, const Artifact*>> shards;
@@ -267,11 +230,9 @@ std::vector<MergedResult<Result>> merge_bundles(
     for (const auto& [index, bundle] : indexed) {
       shards.emplace_back(index, &(bundle->*list)[j]);
     }
-    MergedResult<Result> m;
-    m.device = reference[j].device;
-    m.label = reference[j].label;
-    m.engine = reference[j].engine;
-    m.result = merge_one(shards);
+    Artifact m = concatenate(check_tiling(shards, kind, units, kind_fields));
+    rededup(m);
+    recount(m.result);
     merged.push_back(std::move(m));
   }
   return merged;
@@ -283,21 +244,21 @@ std::vector<MergedResult<Result>> merge_bundles(
 /// banner with `banner_suffix`, titled `title_prefix` + label and device.
 template <class Result>
 void render_campaigns(
-    std::string& out, const std::vector<MergedResult<Result>>& merged,
+    std::string& out, const std::vector<CampaignSlice<Result>>& merged,
     std::string (*section)(const std::string&, const Result&, const Result&),
     std::string (*table)(const std::string&, const Result&),
     const char* banner_suffix, const char* title_prefix) {
   size_t i = 0;
   while (i < merged.size()) {
-    if (i + 1 < merged.size() && merged[i].device == merged[i + 1].device &&
+    const std::string& device = merged[i].result.device;
+    if (i + 1 < merged.size() && device == merged[i + 1].result.device &&
         merged[i].label == "C" && merged[i + 1].label == "CDevil") {
-      out += section(merged[i].device, merged[i].result, merged[i + 1].result);
+      out += section(device, merged[i].result, merged[i + 1].result);
       i += 2;
       continue;
     }
-    out += "=== " + merged[i].device + banner_suffix + " ===\n\n";
-    out += table(title_prefix + merged[i].label + " (" + merged[i].device +
-                     ")",
+    out += "=== " + device + banner_suffix + " ===\n\n";
+    out += table(title_prefix + merged[i].label + " (" + device + ")",
                  merged[i].result);
     out += "\n";
     ++i;
@@ -306,16 +267,20 @@ void render_campaigns(
 
 }  // namespace
 
-std::vector<MergedCampaign> merge_shard_bundles(
+std::vector<ShardArtifact> merge_shard_bundles(
     const std::vector<ShardBundle>& bundles) {
-  return merge_bundles(bundles, &ShardBundle::campaigns, "campaign",
-                       &merge_shard_artifacts);
+  return merge_bundles(bundles, &ShardBundle::campaigns, "campaign", "mutants",
+                       [](const DriverCampaignResult& r) {
+                         return std::tie(r.dedup, r.total_sites,
+                                         r.total_mutants);
+                       });
 }
 
-std::vector<MergedFaultCampaign> merge_fault_bundles(
+std::vector<FaultShardArtifact> merge_fault_bundles(
     const std::vector<ShardBundle>& bundles) {
-  return merge_bundles(bundles, &ShardBundle::fault_campaigns,
-                       "fault campaign", &merge_fault_artifacts);
+  return merge_bundles(
+      bundles, &ShardBundle::fault_campaigns, "fault campaign", "scenarios",
+      [](const FaultCampaignResult& r) { return std::tie(r.total_scenarios); });
 }
 
 bool merge_bundle_metrics(const std::vector<ShardBundle>& bundles,
@@ -334,8 +299,8 @@ bool merge_bundle_metrics(const std::vector<ShardBundle>& bundles,
 }
 
 std::string render_merged_report(
-    const std::vector<MergedCampaign>& merged,
-    const std::vector<MergedFaultCampaign>& fault_merged) {
+    const std::vector<ShardArtifact>& merged,
+    const std::vector<FaultShardArtifact>& fault_merged) {
   std::string out;
   // Fault campaigns render after the mutation sections (a `--faults`
   // bundle carries only fault campaigns, so the first call prints nothing

@@ -1,6 +1,7 @@
-// Recombines campaign shard artifacts (eval/shard.h) into results that are
-// byte-identical to the single-process run — records, tallies, counters and
-// therefore eval/report.h's rendered tables.
+// Recombines campaign shard artifacts (eval/shard.h) into the artifact of
+// the slice that covers the whole sample — records, tallies and counters
+// byte-identical to the single-process run, and therefore
+// eval/report.h's rendered tables too.
 //
 // Merge semantics: canonical-key dedup is shard-local while the shards run
 // (a shard cannot see another shard's mutants), so a mutant that the
@@ -11,46 +12,36 @@
 // the `deduped` flags and the dedup/prefix-cache counters must be
 // reconstructed globally. The merge therefore re-dedups across shards: it
 // walks the concatenated records in sample order, marks every record whose
-// canonical key hash appeared earlier as `deduped`, and counts prefix-cache
-// hits only for globally-first records (the only compiles the unsharded
-// campaign performs).
+// canonical key hash appeared earlier as `deduped`, clears the boot-only
+// bits (prefix cache, patching, fast-forward) of such a record, since the
+// unsharded campaign never compiles it, and recounts.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "eval/driver_campaign.h"
 #include "eval/shard.h"
 
 namespace eval {
 
-/// One campaign reassembled from all its shards.
-template <class Result>
-struct MergedResult {
-  std::string device;
-  std::string label;   // "C" / "CDevil" (SliceHeader::label)
-  std::string engine;  // shard-validated minic::exec_engine_name
-  Result result;
-};
-using MergedCampaign = MergedResult<DriverCampaignResult>;
-using MergedFaultCampaign = MergedResult<FaultCampaignResult>;
-
 /// Merges whole bundles (one per shard process): validates the shard
 /// coordinates (same count everywhere, indices exactly 1..N), requires
 /// every bundle to carry the same campaign list (device/label, in order),
-/// and merges each campaign across the bundles. Campaigns come back in the
-/// bundles' common list order. A campaign's artifacts must tile exactly
-/// that campaign — one config fingerprint, agreeing metadata and baseline
-/// telemetry, slice bounds matching the canonical i/N partition — or the
-/// merge throws std::runtime_error naming the offence.
-[[nodiscard]] std::vector<MergedCampaign> merge_shard_bundles(
+/// and merges each campaign across the bundles into one artifact whose
+/// slice is the whole sample, with the shards' key hashes concatenated.
+/// Campaigns come back in the bundles' common list order. A campaign's
+/// artifacts must tile exactly that campaign — one config fingerprint,
+/// agreeing metadata and baseline telemetry, slice bounds matching the
+/// canonical i/N partition — or the merge throws std::runtime_error naming
+/// the offence.
+[[nodiscard]] std::vector<ShardArtifact> merge_shard_bundles(
     const std::vector<ShardBundle>& bundles);
 
 /// Merges the fault campaigns of whole bundles with the same validation.
 /// Fault scenarios are never deduped, so each campaign is a straight
-/// concatenation in shard order with the tally and triggered count
-/// recomputed. Bundles without fault campaigns merge to an empty list.
-[[nodiscard]] std::vector<MergedFaultCampaign> merge_fault_bundles(
+/// concatenation in shard order, recounted. Bundles without fault
+/// campaigns merge to an empty list.
+[[nodiscard]] std::vector<FaultShardArtifact> merge_fault_bundles(
     const std::vector<ShardBundle>& bundles);
 
 /// Aggregates the embedded process metrics of every bundle that carries any
@@ -67,7 +58,7 @@ bool merge_bundle_metrics(const std::vector<ShardBundle>& bundles,
 /// the byte string `--merge` prints and the campaign service streams back —
 /// identical to the single-process run's output minus its two header lines.
 [[nodiscard]] std::string render_merged_report(
-    const std::vector<MergedCampaign>& merged,
-    const std::vector<MergedFaultCampaign>& fault_merged);
+    const std::vector<ShardArtifact>& merged,
+    const std::vector<FaultShardArtifact>& fault_merged);
 
 }  // namespace eval

@@ -25,7 +25,7 @@ void add_outcome_row(support::TextTable& t, const DriverCampaignResult& r,
                      Outcome o) {
   t.add_row({outcome_name(o), std::to_string(r.tally.sites_of(o)),
              std::to_string(r.tally.mutants_of(o)),
-             support::percent(r.tally.mutants_of(o), r.sampled_mutants)});
+             support::percent(r.tally.mutants_of(o), r.sample_size)});
 }
 
 support::TextTable build_table(const DriverCampaignResult& r) {
@@ -45,7 +45,7 @@ support::TextTable build_table(const DriverCampaignResult& r) {
   }
   t.add_separator();
   t.add_row({"Total", std::to_string(r.total_sites),
-             std::to_string(r.sampled_mutants), "N/A"});
+             std::to_string(r.sample_size), "N/A"});
   return t;
 }
 
@@ -56,7 +56,7 @@ std::string render_table_at(const std::string& title,
   std::ostringstream os;
   os << title << "\n";
   os << t.render(widths);
-  os << "(" << r.total_mutants << " mutants generated, " << r.sampled_mutants
+  os << "(" << r.total_mutants << " mutants generated, " << r.sample_size
      << " sampled for testing";
   if (!r.device.empty()) os << ", device " << r.device;
   if (!r.entry.empty()) os << ", entry " << r.entry;
@@ -68,7 +68,7 @@ void add_fault_row(support::TextTable& t, const FaultCampaignResult& r,
                    FaultOutcome o) {
   t.add_row({fault_outcome_name(o), std::to_string(r.tally.ports_of(o)),
              std::to_string(r.tally.scenarios_of(o)),
-             support::percent(r.tally.scenarios_of(o), r.sampled_scenarios)});
+             support::percent(r.tally.scenarios_of(o), r.sample_size)});
 }
 
 support::TextTable build_table(const FaultCampaignResult& r) {
@@ -88,7 +88,7 @@ support::TextTable build_table(const FaultCampaignResult& r) {
     all_ports.insert(ports.begin(), ports.end());
   }
   t.add_row({"Total", std::to_string(all_ports.size()),
-             std::to_string(r.sampled_scenarios), "N/A"});
+             std::to_string(r.sample_size), "N/A"});
   return t;
 }
 
@@ -100,7 +100,7 @@ std::string render_table_at(const std::string& title,
   os << title << "\n";
   os << t.render(widths);
   os << "(" << r.total_scenarios << " scenarios generated, "
-     << r.sampled_scenarios << " sampled for testing, "
+     << r.sample_size << " sampled for testing, "
      << r.triggered_scenarios << " triggered the fault";
   if (!r.device.empty()) os << ", device " << r.device;
   if (!r.entry.empty()) os << ", entry " << r.entry;
@@ -247,10 +247,10 @@ std::string render_comparison(const DriverCampaignResult& c_result,
                               const DriverCampaignResult& d_result) {
   return render_headline(
       c_result.device, d_result.device,
-      pct(c_result.tally.detected(), c_result.sampled_mutants),
-      pct(d_result.tally.detected(), d_result.sampled_mutants),
-      pct(c_result.tally.mutants_of(Outcome::kBoot), c_result.sampled_mutants),
-      pct(d_result.tally.mutants_of(Outcome::kBoot), d_result.sampled_mutants),
+      pct(c_result.tally.detected(), c_result.sample_size),
+      pct(d_result.tally.detected(), d_result.sample_size),
+      pct(c_result.tally.mutants_of(Outcome::kBoot), c_result.sample_size),
+      pct(d_result.tally.mutants_of(Outcome::kBoot), d_result.sample_size),
       {"Detected at compile time or run time:", "x more errors detected",
        "Undetected 'Boot' mutants (the worst case for the developer):",
        "x fewer undetected errors"});
@@ -274,12 +274,12 @@ std::string render_fault_comparison(const FaultCampaignResult& c_result,
                                     const FaultCampaignResult& d_result) {
   return render_headline(
       c_result.device, d_result.device,
-      pct(c_result.tally.detected(), c_result.sampled_scenarios),
-      pct(d_result.tally.detected(), d_result.sampled_scenarios),
+      pct(c_result.tally.detected(), c_result.sample_size),
+      pct(d_result.tally.detected(), d_result.sample_size),
       pct(c_result.tally.scenarios_of(FaultOutcome::kCorruptBoot),
-          c_result.sampled_scenarios),
+          c_result.sample_size),
       pct(d_result.tally.scenarios_of(FaultOutcome::kCorruptBoot),
-          d_result.sampled_scenarios),
+          d_result.sample_size),
       {"Injected hardware faults detected (Devil check or driver panic):",
        "x more faults detected",
        "Silent corrupt boots (the worst case for the developer):",
@@ -323,9 +323,9 @@ std::string render_device_section(const std::string& device,
   os << "=== " << device << " ===\n\n"
      << render_campaign_tables(c_result, d_result) << "\n"
      << "Engine counters [" << device << "]: C dedup "
-     << c_result.deduped_mutants << "/" << c_result.sampled_mutants
+     << c_result.deduped_mutants << "/" << c_result.sample_size
      << ", prefix-cache " << c_result.prefix_cache_hits << "; CDevil dedup "
-     << d_result.deduped_mutants << "/" << d_result.sampled_mutants
+     << d_result.deduped_mutants << "/" << d_result.sample_size
      << ", prefix-cache " << d_result.prefix_cache_hits << "\n";
   // Empty unless the campaign ran with the flight recorder (traces ride in
   // the records, so merged and dispatched reports print identical
@@ -343,9 +343,9 @@ std::string render_fault_section(const std::string& device,
   os << "=== " << device << " (fault injection) ===\n\n"
      << render_fault_tables(c_result, d_result) << "\n"
      << "Scenario counters [" << device << "]: C triggered "
-     << c_result.triggered_scenarios << "/" << c_result.sampled_scenarios
+     << c_result.triggered_scenarios << "/" << c_result.sample_size
      << "; CDevil triggered " << d_result.triggered_scenarios << "/"
-     << d_result.sampled_scenarios << "\n";
+     << d_result.sample_size << "\n";
   std::string pm = render_fault_postmortems("C", c_result, 3) +
                    render_fault_postmortems("CDevil", d_result, 3);
   if (!pm.empty()) os << "\n" << pm;

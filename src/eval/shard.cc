@@ -8,6 +8,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "support/json_io.h"
@@ -160,17 +161,21 @@ SampleSlice kernel_slice(ShardSpec spec) {
   return SampleSlice{spec.index - 1, spec.count};
 }
 
-/// Copies the header fields out of a slice kernel's result and sideband.
-void fill_header(SliceHeader& h, const CampaignBaseline& res,
-                 const CampaignSideband& side, const std::string& label,
-                 minic::ExecEngine engine, std::string fingerprint) {
-  static_cast<CampaignBaseline&>(h) = res;
-  h.label = label;
-  h.engine = minic::exec_engine_name(engine);
-  h.fingerprint = std::move(fingerprint);
-  h.sample_size = side.sample_size;
-  h.slice_begin = side.slice_begin;
-  h.slice_end = side.slice_end;
+/// Runs slice `spec` through `kernel` and packages it with its campaign's
+/// label, engine and fingerprint.
+template <class Result, class Kernel>
+CampaignSlice<Result> run_slice(ShardSpec spec, const std::string& label,
+                                minic::ExecEngine engine,
+                                std::string fingerprint, Kernel kernel) {
+  const SampleSlice slice = kernel_slice(spec);
+  CampaignSlice<Result> a;
+  a.label = label;
+  a.engine = minic::exec_engine_name(engine);
+  a.fingerprint = std::move(fingerprint);
+  a.result = kernel(slice, a.keys);
+  std::tie(a.slice_begin, a.slice_end) =
+      sample_slice_bounds(a.result.sample_size, slice);
+  return a;
 }
 
 using KindFields =
@@ -179,28 +184,30 @@ using KindFields =
 /// Serializes the header in artifact key order, with the kind's scalar
 /// fields where artifacts have always carried them: after the fingerprint,
 /// after the slice bounds, and after the clean fingerprint.
-support::JsonValue header_to_json(const SliceHeader& h,
+template <class Result>
+support::JsonValue header_to_json(const CampaignSlice<Result>& a,
                                   KindFields after_fingerprint,
                                   KindFields after_slice,
                                   KindFields after_clean) {
+  const CampaignBaseline& b = a.result;
   support::JsonValue c = support::JsonValue::object();
   auto put = [&c](KindFields fields) {
     for (const auto& [key, value] : fields) c.set(key, value);
   };
-  c.set("device", h.device);
-  c.set("label", h.label);
-  c.set("entry", h.entry);
-  c.set("engine", h.engine);
-  c.set("fingerprint", h.fingerprint);
+  c.set("device", b.device);
+  c.set("label", a.label);
+  c.set("entry", b.entry);
+  c.set("engine", a.engine);
+  c.set("fingerprint", a.fingerprint);
   put(after_fingerprint);
-  c.set("sample_size", h.sample_size);
-  c.set("slice_begin", h.slice_begin);
-  c.set("slice_end", h.slice_end);
+  c.set("sample_size", b.sample_size);
+  c.set("slice_begin", a.slice_begin);
+  c.set("slice_end", a.slice_end);
   put(after_slice);
-  c.set("clean_fingerprint", h.clean_fingerprint);
+  c.set("clean_fingerprint", b.clean_fingerprint);
   put(after_clean);
-  c.set("baseline_steps", h.baseline_steps);
-  c.set("baseline_opcodes", opcode_profile_to_json(h.baseline_opcodes));
+  c.set("baseline_steps", b.baseline_steps);
+  c.set("baseline_opcodes", opcode_profile_to_json(b.baseline_opcodes));
   return c;
 }
 
@@ -217,23 +224,25 @@ support::JsonValue tally_to_json(const std::map<O, size_t>& counts,
 }
 
 /// Reads the header of the `position`-th artifact of a `kind` section
-/// ("campaign", "fault campaign") into `h`. Returns the context that names
+/// ("campaign", "fault campaign") into `a`. Returns the context that names
 /// the campaign ("campaign ide/C") for the kind's own diagnostics.
+template <class Result>
 std::string read_header(const support::JsonValue& c, const char* kind,
-                        size_t position, SliceHeader& h) {
+                        size_t position, CampaignSlice<Result>& a) {
+  CampaignBaseline& b = a.result;
   std::string ctx = std::string(kind) + " #" + std::to_string(position);
-  h.device = require_string(c, "device", ctx);
-  h.label = require_string(c, "label", ctx);
-  ctx = std::string(kind) + " " + h.device + "/" + h.label;
-  h.entry = require_string(c, "entry", ctx);
-  h.engine = require_string(c, "engine", ctx);
-  h.fingerprint = require_string(c, "fingerprint", ctx);
-  h.sample_size = require_u64(c, "sample_size", ctx);
-  h.slice_begin = require_u64(c, "slice_begin", ctx);
-  h.slice_end = require_u64(c, "slice_end", ctx);
-  h.clean_fingerprint = require(c, "clean_fingerprint", ctx).as_int();
-  h.baseline_steps = require_u64(c, "baseline_steps", ctx);
-  h.baseline_opcodes = opcode_profile_from_json(
+  b.device = require_string(c, "device", ctx);
+  a.label = require_string(c, "label", ctx);
+  ctx = std::string(kind) + " " + b.device + "/" + a.label;
+  b.entry = require_string(c, "entry", ctx);
+  a.engine = require_string(c, "engine", ctx);
+  a.fingerprint = require_string(c, "fingerprint", ctx);
+  b.sample_size = require_u64(c, "sample_size", ctx);
+  a.slice_begin = require_u64(c, "slice_begin", ctx);
+  a.slice_end = require_u64(c, "slice_end", ctx);
+  b.clean_fingerprint = require(c, "clean_fingerprint", ctx).as_int();
+  b.baseline_steps = require_u64(c, "baseline_steps", ctx);
+  b.baseline_opcodes = opcode_profile_from_json(
       require(c, "baseline_opcodes", ctx), ctx + " baseline_opcodes");
   return ctx;
 }
@@ -241,29 +250,31 @@ std::string read_header(const support::JsonValue& c, const char* kind,
 /// Checks the header against itself — the sample fits the `generated`
 /// population (mutants or scenarios), the slice fits the sample — and
 /// returns the records, which must fill the slice exactly.
+template <class Result>
 const support::JsonValue::Array& slice_records(const support::JsonValue& c,
-                                               const SliceHeader& h,
+                                               const CampaignSlice<Result>& a,
                                                size_t generated,
                                                const std::string& ctx) {
-  if (h.sample_size > generated) {
+  const size_t sample_size = a.result.sample_size;
+  if (sample_size > generated) {
     throw std::runtime_error(ctx + ": sample of " +
-                             std::to_string(h.sample_size) +
+                             std::to_string(sample_size) +
                              " exceeds the generated matrix of " +
                              std::to_string(generated));
   }
-  if (h.slice_begin > h.slice_end || h.slice_end > h.sample_size) {
+  if (a.slice_begin > a.slice_end || a.slice_end > sample_size) {
     throw std::runtime_error(ctx + ": slice [" +
-                             std::to_string(h.slice_begin) + ", " +
-                             std::to_string(h.slice_end) +
+                             std::to_string(a.slice_begin) + ", " +
+                             std::to_string(a.slice_end) +
                              ") does not fit the sample of " +
-                             std::to_string(h.sample_size));
+                             std::to_string(sample_size));
   }
   const auto& records = require(c, "records", ctx).items();
-  if (records.size() != h.slice_end - h.slice_begin) {
+  if (records.size() != a.slice_end - a.slice_begin) {
     throw std::runtime_error(
         ctx + ": " + std::to_string(records.size()) +
         " records do not fill the slice of " +
-        std::to_string(h.slice_end - h.slice_begin) +
+        std::to_string(a.slice_end - a.slice_begin) +
         " (truncated artifact?)");
   }
   return records;
@@ -307,73 +318,67 @@ void check_tally(const support::JsonValue& c, const std::string& ctx,
 
 ShardArtifact parse_artifact(const support::JsonValue& c, size_t position) {
   ShardArtifact a;
+  DriverCampaignResult& res = a.result;
   const std::string ctx = read_header(c, "campaign", position, a);
-  a.dedup = require(c, "dedup", ctx).as_bool();
-  a.total_sites = require_u64(c, "total_sites", ctx);
-  a.total_mutants = require_u64(c, "total_mutants", ctx);
-  a.deduped_mutants = require_u64(c, "deduped_mutants", ctx);
-  a.prefix_cache_hits = require_u64(c, "prefix_cache_hits", ctx);
-  a.patch_hits = require_u64(c, "patch_hits", ctx);
-  a.patch_fallbacks = require_u64(c, "patch_fallbacks", ctx);
+  res.dedup = require(c, "dedup", ctx).as_bool();
+  res.total_sites = require_u64(c, "total_sites", ctx);
+  res.total_mutants = require_u64(c, "total_mutants", ctx);
+  const size_t deduped = require_u64(c, "deduped_mutants", ctx);
+  const size_t cache_hits = require_u64(c, "prefix_cache_hits", ctx);
+  const size_t patch_hits = require_u64(c, "patch_hits", ctx);
+  const size_t patch_fallbacks = require_u64(c, "patch_fallbacks", ctx);
 
-  const auto& records = slice_records(c, a, a.total_mutants, ctx);
-  a.records.reserve(records.size());
-  size_t deduped = 0, cache_hits = 0, patch_hits = 0, patch_fallbacks = 0;
+  const auto& records = slice_records(c, a, res.total_mutants, ctx);
+  res.records.reserve(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
     const std::string rctx = ctx + " record #" + std::to_string(i);
     const support::JsonValue& rj = records[i];
-    ShardRecord r;
-    r.rec.mutant_index = require_u64(rj, "mutant", rctx);
-    r.rec.site = require_u64(rj, "site", rctx);
-    r.rec.outcome = enum_from_name(kAllOutcomes, outcome_short,
-                                   require_string(rj, "outcome", rctx), rctx,
-                                   "outcome");
-    r.rec.steps = require_u64(rj, "steps", rctx);
+    MutantRecord r;
+    r.mutant_index = require_u64(rj, "mutant", rctx);
+    r.site = require_u64(rj, "site", rctx);
+    r.outcome = enum_from_name(kAllOutcomes, outcome_short,
+                               require_string(rj, "outcome", rctx), rctx,
+                               "outcome");
+    r.steps = require_u64(rj, "steps", rctx);
     if (const support::JsonValue* detail = rj.find("detail")) {
-      r.rec.detail = detail->as_string();
+      r.detail = detail->as_string();
     }
-    r.rec.deduped = optional_flag(rj, "deduped");
-    r.cache_hit = optional_flag(rj, "cache_hit");
-    r.rec.patched = optional_flag(rj, "patched");
-    r.rec.patch_fallback = optional_flag(rj, "patch_fallback");
+    r.deduped = optional_flag(rj, "deduped");
+    r.prefix_cache_hit = optional_flag(rj, "cache_hit");
+    r.patched = optional_flag(rj, "patched");
+    r.patch_fallback = optional_flag(rj, "patch_fallback");
     if (const support::JsonValue* trace = rj.find("trace")) {
-      r.rec.trace = trace->as_string();
+      r.trace = trace->as_string();
     }
-    if (a.dedup) {
-      std::tie(r.key_hi, r.key_lo) =
-          parse_hex128(require_string(rj, "key", rctx), rctx + " field 'key'");
+    if (res.dedup) {
+      a.keys.push_back(
+          parse_hex128(require_string(rj, "key", rctx), rctx + " field 'key'"));
     } else if (rj.find("key") != nullptr) {
       throw std::runtime_error(rctx + ": has a dedup key but the campaign "
                                "ran with dedup off");
     }
-    deduped += r.rec.deduped ? 1 : 0;
-    cache_hits += r.cache_hit ? 1 : 0;
-    patch_hits += r.rec.patched ? 1 : 0;
-    patch_fallbacks += r.rec.patch_fallback ? 1 : 0;
-    a.records.push_back(std::move(r));
+    res.records.push_back(std::move(r));
   }
 
-  check_counter(ctx, "deduped_mutants", a.deduped_mutants, deduped);
-  check_counter(ctx, "prefix_cache_hits", a.prefix_cache_hits, cache_hits);
-  check_counter(ctx, "patch_hits", a.patch_hits, patch_hits);
-  check_counter(ctx, "patch_fallbacks", a.patch_fallbacks, patch_fallbacks);
-  for (const ShardRecord& r : a.records) {
-    a.tally.add(r.rec.outcome, r.rec.site);
-  }
-  check_tally(c, ctx, kAllOutcomes, outcome_short, a.tally.mutants);
+  recount(res);
+  check_counter(ctx, "deduped_mutants", deduped, res.deduped_mutants);
+  check_counter(ctx, "prefix_cache_hits", cache_hits, res.prefix_cache_hits);
+  check_counter(ctx, "patch_hits", patch_hits, res.patch_hits);
+  check_counter(ctx, "patch_fallbacks", patch_fallbacks, res.patch_fallbacks);
+  check_tally(c, ctx, kAllOutcomes, outcome_short, res.tally.mutants);
   return a;
 }
 
 FaultShardArtifact parse_fault_artifact(const support::JsonValue& c,
                                         size_t position) {
   FaultShardArtifact a;
+  FaultCampaignResult& res = a.result;
   const std::string ctx = read_header(c, "fault campaign", position, a);
-  a.total_scenarios = require_u64(c, "total_scenarios", ctx);
-  a.triggered = require_u64(c, "triggered", ctx);
+  res.total_scenarios = require_u64(c, "total_scenarios", ctx);
+  const size_t triggered = require_u64(c, "triggered", ctx);
 
-  const auto& records = slice_records(c, a, a.total_scenarios, ctx);
-  a.records.reserve(records.size());
-  size_t triggered = 0;
+  const auto& records = slice_records(c, a, res.total_scenarios, ctx);
+  res.records.reserve(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
     const std::string rctx = ctx + " record #" + std::to_string(i);
     const support::JsonValue& rj = records[i];
@@ -402,16 +407,13 @@ FaultShardArtifact parse_fault_artifact(const support::JsonValue& c,
                                fault_outcome_short(r.outcome) +
                                "' (corrupt artifact?)");
     }
-    triggered += r.triggered ? 1 : 0;
-    a.records.push_back(std::move(r));
+    res.records.push_back(std::move(r));
   }
 
-  check_counter(ctx, "triggered", a.triggered, triggered);
-  for (const FaultRecord& r : a.records) {
-    a.tally.add(r.outcome, r.plan.port);
-  }
+  recount(res);
+  check_counter(ctx, "triggered", triggered, res.triggered_scenarios);
   check_tally(c, ctx, kAllFaultOutcomes, fault_outcome_short,
-              a.tally.scenarios);
+              res.tally.scenarios);
   return a;
 }
 
@@ -471,32 +473,11 @@ std::string campaign_fingerprint(const DriverCampaignConfig& config) {
 
 ShardArtifact run_campaign_shard(const DriverCampaignConfig& config,
                                  const std::string& label, ShardSpec spec) {
-  CampaignSideband side;
-  DriverCampaignResult res =
-      run_driver_campaign_slice(config, kernel_slice(spec), &side);
-
-  ShardArtifact a;
-  fill_header(a, res, side, label, config.engine,
-              campaign_fingerprint(config));
-  a.dedup = config.dedup;
-  a.total_sites = res.total_sites;
-  a.total_mutants = res.total_mutants;
-  a.deduped_mutants = res.deduped_mutants;
-  a.prefix_cache_hits = res.prefix_cache_hits;
-  a.patch_hits = res.patch_hits;
-  a.patch_fallbacks = res.patch_fallbacks;
-  a.tally = res.tally;
-  a.records.resize(res.records.size());
-  for (size_t i = 0; i < res.records.size(); ++i) {
-    ShardRecord& r = a.records[i];
-    r.rec = res.records[i];
-    r.cache_hit = side.prefix_cache_hit[i] != 0;
-    if (config.dedup) {
-      r.key_hi = side.canonical_hash[i].first;
-      r.key_lo = side.canonical_hash[i].second;
-    }
-  }
-  return a;
+  return run_slice<DriverCampaignResult>(
+      spec, label, config.engine, campaign_fingerprint(config),
+      [&](SampleSlice slice, std::vector<KeyHash>& keys) {
+        return run_driver_campaign_slice(config, slice, &keys);
+      });
 }
 
 std::string fault_campaign_fingerprint(const FaultCampaignConfig& config) {
@@ -515,18 +496,11 @@ std::string fault_campaign_fingerprint(const FaultCampaignConfig& config) {
 FaultShardArtifact run_fault_campaign_shard(const FaultCampaignConfig& config,
                                             const std::string& label,
                                             ShardSpec spec) {
-  CampaignSideband side;
-  FaultCampaignResult res =
-      run_fault_campaign_slice(config, kernel_slice(spec), &side);
-
-  FaultShardArtifact a;
-  fill_header(a, res, side, label, config.base.engine,
-              fault_campaign_fingerprint(config));
-  a.total_scenarios = res.total_scenarios;
-  a.triggered = res.triggered_scenarios;
-  a.tally = res.tally;
-  a.records = std::move(res.records);
-  return a;
+  return run_slice<FaultCampaignResult>(
+      spec, label, config.base.engine, fault_campaign_fingerprint(config),
+      [&](SampleSlice slice, std::vector<KeyHash>&) {
+        return run_fault_campaign_slice(config, slice);
+      });
 }
 
 // --- serialization -----------------------------------------------------------
@@ -543,29 +517,34 @@ std::string serialize_shard_bundle(const ShardBundle& bundle) {
 
   JsonValue campaigns = JsonValue::array();
   for (const ShardArtifact& a : bundle.campaigns) {
+    const DriverCampaignResult& res = a.result;
     JsonValue c = header_to_json(
-        a, {{"dedup", a.dedup}},
-        {{"total_sites", a.total_sites}, {"total_mutants", a.total_mutants}},
-        {{"deduped_mutants", a.deduped_mutants},
-         {"prefix_cache_hits", a.prefix_cache_hits},
-         {"patch_hits", a.patch_hits},
-         {"patch_fallbacks", a.patch_fallbacks}});
-    c.set("tally", tally_to_json(a.tally.mutants, outcome_short));
+        a, {{"dedup", res.dedup}},
+        {{"total_sites", res.total_sites},
+         {"total_mutants", res.total_mutants}},
+        {{"deduped_mutants", res.deduped_mutants},
+         {"prefix_cache_hits", res.prefix_cache_hits},
+         {"patch_hits", res.patch_hits},
+         {"patch_fallbacks", res.patch_fallbacks}});
+    c.set("tally", tally_to_json(res.tally.mutants, outcome_short));
 
     JsonValue records = JsonValue::array();
-    for (const ShardRecord& r : a.records) {
+    for (size_t i = 0; i < res.records.size(); ++i) {
+      const MutantRecord& r = res.records[i];
       JsonValue rec = JsonValue::object();
-      rec.set("mutant", r.rec.mutant_index);
-      rec.set("site", r.rec.site);
-      rec.set("outcome", outcome_short(r.rec.outcome));
-      rec.set("steps", r.rec.steps);
-      if (!r.rec.detail.empty()) rec.set("detail", r.rec.detail);
-      if (r.rec.deduped) rec.set("deduped", true);
-      if (r.cache_hit) rec.set("cache_hit", true);
-      if (r.rec.patched) rec.set("patched", true);
-      if (r.rec.patch_fallback) rec.set("patch_fallback", true);
-      if (a.dedup) rec.set("key", support::hex128(r.key_hi, r.key_lo));
-      if (!r.rec.trace.empty()) rec.set("trace", r.rec.trace);
+      rec.set("mutant", r.mutant_index);
+      rec.set("site", r.site);
+      rec.set("outcome", outcome_short(r.outcome));
+      rec.set("steps", r.steps);
+      if (!r.detail.empty()) rec.set("detail", r.detail);
+      if (r.deduped) rec.set("deduped", true);
+      if (r.prefix_cache_hit) rec.set("cache_hit", true);
+      if (r.patched) rec.set("patched", true);
+      if (r.patch_fallback) rec.set("patch_fallback", true);
+      if (res.dedup) {
+        rec.set("key", support::hex128(a.keys[i].first, a.keys[i].second));
+      }
+      if (!r.trace.empty()) rec.set("trace", r.trace);
       records.push_back(std::move(rec));
     }
     c.set("records", std::move(records));
@@ -579,13 +558,14 @@ std::string serialize_shard_bundle(const ShardBundle& bundle) {
   if (!bundle.fault_campaigns.empty()) {
     JsonValue fault_campaigns = JsonValue::array();
     for (const FaultShardArtifact& a : bundle.fault_campaigns) {
-      JsonValue c =
-          header_to_json(a, {{"total_scenarios", a.total_scenarios}}, {},
-                         {{"triggered", a.triggered}});
-      c.set("tally", tally_to_json(a.tally.scenarios, fault_outcome_short));
+      const FaultCampaignResult& res = a.result;
+      JsonValue c = header_to_json(
+          a, {{"total_scenarios", res.total_scenarios}}, {},
+          {{"triggered", res.triggered_scenarios}});
+      c.set("tally", tally_to_json(res.tally.scenarios, fault_outcome_short));
 
       JsonValue records = JsonValue::array();
-      for (const FaultRecord& r : a.records) {
+      for (const FaultRecord& r : res.records) {
         JsonValue rec = JsonValue::object();
         rec.set("scenario", r.scenario_index);
         rec.set("port", static_cast<int64_t>(r.plan.port));
@@ -661,30 +641,6 @@ ShardBundle parse_shard_bundle(const std::string& text) {
     throw std::runtime_error(std::string("corrupt shard artifact: ") +
                              e.what());
   }
-}
-
-CampaignMetricsRow shard_metrics_row(const ShardArtifact& a) {
-  // Reassemble a slice-shaped campaign result and reuse the canonical row
-  // builder, so shard-local rows and full-run rows can never drift.
-  DriverCampaignResult res;
-  static_cast<CampaignBaseline&>(res) = a;
-  res.deduped_mutants = a.deduped_mutants;
-  res.prefix_cache_hits = a.prefix_cache_hits;
-  res.patch_hits = a.patch_hits;
-  res.patch_fallbacks = a.patch_fallbacks;
-  res.tally = a.tally;
-  res.records.reserve(a.records.size());
-  for (const ShardRecord& r : a.records) res.records.push_back(r.rec);
-  return campaign_metrics_row(res, a.label, a.engine);
-}
-
-CampaignMetricsRow shard_fault_metrics_row(const FaultShardArtifact& a) {
-  FaultCampaignResult res;
-  static_cast<CampaignBaseline&>(res) = a;
-  res.triggered_scenarios = a.triggered;
-  res.tally = a.tally;
-  res.records = a.records;
-  return fault_metrics_row(res, a.label, a.engine);
 }
 
 void write_artifact_atomically(const std::string& path,

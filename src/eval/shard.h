@@ -40,66 +40,28 @@ struct ShardSpec {
 /// "0/3" and "4/3" are rejected, not clamped.
 [[nodiscard]] ShardSpec parse_shard_spec(const std::string& text);
 
-/// One sampled mutant's outcome inside a shard artifact: the MutantRecord
-/// plus the sideband the merge needs (whether this record compiled through
-/// the prefix cache, and the 128-bit canonical dedup-key hash used to
-/// re-dedup across shards; the hash is (0,0) when the campaign ran with
-/// dedup off).
-struct ShardRecord {
-  MutantRecord rec;
-  bool cache_hit = false;
-  uint64_t key_hi = 0;
-  uint64_t key_lo = 0;
-};
-
-/// The fields every shard slice carries, mutation and fault campaigns alike:
-/// the campaign's baseline (device, entry, clean boot — every shard
-/// recomputes identical values; the merge validates agreement), which
-/// campaign it is and which slice of its sample. `label` distinguishes the
-/// paper's two campaigns per device ("C", "CDevil"); `fingerprint` is a
-/// 128-bit hex digest of every config field that can change records or
-/// counters (campaign_fingerprint / fault_campaign_fingerprint — never the
-/// thread count, which cannot).
-struct SliceHeader : CampaignBaseline {
+/// One campaign's shard slice, as serialized: the kernel's result for the
+/// slice, plus which campaign it is and which part of the sample it covers.
+/// The result's records, counters and tally are slice-local; a merge
+/// (eval/merge.h) returns the slice that covers the whole sample. `label`
+/// distinguishes the paper's two campaigns per device ("C", "CDevil");
+/// `fingerprint` is a 128-bit hex digest of every config field that can
+/// change records or counters (campaign_fingerprint /
+/// fault_campaign_fingerprint — never the thread count, which cannot).
+template <class Result>
+struct CampaignSlice {
   std::string label;
   std::string engine;  // minic::exec_engine_name of the engine that ran
   std::string fingerprint;
-
-  size_t sample_size = 0;  // full campaign sample, before slicing
-  size_t slice_begin = 0;  // this shard's range, in sample positions
+  size_t slice_begin = 0;  // sample positions [slice_begin, slice_end)
   size_t slice_end = 0;
+  Result result;
+  /// Mutation campaigns with dedup on: each record's canonical dedup-key
+  /// hash, so a merge can re-dedup across slices. Empty otherwise.
+  std::vector<KeyHash> keys;
 };
-
-/// One mutation campaign's shard slice, as serialized. Tallies and counters
-/// are shard-local; the merge recomputes the global ones.
-struct ShardArtifact : SliceHeader {
-  bool dedup = true;
-  size_t total_sites = 0;
-  size_t total_mutants = 0;
-
-  size_t deduped_mutants = 0;    // shard-local (dedup never crosses shards)
-  size_t prefix_cache_hits = 0;  // shard-local
-  /// Bytecode-patch telemetry: sums of the records' `patched` and
-  /// `patch_fallback` bits. Deliberately absent from the fingerprint —
-  /// patching can never change records or tallies, only these counters.
-  size_t patch_hits = 0;         // shard-local
-  size_t patch_fallbacks = 0;    // shard-local
-  Tally tally;                   // shard-local, over `records`
-
-  std::vector<ShardRecord> records;
-};
-
-/// One fault-injection campaign's shard slice (eval/fault_campaign.h), as
-/// serialized. The triggered count and tally are shard-local. Fault
-/// scenarios are never deduped, so there is no sideband beyond the records.
-struct FaultShardArtifact : SliceHeader {
-  size_t total_scenarios = 0;  // full matrix, before sampling
-
-  size_t triggered = 0;  // shard-local: records whose fault fired
-  FaultTally tally;      // shard-local, over `records`
-
-  std::vector<FaultRecord> records;
-};
+using ShardArtifact = CampaignSlice<DriverCampaignResult>;
+using FaultShardArtifact = CampaignSlice<FaultCampaignResult>;
 
 /// A serialized shard file: the shard coordinates plus one artifact per
 /// campaign the process ran (the CLI writes C and CDevil per device).
@@ -117,7 +79,7 @@ struct ShardBundle {
 };
 
 /// Fingerprint of everything in `config` that determines campaign results
-/// and counters (see ShardArtifact::fingerprint). 32 hex chars.
+/// and counters (see CampaignSlice::fingerprint). 32 hex chars.
 [[nodiscard]] std::string campaign_fingerprint(
     const DriverCampaignConfig& config);
 
@@ -160,13 +122,6 @@ class ArtifactWriteError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-/// Shard-local metrics rows (eval/metrics.h): the deterministic counters of
-/// one artifact's slice. Only comparable against the same slice — the
-/// merged artifact's rows are the globally comparable ones.
-[[nodiscard]] CampaignMetricsRow shard_metrics_row(const ShardArtifact& a);
-[[nodiscard]] CampaignMetricsRow shard_fault_metrics_row(
-    const FaultShardArtifact& a);
 
 /// Atomically writes `text` (plus a trailing newline) to `path` via the
 /// `<path>.tmp` + rename protocol described on ArtifactWriteError. Shared by

@@ -111,17 +111,6 @@ void IdeDisk::advance_state(uint64_t cycles, const uint64_t*& deltas) {
   minic::advance_counter(protocol_violations_, cycles, deltas);
 }
 
-IdeDiskPool::IdeDiskPool()
-    : pool_([] { return std::make_shared<IdeDisk>(); }) {}
-
-std::shared_ptr<IdeDisk> IdeDiskPool::acquire() {
-  return std::static_pointer_cast<IdeDisk>(pool_.acquire());
-}
-
-void IdeDiskPool::release(std::shared_ptr<IdeDisk> disk) {
-  pool_.release(std::move(disk));
-}
-
 std::string IdeDisk::damage_note() const {
   if (partition_destroyed_) return "partition table overwritten";
   if (disk_written_) return "disk image modified during boot";

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "hw/device_pool.h"
 #include "hw/io_bus.h"
 
 namespace hw {
@@ -128,31 +127,6 @@ class IdeDisk final : public Device {
   /// one run mean neither changed in between, so capture_state keys on this
   /// instead of 512 KB of image.
   uint64_t data_writes_ = 0;
-};
-
-/// Typed convenience wrapper over the generic `hw::DevicePool` for tests
-/// and tools that want `IdeDisk` handles back. A per-mutant IdeDisk
-/// construction allocates ~1MB (image + pristine copy) and rebuilds the
-/// MBR; the pool hands out reset() disks instead — `reset` only restores
-/// the image when the previous boot actually wrote to it, so the common
-/// clean-boot recycle is a register wipe.
-///
-/// Thread-safe: acquire/release may be called concurrently from campaign
-/// workers (see DevicePool's contract).
-class IdeDiskPool {
- public:
-  IdeDiskPool();
-
-  /// Returns a power-on-state disk (recycled when available).
-  [[nodiscard]] std::shared_ptr<IdeDisk> acquire();
-  /// Returns a disk to the pool. The caller must have dropped every other
-  /// reference (the IoBus mapping) first.
-  void release(std::shared_ptr<IdeDisk> disk);
-
-  [[nodiscard]] size_t idle() const { return pool_.idle(); }
-
- private:
-  DevicePool pool_;
 };
 
 }  // namespace hw

@@ -102,22 +102,4 @@ void IoBus::advance_state(uint64_t cycles, const uint64_t*& deltas) {
   for (auto& m : mappings_) m.dev->advance_state(cycles, deltas);
 }
 
-bool IoBus::any_damage() const {
-  for (const auto& m : mappings_) {
-    if (m.dev->damaged()) return true;
-  }
-  return false;
-}
-
-std::string IoBus::damage_report() const {
-  std::string out;
-  for (const auto& m : mappings_) {
-    if (m.dev->damaged()) {
-      if (!out.empty()) out += "; ";
-      out += m.dev->name() + ": " + m.dev->damage_note();
-    }
-  }
-  return out;
-}
-
 }  // namespace hw

@@ -125,9 +125,6 @@ class IoBus final : public minic::IoEnvironment, public IrqSink {
   /// Resets every mapped device and clears all pending IRQ state.
   void reset();
 
-  [[nodiscard]] bool any_damage() const;
-  [[nodiscard]] std::string damage_report() const;
-
   [[nodiscard]] uint64_t unmapped_accesses() const { return unmapped_; }
 
  private:

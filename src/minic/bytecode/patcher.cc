@@ -155,12 +155,7 @@ Patcher::Patcher(const Module& clean_tail, const Unit& prefix_unit,
     if (f.body) collect_locals(*f.body, names);
   }
 
-  for (const auto& [name, body] : macros) {
-    macro_names_.insert(name);
-    if (body.size() == 1 && body[0].kind == Tok::kIntLit) {
-      macro_values_[name] = body[0].int_value;
-    }
-  }
+  for (const auto& [name, body] : macros) macro_names_.insert(name);
 }
 
 const Insn& Patcher::insn_at(const PatchPoint& p) const {
@@ -324,18 +319,7 @@ bool Patcher::plan_literal(const PatchPoint& p, uint64_t value,
 bool Patcher::plan_identifier(const PatchRequest& req,
                               const std::vector<PatchPoint>& points,
                               std::vector<Rewrite>& plan) const {
-  // Macro-value rename: the clean token expanded to a literal whose site
-  // tag survived (single-int body), so the points are literal-shaped. The
-  // replacement must be the same shape; its value patches every point.
-  if (auto mo = macro_values_.find(req.original); mo != macro_values_.end()) {
-    auto mr = macro_values_.find(req.replacement);
-    if (mr == macro_values_.end()) return false;
-    for (const auto& p : points) {
-      if (!plan_literal(p, mr->second, plan)) return false;
-    }
-    return true;
-  }
-  // Any other macro involvement changes the token stream structurally.
+  // Macro involvement changes the token stream structurally.
   if (macro_names_.count(req.original) != 0) return false;
   if (macro_names_.count(req.replacement) != 0) return false;
 

@@ -74,12 +74,8 @@ class Patcher {
   /// table must fail loudly, not boot the wrong driver).
   [[nodiscard]] std::optional<Module> apply(const PatchRequest& req) const;
 
-  /// True when `name` is an object macro whose body is one integer literal
-  /// (the shape whose site tag survives expansion). Exposed so the campaign
-  /// engine can classify identifier mutants without re-deriving macro shape.
-  [[nodiscard]] bool single_int_macro(const std::string& name) const {
-    return macro_values_.count(name) != 0;
-  }
+  /// True when `name` is a macro of the final macro table. Identifier
+  /// mutants that involve one always recompile.
   [[nodiscard]] bool is_macro(const std::string& name) const {
     return macro_names_.count(name) != 0;
   }
@@ -122,7 +118,6 @@ class Patcher {
   std::map<std::string, FnInfo> fns_;
   std::vector<LeafShape> shapes_;  // per absolute fn index
   std::vector<std::set<std::string>> tail_fn_locals_;  // per tail fn
-  std::map<std::string, uint64_t> macro_values_;  // single-int-literal bodies
   std::set<std::string> macro_names_;
 };
 

@@ -1032,7 +1032,6 @@ RunOutcome Vm::run(const std::string& entry) {
   }
   out.steps_used = budget_ - steps_left_;
   out.skipped_steps = skipped_;
-  out.executed_lines = out.executed.to_set();
   return out;
 }
 

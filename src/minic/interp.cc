@@ -903,7 +903,6 @@ RunOutcome Interp::run(const std::string& entry) {
     out.fault_message = f.message;
   }
   out.steps_used = m.steps_used();
-  out.executed_lines = out.executed.to_set();
   return out;
 }
 

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -136,11 +135,9 @@ struct RunOutcome {
   uint64_t skipped_steps = 0;
   /// 1-based source lines on which at least one statement (or case-label
   /// comparison) executed. Drives the "dead code" classification. The
-  /// interpreter records into the bitmap (one word OR per statement); the
-  /// set is materialised from it once per run for callers that want ordered
-  /// iteration. Hot-path consumers (the campaign engine) query `executed`.
+  /// interpreter records into the bitmap (one word OR per statement);
+  /// `executed.to_set()` gives the lines in order.
   support::LineBitmap executed;
-  std::set<uint32_t> executed_lines;
   std::vector<std::string> log;  // printk output, in order
 };
 

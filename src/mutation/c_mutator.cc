@@ -344,20 +344,6 @@ std::vector<std::string> collect_identifiers(const std::string& src,
   return out;
 }
 
-/// Extracts `#define NAME` macro names from source text.
-std::vector<std::string> define_names(const std::string& src) {
-  std::vector<std::string> out;
-  size_t pos = 0;
-  while ((pos = src.find("#define", pos)) != std::string::npos) {
-    pos += 7;
-    while (pos < src.size() && (src[pos] == ' ' || src[pos] == '\t')) ++pos;
-    std::string name;
-    while (pos < src.size() && is_ident_char(src[pos])) name += src[pos++];
-    if (!name.empty()) out.push_back(name);
-  }
-  return out;
-}
-
 /// Finds identifiers following `marker` in `src` (one per occurrence).
 std::vector<std::string> idents_after(const std::string& src,
                                       const std::string& marker) {

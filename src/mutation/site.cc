@@ -7,15 +7,6 @@
 
 namespace mutation {
 
-const char* site_kind_name(SiteKind k) {
-  switch (k) {
-    case SiteKind::kLiteral: return "literal";
-    case SiteKind::kOperator: return "operator";
-    case SiteKind::kIdentifier: return "identifier";
-  }
-  return "?";
-}
-
 std::string apply_mutant(const std::string& source,
                          const std::vector<Site>& sites, const Mutant& m) {
   const Site& s = sites[m.site];

@@ -21,8 +21,6 @@ using SiteId = uint32_t;
 
 enum class SiteKind { kLiteral, kOperator, kIdentifier };
 
-[[nodiscard]] const char* site_kind_name(SiteKind k);
-
 struct Site {
   SiteKind kind = SiteKind::kLiteral;
   size_t offset = 0;       // byte offset of the token in the original source

@@ -143,8 +143,8 @@ DispatchOutcome run_shard_job(const eval::CampaignSpec& spec,
     meter.tick();
   }
 
-  std::vector<eval::MergedCampaign> merged = eval::merge_shard_bundles(bundles);
-  std::vector<eval::MergedFaultCampaign> fault_merged =
+  std::vector<eval::ShardArtifact> merged = eval::merge_shard_bundles(bundles);
+  std::vector<eval::FaultShardArtifact> fault_merged =
       eval::merge_fault_bundles(bundles);
   out.report = eval::render_merged_report(merged, fault_merged);
 

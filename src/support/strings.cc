@@ -8,12 +8,6 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(c));
-  return out;
-}
-
 std::vector<std::string> split_lines(std::string_view s) {
   std::vector<std::string> out;
   size_t start = 0;

@@ -10,7 +10,6 @@
 namespace support {
 
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
-[[nodiscard]] std::string to_lower(std::string_view s);
 [[nodiscard]] std::vector<std::string> split_lines(std::string_view s);
 
 /// Counts non-blank, non-comment-only lines ("//" comments), the measure the

@@ -36,7 +36,7 @@ void expect_same_outcome(const minic::RunOutcome& a,
   EXPECT_EQ(a.fault_message, b.fault_message) << label;
   EXPECT_EQ(a.return_value, b.return_value) << label;
   EXPECT_EQ(a.steps_used, b.steps_used) << label;
-  EXPECT_EQ(a.executed_lines, b.executed_lines) << label;
+  EXPECT_EQ(a.executed.to_set(), b.executed.to_set()) << label;
   EXPECT_EQ(a.log, b.log) << label;
 }
 
@@ -171,7 +171,7 @@ void expect_identical(const eval::DriverCampaignResult& a,
   EXPECT_EQ(a.clean_fingerprint, b.clean_fingerprint) << label;
   EXPECT_EQ(a.total_sites, b.total_sites) << label;
   EXPECT_EQ(a.total_mutants, b.total_mutants) << label;
-  EXPECT_EQ(a.sampled_mutants, b.sampled_mutants) << label;
+  EXPECT_EQ(a.sample_size, b.sample_size) << label;
   EXPECT_EQ(a.deduped_mutants, b.deduped_mutants) << label;
   EXPECT_EQ(a.tally.mutants, b.tally.mutants) << label;
   EXPECT_EQ(a.tally.sites, b.tally.sites) << label;
@@ -216,7 +216,7 @@ void campaign_matrix(eval::DriverCampaignConfig cfg, const std::string& label) {
   auto base = eval::run_driver_campaign(cfg);
   EXPECT_EQ(base.device, "busmouse") << label;
   EXPECT_EQ(base.entry, "mouse_boot") << label;
-  EXPECT_GT(base.sampled_mutants, 0u) << label;
+  EXPECT_GT(base.sample_size, 0u) << label;
 
   cfg.threads = 4;
   auto threaded = eval::run_driver_campaign(cfg);
@@ -230,7 +230,7 @@ void campaign_matrix(eval::DriverCampaignConfig cfg, const std::string& label) {
   // The counters prove the fast path served every unique compile.
   EXPECT_GT(base.prefix_cache_hits, 0u) << label;
   EXPECT_EQ(base.prefix_cache_hits,
-            base.sampled_mutants - base.deduped_mutants)
+            base.sample_size - base.deduped_mutants)
       << label;
 }
 
@@ -264,15 +264,15 @@ TEST(BusmouseCampaign, PaperShapeHolds) {
   auto c = eval::run_driver_campaign(c_mouse_config());
   auto d = eval::run_driver_campaign(cdevil_mouse_config());
   double c_detected = static_cast<double>(c.tally.detected()) /
-                      static_cast<double>(c.sampled_mutants);
+                      static_cast<double>(c.sample_size);
   double d_detected = static_cast<double>(d.tally.detected()) /
-                      static_cast<double>(d.sampled_mutants);
+                      static_cast<double>(d.sample_size);
   double c_boot = static_cast<double>(c.tally.mutants_of(
                       eval::Outcome::kBoot)) /
-                  static_cast<double>(c.sampled_mutants);
+                  static_cast<double>(c.sample_size);
   double d_boot = static_cast<double>(d.tally.mutants_of(
                       eval::Outcome::kBoot)) /
-                  static_cast<double>(d.sampled_mutants);
+                  static_cast<double>(d.sample_size);
   EXPECT_GT(d_detected, c_detected);
   EXPECT_LT(d_boot, c_boot / 4.0);
 }

@@ -246,7 +246,7 @@ void expect_identical(const eval::DriverCampaignResult& a,
   EXPECT_EQ(a.clean_fingerprint, b.clean_fingerprint);
   EXPECT_EQ(a.total_sites, b.total_sites);
   EXPECT_EQ(a.total_mutants, b.total_mutants);
-  EXPECT_EQ(a.sampled_mutants, b.sampled_mutants);
+  EXPECT_EQ(a.sample_size, b.sample_size);
   EXPECT_EQ(a.deduped_mutants, b.deduped_mutants);
   if (same_engine) {
     EXPECT_EQ(a.prefix_cache_hits, b.prefix_cache_hits);

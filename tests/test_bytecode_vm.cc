@@ -48,7 +48,7 @@ void expect_same_outcome(const minic::RunOutcome& walker,
   EXPECT_EQ(walker.fault_message, vm.fault_message) << label;
   EXPECT_EQ(walker.return_value, vm.return_value) << label;
   EXPECT_EQ(walker.steps_used, vm.steps_used) << label;
-  EXPECT_EQ(walker.executed_lines, vm.executed_lines) << label;
+  EXPECT_EQ(walker.executed.to_set(), vm.executed.to_set()) << label;
   EXPECT_EQ(walker.log, vm.log) << label;
 }
 
@@ -433,7 +433,7 @@ void expect_identical_campaigns(const eval::DriverCampaignResult& a,
   EXPECT_EQ(a.clean_fingerprint, b.clean_fingerprint) << label;
   EXPECT_EQ(a.total_sites, b.total_sites) << label;
   EXPECT_EQ(a.total_mutants, b.total_mutants) << label;
-  EXPECT_EQ(a.sampled_mutants, b.sampled_mutants) << label;
+  EXPECT_EQ(a.sample_size, b.sample_size) << label;
   EXPECT_EQ(a.deduped_mutants, b.deduped_mutants) << label;
   EXPECT_EQ(a.tally.mutants, b.tally.mutants) << label;
   EXPECT_EQ(a.tally.sites, b.tally.sites) << label;
@@ -466,7 +466,7 @@ void expect_engines_agree(eval::DriverCampaignConfig cfg,
     auto walker = eval::run_driver_campaign(cfg);
     expect_identical_campaigns(walker, vm, l);
     EXPECT_GT(vm.prefix_cache_hits, 0u) << l;
-    EXPECT_EQ(vm.prefix_cache_hits, vm.sampled_mutants - vm.deduped_mutants)
+    EXPECT_EQ(vm.prefix_cache_hits, vm.sample_size - vm.deduped_mutants)
         << l;
     EXPECT_EQ(walker.prefix_cache_hits, 0u) << l;
     EXPECT_EQ(walker.patch_hits + walker.patch_fallbacks, 0u) << l;

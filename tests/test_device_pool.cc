@@ -121,7 +121,9 @@ TEST(DevicePool, ConcurrentHandoutIsExclusiveAndClean) {
 }
 
 TEST(DevicePool, TypedIdeDiskWrapperKeepsDirtyTrackingSemantics) {
-  hw::IdeDiskPool pool;
+  // An IdeDisk recycled through the generic pool comes back with its
+  // registers wiped and no damage.
+  hw::DevicePool pool([] { return std::make_shared<hw::IdeDisk>(); });
   auto disk = pool.acquire();
   disk->write(6, 0x10, 8);  // select the (absent) slave drive
   EXPECT_EQ(disk->read(6, 8), 0xb0u);

@@ -157,7 +157,7 @@ int ide_boot() {
   // Sites: the 0x1f7 literal, plus the `s` identifier (confusable with the
   // file's other defined identifier, the function name).
   EXPECT_EQ(res.total_sites, 2u);
-  EXPECT_GT(res.sampled_mutants, 30u);
+  EXPECT_GT(res.sample_size, 30u);
   // The O-typo mutant is a compile error.
   EXPECT_GE(res.tally.mutants_of(Outcome::kCompileTime), 1u);
   // Reading a different mapped register boots with a wrong fingerprint.
@@ -177,12 +177,12 @@ int helper(int x) {
 int ide_boot() { return helper(1); }
 )");
   auto res = eval::run_driver_campaign(cfg);
-  EXPECT_GT(res.sampled_mutants, 0u);
+  EXPECT_GT(res.sample_size, 0u);
   // Everything that compiles is dead (the O-typo variant is caught at
   // compile time before executability matters).
   EXPECT_EQ(res.tally.mutants_of(Outcome::kDeadCode) +
                 res.tally.mutants_of(Outcome::kCompileTime),
-            res.sampled_mutants);
+            res.sample_size);
   EXPECT_GT(res.tally.mutants_of(Outcome::kDeadCode), 0u);
 }
 
@@ -195,7 +195,7 @@ TEST(DriverCampaign, MacroSiteDeadOnlyIfUsesUnexecuted) {
 int ide_boot() { return MAGIC + 1; }
 )");
   auto res = eval::run_driver_campaign(cfg);
-  EXPECT_GT(res.sampled_mutants, 0u);
+  EXPECT_GT(res.sample_size, 0u);
   EXPECT_EQ(res.tally.mutants_of(Outcome::kDeadCode), 0u);
   // Changing the value changes the fingerprint: damaged boot.
   EXPECT_GT(res.tally.mutants_of(Outcome::kDamagedBoot), 0u);
@@ -208,9 +208,9 @@ TEST(DriverCampaign, SamplingIsDeterministicAndScales) {
   cfg.sample_percent = 10;
   auto a = eval::run_driver_campaign(cfg);
   auto b = eval::run_driver_campaign(cfg);
-  EXPECT_EQ(a.sampled_mutants, b.sampled_mutants);
+  EXPECT_EQ(a.sample_size, b.sample_size);
   EXPECT_EQ(a.tally.mutants, b.tally.mutants);
-  EXPECT_LT(a.sampled_mutants, a.total_mutants / 5);
+  EXPECT_LT(a.sample_size, a.total_mutants / 5);
 }
 
 // ---- report rendering -----------------------------------------------------------
@@ -234,22 +234,22 @@ TEST(Report, Table2ContainsAllSpecs) {
 TEST(Report, DriverTableShowsRuntimeRowOnlyWhenPresent) {
   eval::DriverCampaignResult r;
   r.total_sites = 3;
-  r.sampled_mutants = 10;
+  r.sample_size = 10;
   r.tally.add(Outcome::kBoot, 0);
   std::string without = eval::render_driver_table("T", r);
   EXPECT_EQ(without.find("Run-time check"), std::string::npos);
   r.tally.add(Outcome::kRunTime, 1);
-  r.sampled_mutants = 11;
+  r.sample_size = 11;
   std::string with = eval::render_driver_table("T", r);
   EXPECT_NE(with.find("Run-time check"), std::string::npos);
 }
 
 TEST(Report, ComparisonComputesRatios) {
   eval::DriverCampaignResult c, d;
-  c.sampled_mutants = 100;
+  c.sample_size = 100;
   for (int i = 0; i < 20; ++i) c.tally.add(Outcome::kCompileTime, 0);
   for (int i = 0; i < 40; ++i) c.tally.add(Outcome::kBoot, 1);
-  d.sampled_mutants = 100;
+  d.sample_size = 100;
   for (int i = 0; i < 60; ++i) d.tally.add(Outcome::kCompileTime, 0);
   for (int i = 0; i < 10; ++i) d.tally.add(Outcome::kBoot, 1);
   std::string s = eval::render_comparison(c, d);

@@ -538,7 +538,7 @@ void expect_same_result(const eval::FaultCampaignResult& a,
                         const eval::FaultCampaignResult& b,
                         const std::string& label) {
   EXPECT_EQ(a.total_scenarios, b.total_scenarios) << label;
-  EXPECT_EQ(a.sampled_scenarios, b.sampled_scenarios) << label;
+  EXPECT_EQ(a.sample_size, b.sample_size) << label;
   EXPECT_EQ(a.triggered_scenarios, b.triggered_scenarios) << label;
   EXPECT_EQ(a.clean_fingerprint, b.clean_fingerprint) << label;
   EXPECT_EQ(a.tally.scenarios, b.tally.scenarios) << label;
@@ -637,7 +637,7 @@ TEST(EventCampaign, ShardArtifactsRoundTripEventKinds) {
   // The parsed records preserve the event plans field-for-field.
   ASSERT_EQ(parsed.fault_campaigns.size(), 1u);
   size_t storms = 0;
-  for (const auto& rec : parsed.fault_campaigns[0].records) {
+  for (const auto& rec : parsed.fault_campaigns[0].result.records) {
     if (rec.plan.kind != FaultKind::kIrqStorm) continue;
     ++storms;
     EXPECT_TRUE(rec.plan.is_event_fault());

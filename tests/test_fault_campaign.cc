@@ -64,7 +64,7 @@ void expect_same_result(const FaultCampaignResult& a,
   EXPECT_EQ(a.device, b.device) << label;
   EXPECT_EQ(a.entry, b.entry) << label;
   EXPECT_EQ(a.total_scenarios, b.total_scenarios) << label;
-  EXPECT_EQ(a.sampled_scenarios, b.sampled_scenarios) << label;
+  EXPECT_EQ(a.sample_size, b.sample_size) << label;
   EXPECT_EQ(a.triggered_scenarios, b.triggered_scenarios) << label;
   EXPECT_EQ(a.clean_fingerprint, b.clean_fingerprint) << label;
   EXPECT_EQ(a.tally.scenarios, b.tally.scenarios) << label;
@@ -132,7 +132,7 @@ TEST(FaultCampaign, ThreadCountDoesNotChangeResults) {
   auto res1 = eval::run_fault_campaign(busmouse_c_fault_config(1));
   auto res4 = eval::run_fault_campaign(busmouse_c_fault_config(4));
   expect_same_result(res1, res4, "threads 1 vs 4");
-  EXPECT_GT(res1.sampled_scenarios, 0u);
+  EXPECT_GT(res1.sample_size, 0u);
   EXPECT_GT(res1.triggered_scenarios, 0u);
 }
 
@@ -237,7 +237,7 @@ TEST(FaultCampaign, UntriggeredScenariosBootClean) {
   // The busmouse boot touches only a few accesses per port, so the late
   // trigger offsets must produce genuinely untriggered scenarios.
   EXPECT_GT(untriggered, 0u);
-  EXPECT_EQ(res.triggered_scenarios + untriggered, res.sampled_scenarios);
+  EXPECT_EQ(res.triggered_scenarios + untriggered, res.sample_size);
 }
 
 TEST(FaultCampaign, CDevilDetectsStrictlyMoreFaultsThanC) {

@@ -361,7 +361,7 @@ void expect_same_boot(const Boot& vm, const Boot& walker,
   EXPECT_EQ(vm.run.fault_message, walker.run.fault_message) << what;
   EXPECT_EQ(vm.run.steps_used, walker.run.steps_used) << what;
   EXPECT_EQ(vm.run.return_value, walker.run.return_value) << what;
-  EXPECT_EQ(vm.run.executed_lines, walker.run.executed_lines) << what;
+  EXPECT_EQ(vm.run.executed.to_set(), walker.run.executed.to_set()) << what;
   EXPECT_EQ(vm.run.log, walker.run.log) << what;
   EXPECT_EQ(vm.trace, walker.trace) << what;
   EXPECT_EQ(vm.fired, walker.fired) << what;

@@ -265,10 +265,10 @@ TEST(MetricsDeterminism, MergedShardsReproduceTheSingleProcessSection) {
   eval::merge_process_metrics(expect, sample_process_metrics(3));
   EXPECT_TRUE(combined.process == expect);
 
-  // A 1/1 shard's local metrics row equals the full-run row: the shard row
-  // builder and the campaign row builder cannot drift.
+  // A 1/1 shard's metrics row equals the full run's.
   eval::ShardArtifact whole = eval::run_campaign_shard(config, "C", {1, 1});
-  EXPECT_TRUE(eval::shard_metrics_row(whole) == single.campaigns[0]);
+  EXPECT_TRUE(eval::campaign_metrics_row(whole.result, whole.label,
+                                         whole.engine) == single.campaigns[0]);
 }
 
 TEST(MetricsDeterminism, BundlesWithoutMetricsMergeToNothing) {

@@ -248,10 +248,10 @@ TEST(MiniCInterp, ExecutedLinesTracked) {
       "  }\n"
       "  return x;\n"     // 7
       "}\n");
-  EXPECT_TRUE(out.executed_lines.count(3));
-  EXPECT_TRUE(out.executed_lines.count(4));
-  EXPECT_FALSE(out.executed_lines.count(5));
-  EXPECT_TRUE(out.executed_lines.count(7));
+  EXPECT_TRUE(out.executed.test(3));
+  EXPECT_TRUE(out.executed.test(4));
+  EXPECT_FALSE(out.executed.test(5));
+  EXPECT_TRUE(out.executed.test(7));
 }
 
 TEST(MiniCInterp, CaseLabelComparisonCountsAsExecution) {
@@ -266,9 +266,9 @@ TEST(MiniCInterp, CaseLabelComparisonCountsAsExecution) {
       "  return 0;\n"
       "}\n");
   EXPECT_EQ(out.return_value, 20);
-  EXPECT_TRUE(out.executed_lines.count(3));
-  EXPECT_FALSE(out.executed_lines.count(4));
-  EXPECT_TRUE(out.executed_lines.count(6));
+  EXPECT_TRUE(out.executed.test(3));
+  EXPECT_FALSE(out.executed.test(4));
+  EXPECT_TRUE(out.executed.test(6));
 }
 
 TEST(MiniCInterp, LabelsAfterMatchNotCompared) {
@@ -280,8 +280,8 @@ TEST(MiniCInterp, LabelsAfterMatchNotCompared) {
       "  }\n"
       "  return 0;\n"
       "}\n");
-  EXPECT_TRUE(out.executed_lines.count(3));
-  EXPECT_FALSE(out.executed_lines.count(4));
+  EXPECT_TRUE(out.executed.test(3));
+  EXPECT_FALSE(out.executed.test(4));
 }
 
 }  // namespace

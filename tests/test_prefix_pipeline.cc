@@ -34,7 +34,7 @@ void expect_same_outcome(const minic::RunOutcome& whole,
   EXPECT_EQ(whole.fault_message, spliced.fault_message) << label;
   EXPECT_EQ(whole.return_value, spliced.return_value) << label;
   EXPECT_EQ(whole.steps_used, spliced.steps_used) << label;
-  EXPECT_EQ(whole.executed_lines, spliced.executed_lines) << label;
+  EXPECT_EQ(whole.executed.to_set(), spliced.executed.to_set()) << label;
   EXPECT_EQ(whole.log, spliced.log) << label;
 }
 

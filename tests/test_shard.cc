@@ -1,7 +1,8 @@
-// Process-level campaign sharding: shard artifacts must merge into results
-// byte-identical to the single-process campaign — records, tallies,
-// dedup/prefix-cache counters and the rendered report tables — for every
-// device in campaign_drivers(), across a JSON serialize/parse round trip.
+// Process-level campaign sharding: shard artifacts must merge into the
+// artifact of the 1/1 shard byte for byte — records with their steps,
+// traces, patch and cache bits and key hashes, tallies and every counter —
+// for every device in campaign_drivers(), across a JSON serialize/parse
+// round trip.
 // The merge must reject anything that does not tile exactly one campaign
 // (mismatched config fingerprints, duplicate/missing/overlapping slices,
 // corrupt or truncated artifacts), and shard artifacts must be invariant
@@ -31,6 +32,7 @@ namespace {
 
 using eval::DriverCampaignConfig;
 using eval::DriverCampaignResult;
+using eval::FaultShardArtifact;
 using eval::ShardArtifact;
 using eval::ShardBundle;
 using eval::ShardSpec;
@@ -76,7 +78,7 @@ void expect_same_result(const DriverCampaignResult& a,
   EXPECT_EQ(a.entry, b.entry) << label;
   EXPECT_EQ(a.total_sites, b.total_sites) << label;
   EXPECT_EQ(a.total_mutants, b.total_mutants) << label;
-  EXPECT_EQ(a.sampled_mutants, b.sampled_mutants) << label;
+  EXPECT_EQ(a.sample_size, b.sample_size) << label;
   EXPECT_EQ(a.deduped_mutants, b.deduped_mutants) << label;
   EXPECT_EQ(a.prefix_cache_hits, b.prefix_cache_hits) << label;
   EXPECT_EQ(a.clean_fingerprint, b.clean_fingerprint) << label;
@@ -94,10 +96,21 @@ void expect_same_result(const DriverCampaignResult& a,
   }
 }
 
-/// Shards `config` N ways (JSON round-tripping every artifact), merges, and
-/// returns the merged result.
-DriverCampaignResult shard_and_merge(const DriverCampaignConfig& config,
-                                     unsigned count) {
+/// The serialized 1/1 bundle of `campaigns` and `fault_campaigns`. A merged
+/// campaign, written this way, must equal the 1/1 shard's bundle byte for
+/// byte.
+std::string whole_bundle(std::vector<ShardArtifact> campaigns,
+                         std::vector<FaultShardArtifact> fault_campaigns = {}) {
+  ShardBundle bundle;
+  bundle.campaigns = std::move(campaigns);
+  bundle.fault_campaigns = std::move(fault_campaigns);
+  return eval::serialize_shard_bundle(bundle);
+}
+
+/// Shards the C campaign `config` N ways and returns the bundles, each
+/// JSON round-tripped as a shard process would write and load it.
+std::vector<ShardBundle> shard_bundles(const DriverCampaignConfig& config,
+                                       unsigned count) {
   std::vector<ShardBundle> bundles;
   for (unsigned i = 1; i <= count; ++i) {
     ShardBundle bundle;
@@ -107,9 +120,7 @@ DriverCampaignResult shard_and_merge(const DriverCampaignConfig& config,
     bundles.push_back(
         eval::parse_shard_bundle(eval::serialize_shard_bundle(bundle)));
   }
-  auto merged = eval::merge_shard_bundles(bundles);
-  EXPECT_EQ(merged.size(), 1u);
-  return std::move(merged.front().result);
+  return bundles;
 }
 
 // ---------------------------------------------------------------------------
@@ -174,8 +185,9 @@ TEST(ShardSpecTest, RunCampaignShardRejectsBadSpecs) {
 TEST(ShardMergeTest, ThreeShardsMergeByteIdenticalForAllDevices) {
   for (const auto& drivers : corpus::campaign_drivers()) {
     auto [c_cfg, d_cfg] = device_configs(drivers, /*threads=*/2);
-    auto c_single = eval::run_driver_campaign(c_cfg);
-    auto d_single = eval::run_driver_campaign(d_cfg);
+    const ShardArtifact c_whole = eval::run_campaign_shard(c_cfg, "C", {1, 1});
+    const ShardArtifact d_whole =
+        eval::run_campaign_shard(d_cfg, "CDevil", {1, 1});
 
     // Three shard "processes", each bundling both campaigns, round-tripped
     // through the JSON artifact format as real processes would.
@@ -197,46 +209,73 @@ TEST(ShardMergeTest, ThreeShardsMergeByteIdenticalForAllDevices) {
     EXPECT_EQ(merged[0].label, "C");
     EXPECT_EQ(merged[1].label, "CDevil");
 
-    const std::string tag(drivers.device);
-    expect_same_result(merged[0].result, c_single, tag + "/C");
-    expect_same_result(merged[1].result, d_single, tag + "/CDevil");
+    EXPECT_EQ(whole_bundle(merged), whole_bundle({c_whole, d_whole}))
+        << drivers.device;
     EXPECT_EQ(eval::render_campaign_tables(merged[0].result,
                                            merged[1].result),
-              eval::render_campaign_tables(c_single, d_single))
-        << tag;
+              eval::render_campaign_tables(c_whole.result, d_whole.result))
+        << drivers.device;
+  }
+}
+
+TEST(ShardMergeTest, NWayMergesReproduceTheOneOfOneArtifact) {
+  const DriverCampaignConfig mutation = busmouse_c_config(100, /*threads=*/2);
+  eval::FaultCampaignConfig fault;
+  fault.base.driver = corpus::c_ide_irq_driver();
+  fault.base.device = eval::ide_irq_binding();
+  fault.base.threads = 2;
+  const std::string mutation_whole =
+      whole_bundle({eval::run_campaign_shard(mutation, "C", {1, 1})});
+  const std::string fault_whole =
+      whole_bundle({}, {eval::run_fault_campaign_shard(fault, "C", {1, 1})});
+
+  for (unsigned count : {2u, 3u, 7u}) {
+    SCOPED_TRACE(std::to_string(count) + "-way");
+    EXPECT_EQ(whole_bundle(eval::merge_shard_bundles(
+                  shard_bundles(mutation, count))),
+              mutation_whole);
+
+    std::vector<ShardBundle> bundles;
+    for (unsigned i = 1; i <= count; ++i) {
+      ShardBundle bundle;
+      bundle.shard = ShardSpec{i, count};
+      bundle.fault_campaigns.push_back(
+          eval::run_fault_campaign_shard(fault, "C", bundle.shard));
+      bundles.push_back(
+          eval::parse_shard_bundle(eval::serialize_shard_bundle(bundle)));
+    }
+    EXPECT_EQ(whole_bundle({}, eval::merge_fault_bundles(bundles)),
+              fault_whole);
   }
 }
 
 TEST(ShardMergeTest, OneOfOneEqualsUnsharded) {
   auto cfg = busmouse_c_config();
-  auto single = eval::run_driver_campaign(cfg);
-  expect_same_result(shard_and_merge(cfg, 1), single, "busmouse 1/1");
+  const ShardArtifact whole = eval::run_campaign_shard(cfg, "C", {1, 1});
+  EXPECT_EQ(whole.slice_begin, 0u);
+  EXPECT_EQ(whole.slice_end, whole.result.sample_size);
+  EXPECT_EQ(whole.keys.size(), whole.result.records.size());
+  expect_same_result(whole.result, eval::run_driver_campaign(cfg),
+                     "busmouse 1/1");
 }
 
 TEST(ShardMergeTest, MoreShardsThanMutantsYieldsEmptyShards) {
   // A 3% sample of the busmouse corpus is a few dozen mutants; shard it
   // far wider than the sample so many slices are empty, and the merge must
-  // still reassemble the exact unsharded result.
+  // still reassemble the exact unsharded artifact.
   auto cfg = busmouse_c_config(/*sample_percent=*/3);
-  auto single = eval::run_driver_campaign(cfg);
-  ASSERT_GT(single.sampled_mutants, 0u);
-  const unsigned count = static_cast<unsigned>(single.sampled_mutants) + 5;
+  const ShardArtifact whole = eval::run_campaign_shard(cfg, "C", {1, 1});
+  ASSERT_GT(whole.result.sample_size, 0u);
+  const unsigned count = static_cast<unsigned>(whole.result.sample_size) + 5;
 
-  std::vector<ShardBundle> bundles;
+  std::vector<ShardBundle> bundles = shard_bundles(cfg, count);
   size_t empty_shards = 0;
-  for (unsigned i = 1; i <= count; ++i) {
-    ShardBundle bundle;
-    bundle.shard = ShardSpec{i, count};
-    bundle.campaigns.push_back(
-        eval::run_campaign_shard(cfg, "C", bundle.shard));
-    if (bundle.campaigns.front().records.empty()) ++empty_shards;
-    bundles.push_back(
-        eval::parse_shard_bundle(eval::serialize_shard_bundle(bundle)));
+  for (const ShardBundle& bundle : bundles) {
+    if (bundle.campaigns.front().result.records.empty()) ++empty_shards;
   }
   EXPECT_GE(empty_shards, 5u);
-  auto merged = eval::merge_shard_bundles(bundles);
-  ASSERT_EQ(merged.size(), 1u);
-  expect_same_result(merged.front().result, single, "busmouse oversharded");
+  EXPECT_EQ(whole_bundle(eval::merge_shard_bundles(bundles)),
+            whole_bundle({whole}));
 }
 
 TEST(ShardMergeTest, ShardArtifactsInvariantUnderThreadCount) {
@@ -268,7 +307,7 @@ TEST(ShardMergeTest, CrossShardDuplicatesAreReDeduped) {
     bundle.shard = ShardSpec{i, 3};
     bundle.campaigns.push_back(
         eval::run_campaign_shard(cfg, "C", bundle.shard));
-    local_deduped += bundle.campaigns.front().deduped_mutants;
+    local_deduped += bundle.campaigns.front().result.deduped_mutants;
     bundles.push_back(std::move(bundle));
   }
   auto merged = eval::merge_shard_bundles(bundles);
@@ -314,14 +353,19 @@ std::vector<ShardBundle> two_shards(Kind kind) {
           busmouse_bundle(kind, ShardSpec{2, 2})};
 }
 
-/// The `kind` section of a bundle, seen through the shared header.
+/// The size of a bundle's `kind` section, and the label and whole sample
+/// of its first campaign.
 size_t campaign_count(const ShardBundle& b, Kind kind) {
   return kind == Kind::kMutation ? b.campaigns.size()
                                  : b.fault_campaigns.size();
 }
-eval::SliceHeader& campaign(ShardBundle& b, Kind kind, size_t j) {
-  if (kind == Kind::kMutation) return b.campaigns.at(j);
-  return b.fault_campaigns.at(j);
+std::string& first_label(ShardBundle& b, Kind kind) {
+  if (kind == Kind::kMutation) return b.campaigns.at(0).label;
+  return b.fault_campaigns.at(0).label;
+}
+size_t first_sample_size(const ShardBundle& b, Kind kind) {
+  if (kind == Kind::kMutation) return b.campaigns.at(0).result.sample_size;
+  return b.fault_campaigns.at(0).result.sample_size;
 }
 
 void expect_merge_error(Kind kind, const std::vector<ShardBundle>& bundles,
@@ -390,7 +434,7 @@ TEST(ShardMergeTest, RejectsDisagreeingCampaignLists) {
 
     bundles = two_shards(kind);
     ASSERT_EQ(campaign_count(bundles[1], kind), 1u);
-    campaign(bundles[1], kind, 0).label = "CDevil";
+    first_label(bundles[1], kind) = "CDevil";
     expect_merge_error(kind, bundles, "in that position");
   }
 }
@@ -484,25 +528,26 @@ TEST(ShardArtifactTest, RejectsSampleLargerThanTheGeneratedPopulation) {
   for (Kind kind : kKinds) {
     SCOPED_TRACE(kind_name(kind));
     ShardBundle bundle = busmouse_bundle(kind, ShardSpec{1, 1});
-    const eval::SliceHeader& h = campaign(bundle, kind, 0);
-    ASSERT_GT(h.sample_size, 10u);
+    const size_t sample_size = first_sample_size(bundle, kind);
+    ASSERT_GT(sample_size, 10u);
     const std::string field = kind == Kind::kMutation ? "\"total_mutants\":"
                                                       : "\"total_scenarios\":";
     const size_t generated =
-        kind == Kind::kMutation ? bundle.campaigns[0].total_mutants
-                                : bundle.fault_campaigns[0].total_scenarios;
+        kind == Kind::kMutation
+            ? bundle.campaigns[0].result.total_mutants
+            : bundle.fault_campaigns[0].result.total_scenarios;
     expect_parse_error(
         replace_first(eval::serialize_shard_bundle(bundle),
                       field + std::to_string(generated) + ",",
                       field + "10,"),
-        "sample of " + std::to_string(h.sample_size) +
+        "sample of " + std::to_string(sample_size) +
             " exceeds the generated matrix of 10");
   }
 }
 
 TEST(ShardArtifactTest, RejectsFaultRecordsThatContradictTheirCounters) {
   ShardBundle bundle = busmouse_bundle(Kind::kFault, ShardSpec{1, 1});
-  const eval::FaultShardArtifact& a = bundle.fault_campaigns.at(0);
+  const eval::FaultCampaignResult& a = bundle.fault_campaigns.at(0).result;
   const std::string text = eval::serialize_shard_bundle(bundle);
 
   // An untriggered scenario cannot boot anything but clean.
@@ -526,11 +571,11 @@ TEST(ShardArtifactTest, RejectsFaultRecordsThatContradictTheirCounters) {
   expect_parse_error(hung, "untriggered scenario with outcome 'hang'");
 
   // The stored triggered count must match the records' bits.
+  const size_t triggered = a.triggered_scenarios;
   expect_parse_error(
-      replace_first(text, "\"triggered\":" + std::to_string(a.triggered) + ",",
-                    "\"triggered\":" + std::to_string(a.triggered + 1) +
-                        ","),
-      "triggered says " + std::to_string(a.triggered + 1));
+      replace_first(text, "\"triggered\":" + std::to_string(triggered) + ",",
+                    "\"triggered\":" + std::to_string(triggered + 1) + ","),
+      "triggered says " + std::to_string(triggered + 1));
 }
 
 TEST(ShardArtifactTest, LoadReportsMissingFile) {
