@@ -254,17 +254,40 @@ bool run_device_fault_campaigns(const eval::CampaignSpec& spec,
   }
   if (!assert_counters) return true;
   bool ok = true;
-  // Hang scenarios spin on exact cycles (a stuck status bit polled
-  // forever), so on the VM any campaign with one must have fast-forwarded.
+  const bool vm = spec.engine == minic::ExecEngine::kBytecodeVm;
   for (const auto& [what, r] : {std::pair{"C", &c_res},
                                 std::pair{"CDevil", &d_res}}) {
     print_fast_forwards(drivers.device, what, r->fast_forwards,
                         r->skipped_steps);
-    if (spec.engine == minic::ExecEngine::kBytecodeVm &&
-        r->tally.scenarios_of(eval::FaultOutcome::kHang) != 0 &&
+    // Hang scenarios spin on exact cycles (a stuck status bit polled
+    // forever), so on the VM any campaign with one must have fast-forwarded.
+    if (vm && r->tally.scenarios_of(eval::FaultOutcome::kHang) != 0 &&
         r->fast_forwards == 0) {
       std::fprintf(stderr, "FAIL: %s %s fault campaign has Hang records but "
                    "fast-forwarded no boot\n", drivers.device, what);
+      ok = false;
+    }
+    size_t absorbed = 0, untriggered_booted = 0;
+    for (const auto& rec : r->records) {
+      absorbed += rec.replayed && rec.triggered ? 1 : 0;
+      untriggered_booted += !rec.replayed && !rec.triggered ? 1 : 0;
+    }
+    std::fprintf(stderr,
+                 "%s %s: %zu scenario(s) replayed from the golden boot "
+                 "(%zu untriggered, %zu absorbed)\n",
+                 drivers.device, what, r->replayed, r->replayed - absorbed,
+                 absorbed);
+    // The VM replays every untriggered scenario; booting one means the
+    // census and the injector disagree. The walker boots every scenario.
+    if (vm && untriggered_booted != 0) {
+      std::fprintf(stderr, "FAIL: %s %s fault campaign booted %zu "
+                   "untriggered scenario(s)\n", drivers.device, what,
+                   untriggered_booted);
+      ok = false;
+    }
+    if (!vm && r->replayed != 0) {
+      std::fprintf(stderr, "FAIL: %s %s walker fault campaign replayed %zu "
+                   "scenario(s)\n", drivers.device, what, r->replayed);
       ok = false;
     }
   }
@@ -666,8 +689,9 @@ int usage(std::FILE* to) {
       "  --assert-counters    fail unless dedup + prefix cache engaged\n"
       "                       (and, unless --walker,\n"
       "                       bytecode patching both hit and fell back)\n"
-      "                       (with --faults: fail unless faults fired and\n"
-      "                       CDevil detected strictly more than C)\n"
+      "                       (with --faults: fail unless faults fired,\n"
+      "                       CDevil detected strictly more than C, and the\n"
+      "                       VM replayed every untriggered scenario)\n"
       "                       (with --spec-campaign: fail if any mutant\n"
       "                       was re-lexed or, with dedup on, none deduped)\n"
       "  --workers N          --serve/--dispatch: shard workers per job\n"

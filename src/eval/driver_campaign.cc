@@ -124,13 +124,17 @@ void run_boots(const KernelContext& ctx, size_t n, unsigned threads,
 }
 
 BootRig::BootRig(hw::DevicePool& pool, const DeviceBinding& binding,
-                 bool record, const hw::FaultPlan* fault)
+                 bool record, const hw::FaultPlan* fault,
+                 hw::FaultCensus* census)
     : pool_(pool), device_(pool.acquire()) {
   std::shared_ptr<hw::Device> top = device_;
   if (fault != nullptr) {
     shim_ = std::make_shared<hw::FaultInjector>(device_, binding.port_base,
                                                 *fault);
     top = shim_;
+  } else if (census != nullptr) {
+    // No member holds it: it goes with the mapping, before the release.
+    top = std::make_shared<hw::CensusShim>(device_, census);
   }
   if (record) {
     // Outermost shim: the recorder sees exactly the driver-visible traffic —

@@ -22,6 +22,7 @@
 #include "mutation/site.h"
 
 namespace hw {
+class FaultCensus;
 class FaultInjector;
 class FlightRecorder;
 struct FaultPlan;
@@ -275,11 +276,13 @@ void run_boots(const KernelContext& ctx, size_t n, unsigned threads,
 /// One boot's device stack: a pooled device, the optional fault shim around
 /// it, and the optional flight recorder outermost, mapped on a fresh bus at
 /// the binding's window. The destructor tears it down in reverse (bus
-/// mapping, recorder, shim) and recycles the device into its pool.
+/// mapping, recorder, shim) and recycles the device into its pool. A
+/// `census` takes the fault shim's place with a hw::CensusShim.
 class BootRig {
  public:
   BootRig(hw::DevicePool& pool, const DeviceBinding& binding,
-          bool record = false, const hw::FaultPlan* fault = nullptr);
+          bool record = false, const hw::FaultPlan* fault = nullptr,
+          hw::FaultCensus* census = nullptr);
   BootRig(const BootRig&) = delete;
   BootRig& operator=(const BootRig&) = delete;
   ~BootRig();

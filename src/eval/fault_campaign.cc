@@ -134,13 +134,14 @@ FaultCampaignResult run_fault_campaign(const FaultCampaignConfig& config) {
 
 void recount(FaultCampaignResult& result) {
   result.tally = FaultTally();
-  result.triggered_scenarios = result.fast_forwards = 0;
+  result.triggered_scenarios = result.fast_forwards = result.replayed = 0;
   result.skipped_steps = 0;
   for (const FaultRecord& rec : result.records) {
     result.tally.add(rec.outcome, rec.plan.port);
     result.triggered_scenarios += rec.triggered ? 1 : 0;
     result.fast_forwards += rec.skipped_steps != 0 ? 1 : 0;
     result.skipped_steps += rec.skipped_steps;
+    result.replayed += rec.replayed ? 1 : 0;
   }
 }
 
@@ -191,9 +192,10 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
   result.device = base.device.device;
   result.entry = entry;
 
-  // --- fault-free baseline --------------------------------------------------------
+  // --- fault-free baseline, through the census ---------------------------------
+  hw::FaultCensus census(base.device.port_base, base.device.port_span);
   {
-    BootRig rig(device_pool, base.device);
+    BootRig rig(device_pool, base.device, /*record=*/false, nullptr, &census);
     auto run = boot(rig.bus(), &result.baseline_opcodes);
     result.baseline_steps = run.steps_used;
     check_baseline_boot(kc, run, rig.device());
@@ -220,6 +222,17 @@ FaultCampaignResult run_fault_campaign_slice(const FaultCampaignConfig& config,
     FaultRecord rec;
     rec.scenario_index = scenario_ix;
     rec.plan = plan;
+    const hw::CensusVerdict verdict =
+        module ? census.verdict(plan) : hw::CensusVerdict::kBoots;
+    if (verdict != hw::CensusVerdict::kBoots) {
+      // The golden record: clean, no detail or trace, the baseline's steps
+      // (never fast-forwarded: the census declines capture_state).
+      rec.triggered = verdict == hw::CensusVerdict::kAbsorbed;
+      rec.replayed = true;
+      rec.steps = result.baseline_steps;
+      result.records[i] = std::move(rec);
+      return;
+    }
 
     // Recorder outermost: the trace shows the post-fault values the driver
     // actually read, not the healthy device's.

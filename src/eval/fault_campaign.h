@@ -12,6 +12,11 @@
 // the join), and the same slice arithmetic — so fault campaigns are
 // byte-identical across thread counts, execution engines and process-level
 // shards (eval/shard.h) exactly like mutation campaigns.
+//
+// The fault-free baseline boots once through a census shim. On the VM, a
+// scenario its hw::FaultCensus proves equal to that golden boot (the
+// trigger is never reached, or a stuck-at fault changes no read) gets the
+// golden record instead of a boot; the tree walker boots every scenario.
 #pragma once
 
 #include <cstdint>
@@ -72,13 +77,14 @@ struct FaultTally {
 
 /// One scenario's outcome. `scenario_index` points into the full generated
 /// matrix (fault_scenario_matrix), `triggered` says whether the fault ever
-/// fired during the boot — an untriggered scenario always boots clean.
+/// fired (replayed: per the census) — an untriggered scenario boots clean.
 struct FaultRecord {
   size_t scenario_index = 0;
   hw::FaultPlan plan;
   FaultOutcome outcome = FaultOutcome::kCleanBoot;
   std::string detail;  // fault message / damage note, when any
   bool triggered = false;
+  bool replayed = false;  // given the golden record, unbooted (in memory)
   /// Interpreter steps the boot retired.
   uint64_t steps = 0;
   /// Of `steps`, those the VM's loop fast-forward accounted without
@@ -118,6 +124,7 @@ struct FaultCampaignResult : CampaignBaseline {
   /// (sums over the records; in memory only, like FaultRecord's field).
   size_t fast_forwards = 0;
   uint64_t skipped_steps = 0;
+  size_t replayed = 0;  // records with the bit set (in memory only)
   FaultTally tally;
   std::vector<FaultRecord> records;  // in sampled-scenario order
 };
@@ -152,7 +159,7 @@ void recount(FaultCampaignResult& result);
     const FaultCampaignConfig& config);
 
 /// Sliced variant for process-level sharding: identical preparation, but
-/// only the sampled scenarios in `slice` are booted. The {0, 1} slice is
+/// only the sampled scenarios in `slice` are run. The {0, 1} slice is
 /// exactly run_fault_campaign.
 [[nodiscard]] FaultCampaignResult run_fault_campaign_slice(
     const FaultCampaignConfig& config, SampleSlice slice);

@@ -199,4 +199,61 @@ void FaultInjector::raise_irq(int line, uint64_t delay_steps, bool genuine) {
   out->raise_irq(line, delay_steps, genuine);
 }
 
+CensusVerdict FaultCensus::verdict(const FaultPlan& plan) const {
+  // `seen` is where the golden boot leaves the injector counter that the
+  // plan's trigger compares with `after`: the plan fires iff seen > after.
+  const uint64_t offset = uint64_t{plan.port} - port_base;  // wraps below
+  uint64_t seen = 0;
+  if (plan.kind == FaultKind::kSpuriousIrq) {
+    seen = irq_accesses;
+  } else if (plan.is_event_fault()) {
+    if (plan.port >= raises.size()) return CensusVerdict::kBoots;
+    seen = raises[plan.port];
+  } else if (offset >= ports.size()) {
+    return CensusVerdict::kBoots;
+  } else {  // matched_: writes for drop-write, reads for the read faults
+    seen = plan.kind == FaultKind::kDropWrite ? ports[offset].writes
+                                               : ports[offset].reads;
+  }
+  if (seen <= plan.after) return CensusVerdict::kNeverFires;
+  const bool stuck0 = plan.kind == FaultKind::kStuckZero;
+  bool absorbed = (stuck0 || plan.kind == FaultKind::kStuckOne) &&
+                  plan.mask != 0 && plan.mask <= 0xffu;
+  for (uint32_t bit = 0; absorbed && bit < 8; ++bit) {
+    const uint64_t end = (stuck0 ? ports[offset].set_end
+                                 : ports[offset].clear_end)[bit];
+    absorbed = (plan.mask >> bit & 1u) == 0 || end <= plan.after;
+  }
+  return absorbed ? CensusVerdict::kAbsorbed : CensusVerdict::kBoots;
+}
+
+uint32_t CensusShim::read(uint32_t offset, int width) {
+  if (irq_sink() != nullptr) ++census_->irq_accesses;
+  const uint32_t value = inner_->read(offset, width);
+  if (offset >= census_->ports.size()) return value;
+  FaultCensus::Port& port = census_->ports[offset];
+  const uint64_t end = ++port.reads;
+  const bool fits = value <= width_ones(width);
+  for (uint32_t bit = 0; bit < 8; ++bit) {
+    const bool set = (value >> bit & 1u) != 0;
+    if (set) port.set_end[bit] = end;
+    if (!set || !fits) port.clear_end[bit] = end;
+  }
+  return value;
+}
+
+void CensusShim::write(uint32_t offset, uint32_t value, int width) {
+  if (irq_sink() != nullptr) ++census_->irq_accesses;
+  if (offset < census_->ports.size()) ++census_->ports[offset].writes;
+  inner_->write(offset, value, width);
+}
+
+void CensusShim::raise_irq(int line, uint64_t delay_steps, bool genuine) {
+  IrqSink* out = irq_sink();
+  if (out == nullptr) return;
+  const auto index = static_cast<size_t>(line);  // wraps for a negative line
+  if (genuine && index < census_->raises.size()) ++census_->raises[index];
+  out->raise_irq(line, delay_steps, genuine);
+}
+
 }  // namespace hw

@@ -13,9 +13,12 @@
 // run, on every engine, at any thread count.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "hw/io_bus.h"
 
@@ -141,6 +144,67 @@ class FaultInjector final : public Device, public IrqSink {
   uint64_t fired_ = 0;
   uint64_t raise_seq_ = 0;   // genuine raises seen on the target line
   uint64_t access_seq_ = 0;  // device accesses seen (spurious trigger)
+};
+
+/// What one golden boot proves about a fault plan (FaultCensus::verdict).
+enum class CensusVerdict {
+  kBoots,       // no proof: the scenario must boot
+  kNeverFires,  // the trigger lies past the golden boot
+  kAbsorbed,    // a stuck-at fault fires, on reads already holding its bits
+};
+
+/// A golden (fault-free) boot's tally of everything a FaultInjector's
+/// trigger counts, over [port_base, port_base + span): until its fault
+/// fires, a scenario boots exactly like it. Fixed-size, O(1) verdict.
+struct FaultCensus {
+  struct Port {
+    uint64_t reads = 0;
+    uint64_t writes = 0;
+    /// Per low-byte bit, the read count just past the last read a stuck-at-0
+    /// (the bit was set) or a stuck-at-1 (the bit was clear, or the value
+    /// wider than the access, which stuck-at-1 truncates) would change.
+    std::array<uint64_t, 8> set_end{};
+    std::array<uint64_t, 8> clear_end{};
+  };
+
+  FaultCensus(uint32_t base, size_t span) : port_base(base), ports(span) {}
+  /// Default-deny: kBoots for a port outside the window, a line >= 8, a
+  /// stuck-at mask outside the low byte, and every fired non-stuck-at plan.
+  [[nodiscard]] CensusVerdict verdict(const FaultPlan& plan) const;
+
+  uint32_t port_base;
+  std::vector<Port> ports;  // per window offset
+  uint64_t irq_accesses = 0;  // access_seq_, counted while the IRQ is wired
+  std::array<uint64_t, IrqController::kLines> raises{};  // raise_seq_
+};
+
+/// Pass-through shim tallying `*census` (which outlives it), mapped where a
+/// scenario maps its FaultInjector: innermost, same window and IRQ wiring.
+/// It declines capture_state, so the boot it watches is stepped in full.
+class CensusShim final : public Device, public IrqSink {
+ public:
+  CensusShim(std::shared_ptr<Device> inner, FaultCensus* census)
+      : inner_(std::move(inner)), census_(census) {}
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  uint32_t read(uint32_t offset, int width) override;
+  void write(uint32_t offset, uint32_t value, int width) override;
+  void reset() override {  // forwards, and zeroes the census
+    inner_->reset();
+    *census_ = FaultCensus(census_->port_base, census_->ports.size());
+  }
+  [[nodiscard]] bool damaged() const override { return inner_->damaged(); }
+  [[nodiscard]] std::string damage_note() const override {
+    return inner_->damage_note();
+  }
+  void attach_irq(IrqSink* sink, int line) override {  // as the injector's
+    Device::attach_irq(sink, line);
+    inner_->attach_irq(sink != nullptr ? this : nullptr, line);
+  }
+  void raise_irq(int line, uint64_t delay_steps, bool genuine) override;
+
+ private:
+  std::shared_ptr<Device> inner_;
+  FaultCensus* census_;
 };
 
 }  // namespace hw

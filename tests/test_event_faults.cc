@@ -2,10 +2,11 @@
 // campaigns: IrqController queue/in-service semantics, IoBus delivery and
 // observer taps, device raise points (busmouse motion, IDE command
 // completion), the FaultInjector's event-fault kinds and their composition
-// with port-fault shims, MiniC request_irq binding and the wall-clock
-// watchdog, flight-recorder IRQ interleaving (byte-identical across
-// engines), pool-recycle bit-identity after event-faulted boots, and the
-// event-scenario campaign's determinism/merge/paper-shape guarantees.
+// with port-fault shims, the golden-boot census's event verdicts, MiniC
+// request_irq binding and the wall-clock watchdog, flight-recorder IRQ
+// interleaving (byte-identical across engines), pool-recycle bit-identity
+// after event-faulted boots, and the event-scenario campaign's
+// determinism/merge/paper-shape guarantees.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -314,6 +315,71 @@ TEST(FaultInjectorEvents, CompositionOrderWithPortShimsIsImmaterial) {
   EXPECT_EQ(values_a, (std::vector<uint32_t>{0xda, 0xda}));
   EXPECT_EQ(raises_a, raises_b);
   EXPECT_EQ(raises_a, 2u);  // one spurious injection + one genuine raise
+}
+
+TEST(FaultCensusEvents, AgreesWithTheInjectorOnEveryEventKind) {
+  // Two genuine raises on line 5; one genuine raise on line 3 and a
+  // non-genuine one on line 5, neither of which counts toward line 5; and
+  // three device accesses, reads and a write alike.
+  auto drive = [](hw::Device& shim, PulseDevice& dev) {
+    RecordingSink sink;
+    shim.attach_irq(&sink, 5);
+    auto& chain = dynamic_cast<hw::IrqSink&>(shim);
+    (void)shim.read(0, 8);
+    dev.pulse();
+    shim.write(1, 0xaa, 8);
+    chain.raise_irq(3, 0, true);
+    chain.raise_irq(5, 0, false);
+    dev.pulse();
+    (void)shim.read(2, 8);
+    shim.attach_irq(nullptr, 5);
+  };
+  hw::FaultCensus census(0x100, 4);
+  {
+    auto dev = std::make_shared<PulseDevice>();
+    hw::CensusShim shim(dev, &census);
+    drive(shim, *dev);
+  }
+  struct Case {
+    FaultKind kind;
+    int line;
+    uint32_t count;  // the events this plan's trigger counts
+  };
+  for (const Case& c : {Case{FaultKind::kLostIrq, 5, 2},
+                        Case{FaultKind::kIrqStorm, 5, 2},
+                        Case{FaultKind::kDelayIrq, 5, 2},
+                        Case{FaultKind::kLostIrq, 3, 1},
+                        Case{FaultKind::kSpuriousIrq, 5, 3}}) {
+    for (uint32_t after : {c.count - 1, c.count}) {
+      const FaultPlan plan = event_plan(c.line, c.kind, after, 4);
+      SCOPED_TRACE(plan.describe());
+      auto dev = std::make_shared<PulseDevice>();
+      FaultInjector injector(dev, 0x100, plan);
+      drive(injector, *dev);
+      const hw::CensusVerdict verdict = census.verdict(plan);
+      EXPECT_EQ(verdict != hw::CensusVerdict::kNeverFires,
+                injector.fired() > 0);
+      EXPECT_NE(verdict, hw::CensusVerdict::kAbsorbed);
+    }
+  }
+  // A line the census does not tally boots.
+  EXPECT_EQ(census.verdict(event_plan(8, FaultKind::kLostIrq, 100)),
+            hw::CensusVerdict::kBoots);
+}
+
+TEST(FaultCensusEvents, SpuriousNeverFiresWhileTheLineIsUnwired) {
+  hw::FaultCensus census(0x100, 4);
+  hw::CensusShim shim(std::make_shared<PulseDevice>(), &census);
+  FaultInjector injector(std::make_shared<PulseDevice>(), 0x100,
+                         event_plan(5, FaultKind::kSpuriousIrq, 0));
+  for (hw::Device* d : {static_cast<hw::Device*>(&shim),
+                        static_cast<hw::Device*>(&injector)}) {
+    (void)d->read(0, 8);
+    d->write(0, 0, 8);
+  }
+  EXPECT_EQ(injector.fired(), 0u);
+  EXPECT_EQ(census.verdict(event_plan(5, FaultKind::kSpuriousIrq, 0)),
+            hw::CensusVerdict::kNeverFires);
 }
 
 // ---------------------------------------------------------------------------

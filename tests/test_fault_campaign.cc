@@ -78,9 +78,12 @@ void expect_same_result(const FaultCampaignResult& a,
     EXPECT_EQ(a.records[i].plan.kind, b.records[i].plan.kind) << at;
     EXPECT_EQ(a.records[i].plan.after, b.records[i].plan.after) << at;
     EXPECT_EQ(a.records[i].plan.mask, b.records[i].plan.mask) << at;
+    EXPECT_EQ(a.records[i].plan.value, b.records[i].plan.value) << at;
     EXPECT_EQ(a.records[i].outcome, b.records[i].outcome) << at;
     EXPECT_EQ(a.records[i].detail, b.records[i].detail) << at;
     EXPECT_EQ(a.records[i].triggered, b.records[i].triggered) << at;
+    EXPECT_EQ(a.records[i].steps, b.records[i].steps) << at;
+    EXPECT_EQ(a.records[i].trace, b.records[i].trace) << at;
   }
 }
 

@@ -1,9 +1,11 @@
 // hw/fault_injection: the injection shim's counter-triggered semantics per
-// fault kind, and the device-reset-under-fault regression — a pooled device
-// recycled after a fault-injected boot must be indistinguishable from a
-// fresh one (bit-identical I/O trace on the next clean boot).
+// fault kind, the golden-boot census's verdicts against the injector, and
+// the device-reset-under-fault regression — a pooled device recycled after
+// a fault-injected boot must be indistinguishable from a fresh one
+// (bit-identical I/O trace on the next clean boot).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,6 +21,9 @@
 
 namespace {
 
+using hw::CensusShim;
+using hw::CensusVerdict;
+using hw::FaultCensus;
 using hw::FaultInjector;
 using hw::FaultKind;
 using hw::FaultPlan;
@@ -145,6 +150,131 @@ TEST(FaultInjector, ForwardsIdentityAndDamage) {
   EXPECT_EQ(shim.name(), "scripted");
   EXPECT_FALSE(shim.damaged());
   EXPECT_EQ(shim.inner().get(), inner.get());
+}
+
+// --- the golden-boot census ---------------------------------------------------
+//
+// A census of one access script must predict what a FaultInjector driven
+// through the same script does: "fires" exactly when fired() > 0, and for
+// the stuck-at kinds "absorbed" exactly when every read returned the
+// device's own value.
+
+/// Device whose successive reads (of any offset) step through a fixed list.
+/// 0x1c0 is wider than the 8-bit reads: stuck-at-1 truncates it.
+class SequenceDevice final : public hw::Device {
+ public:
+  std::string name() const override { return "sequence"; }
+  uint32_t read(uint32_t offset, int width) override {
+    (void)offset;
+    (void)width;
+    static constexpr uint32_t kValues[] = {0x01, 0x81, 0x80, 0x03,
+                                           0x1c0, 0x00, 0x7f, 0xff};
+    return kValues[reads_++ % std::size(kValues)];
+  }
+  void write(uint32_t offset, uint32_t value, int width) override {
+    (void)offset;
+    (void)value;
+    (void)width;
+  }
+  void reset() override { reads_ = 0; }
+
+ private:
+  size_t reads_ = 0;
+};
+
+struct ScriptedAccess {
+  bool write;
+  uint32_t offset;
+};
+
+// A 4-port window at 0x100; offset 3 is never touched.
+const std::vector<ScriptedAccess> kScript = {
+    {false, 0}, {false, 2}, {true, 1}, {false, 2}, {false, 0}, {true, 2},
+    {false, 2}, {false, 1}, {true, 1}, {false, 2}, {false, 2}, {false, 0}};
+
+/// Drives `shim` through kScript; returns the values read.
+std::vector<uint32_t> drive_script(hw::Device& shim) {
+  std::vector<uint32_t> values;
+  for (const ScriptedAccess& a : kScript) {
+    if (a.write) {
+      shim.write(a.offset, 0x11, 8);
+    } else {
+      values.push_back(shim.read(a.offset, 8));
+    }
+  }
+  return values;
+}
+
+TEST(FaultCensus, AgreesWithTheInjectorOnEveryPortKind) {
+  FaultCensus census(0x100, 4);
+  CensusShim shim(std::make_shared<SequenceDevice>(), &census);
+  const std::vector<uint32_t> golden = drive_script(shim);
+  SequenceDevice bare;
+  EXPECT_EQ(golden, drive_script(bare)) << "the census shim passes through";
+
+  size_t absorbed = 0, fired_changed = 0;
+  for (FaultKind kind :
+       {FaultKind::kStuckZero, FaultKind::kStuckOne, FaultKind::kFlipOnce,
+        FaultKind::kDropWrite, FaultKind::kFloatingBus,
+        FaultKind::kNeverReady}) {
+    const bool stuck =
+        kind == FaultKind::kStuckZero || kind == FaultKind::kStuckOne;
+    const bool writes = kind == FaultKind::kDropWrite;
+    for (uint32_t offset = 0; offset < 4; ++offset) {
+      uint32_t count = 0;  // the accesses this plan's trigger counts
+      for (const ScriptedAccess& a : kScript) {
+        if (a.offset == offset && a.write == writes) ++count;
+      }
+      // Every trigger up to the boundary: count - 1 arms on the last
+      // counted access, count on none. Stuck-at plans also sweep the bits.
+      for (uint32_t after = 0; after <= count; ++after) {
+        for (uint32_t bit = 0; bit < (stuck ? 8u : 1u); ++bit) {
+          const FaultPlan plan =
+              plan_for(0x100 + offset, kind, after, stuck ? 1u << bit : 0);
+          SCOPED_TRACE(plan.describe());
+          FaultInjector injector(std::make_shared<SequenceDevice>(), 0x100,
+                                 plan);
+          const bool same = drive_script(injector) == golden;
+          const bool fired = injector.fired() > 0;
+          const CensusVerdict verdict = census.verdict(plan);
+          EXPECT_EQ(verdict != CensusVerdict::kNeverFires, fired);
+          EXPECT_EQ(verdict == CensusVerdict::kAbsorbed,
+                    stuck && fired && same);
+          absorbed += verdict == CensusVerdict::kAbsorbed;
+          fired_changed += stuck && fired && !same;
+        }
+      }
+    }
+  }
+  // Both stuck-at outcomes occur, so neither side of the check is vacuous.
+  EXPECT_GT(absorbed, 0u);
+  EXPECT_GT(fired_changed, 0u);
+}
+
+TEST(FaultCensus, DeniesWhatItDoesNotTallyAndResetsWithTheDevice) {
+  FaultCensus census(0x100, 4);
+  CensusShim shim(std::make_shared<SequenceDevice>(), &census);
+  (void)drive_script(shim);
+  // Offset 0 reads 0x01, 0x03, 0x01: a stuck-at-1 bit 0 is absorbed.
+  EXPECT_EQ(census.verdict(plan_for(0x100, FaultKind::kStuckOne, 0, 0x01)),
+            CensusVerdict::kAbsorbed);
+  // Offset 2 reads 0x81, 0x80, 0x1c0, 0x7f, 0xff: bit 6 is set from the
+  // third read on, but stuck-at-1 truncates the too-wide 0x1c0.
+  EXPECT_EQ(census.verdict(plan_for(0x102, FaultKind::kStuckOne, 2, 0x40)),
+            CensusVerdict::kBoots);
+  EXPECT_EQ(census.verdict(plan_for(0x102, FaultKind::kStuckOne, 3, 0x40)),
+            CensusVerdict::kAbsorbed);
+  // No proof outside the window or above the low byte.
+  EXPECT_EQ(census.verdict(plan_for(0x104, FaultKind::kStuckOne, 0, 0x01)),
+            CensusVerdict::kBoots);
+  EXPECT_EQ(census.verdict(plan_for(0x0ff, FaultKind::kStuckOne, 0, 0x01)),
+            CensusVerdict::kBoots);
+  EXPECT_EQ(census.verdict(plan_for(0x100, FaultKind::kStuckOne, 0, 0x101)),
+            CensusVerdict::kBoots);
+  shim.reset();
+  EXPECT_EQ(census.verdict(plan_for(0x100, FaultKind::kStuckOne, 0, 0x01)),
+            CensusVerdict::kNeverFires);
+  EXPECT_EQ(shim.name(), "sequence");
 }
 
 // --- device reset under fault -------------------------------------------------

@@ -610,6 +610,7 @@ TEST_P(CampaignFastForward, RecordsMatchTheWalker) {
     if (cc.fault) {
       auto vm = eval::fault_configs_for(spec, drivers);
       auto wk = eval::fault_configs_for(walker_spec, drivers);
+      size_t absorbed = 0;  // fired stuck-at scenarios the VM replayed
       for (auto [v, w] : {std::pair{&vm.c, &wk.c},
                           std::pair{&vm.cdevil, &wk.cdevil}}) {
         auto a = eval::run_fault_campaign(*v);
@@ -623,13 +624,20 @@ TEST_P(CampaignFastForward, RecordsMatchTheWalker) {
           EXPECT_EQ(x.steps, y.steps) << what << " scenario " << i;
           EXPECT_EQ(x.triggered, y.triggered) << what << " scenario " << i;
           EXPECT_EQ(x.trace, y.trace) << what << " scenario " << i;
+          // The VM replays every untriggered scenario from the golden boot.
+          if (!x.triggered) {
+            EXPECT_TRUE(x.replayed) << what << " scenario " << i;
+          }
+          absorbed += x.replayed && x.triggered ? 1 : 0;
         }
         EXPECT_EQ(b.fast_forwards, 0u);
+        EXPECT_EQ(b.replayed, 0u) << what << ": the walker boots every one";
         fast_forwards += a.fast_forwards;
         if (a.tally.scenarios_of(eval::FaultOutcome::kHang) != 0) {
           EXPECT_GT(a.fast_forwards, 0u) << what << ": Hang records stepped";
         }
       }
+      EXPECT_GT(absorbed, 0u) << what << ": no stuck-at fault was absorbed";
     } else {
       auto vm = eval::driver_configs_for(spec, drivers);
       auto wk = eval::driver_configs_for(walker_spec, drivers);
