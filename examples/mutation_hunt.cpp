@@ -148,8 +148,8 @@ void print_fast_forwards(const char* device, const char* what,
 /// prints the paper's Tables 3/4 plus the headline comparison. With
 /// `assert_counters` (the CI Release smoke) the exit code additionally
 /// verifies that the throughput machinery actually engaged: canonical
-/// dedup skipped at least one mutant and the compiled-prefix cache served
-/// every unique compile.
+/// dedup flagged at least one duplicate and the compiled-prefix cache
+/// served every unique compile.
 bool run_device_campaigns(const eval::CampaignSpec& spec,
                           const corpus::CampaignDrivers& drivers,
                           bool assert_counters,

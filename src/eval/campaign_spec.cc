@@ -13,14 +13,15 @@ namespace eval {
 
 namespace {
 
-/// Strict decimal parse for flag values: digits only, bounded length, so a
-/// leading '-' or a stray suffix is a usage error and never wraps or
-/// truncates. Returns false on anything else.
-bool parse_count(const std::string& text, size_t max_digits, uint64_t* out) {
-  if (text.empty() || text.size() > max_digits) return false;
+/// Strict decimal parse for flag values: digits only, at most `max`, so a
+/// leading '-', a stray suffix or an out-of-range value is a usage error
+/// and never wraps or truncates. Returns false on anything else.
+bool parse_count(const std::string& text, uint64_t max, uint64_t* out) {
+  if (text.empty() || text.size() > std::to_string(max).size()) return false;
   if (text.find_first_not_of("0123456789") != std::string::npos) return false;
   uint64_t v = 0;
   for (char c : text) v = v * 10 + static_cast<uint64_t>(c - '0');
+  if (v > max) return false;
   *out = v;
   return true;
 }
@@ -32,7 +33,9 @@ bool parse_trigger_list(const std::string& text, std::vector<uint32_t>* out) {
     size_t comma = text.find(',', pos);
     if (comma == std::string::npos) comma = text.size();
     uint64_t v = 0;
-    if (!parse_count(text.substr(pos, comma - pos), 6, &v)) return false;
+    if (!parse_count(text.substr(pos, comma - pos), kMaxFaultTrigger, &v)) {
+      return false;
+    }
     out->push_back(static_cast<uint32_t>(v));
     pos = comma + 1;
     if (comma == text.size()) break;
@@ -181,28 +184,30 @@ CampaignSpec campaign_spec_from_json(const support::JsonValue& v,
   spec.kind = kind_from_name(require_string(v, "kind", ctx), ctx);
   spec.device = require_string(v, "device", ctx);
   spec.engine = engine_from_name(require_string(v, "engine", ctx), ctx);
-  spec.seed = require_u64(v, "seed", ctx, UINT64_MAX / 2);
+  spec.seed = require_u64(v, "seed", ctx, kMaxSeed);
   spec.sample_percent =
       static_cast<unsigned>(require_u64(v, "sample_percent", ctx, 100));
-  spec.step_budget = require_u64(v, "step_budget", ctx, UINT64_MAX / 2);
+  spec.step_budget = require_u64(v, "step_budget", ctx, kMaxStepBudget);
   spec.dedup = require(v, "dedup", ctx).as_bool();
   spec.flight_recorder = require(v, "flight_recorder", ctx).as_bool();
-  spec.watchdog_ms = require_u64(v, "watchdog_ms", ctx, 99'999'999);
-  spec.threads = static_cast<unsigned>(require_u64(v, "threads", ctx, 9999));
+  spec.watchdog_ms = require_u64(v, "watchdog_ms", ctx, kMaxWatchdogMs);
+  spec.threads =
+      static_cast<unsigned>(require_u64(v, "threads", ctx, kMaxThreads));
   spec.fault_triggers.clear();
   for (const support::JsonValue& t :
        require(v, "fault_triggers", ctx).items()) {
     int64_t raw = t.as_int();
-    if (raw < 0 || raw > 999'999) {
+    if (raw < 0 || static_cast<uint64_t>(raw) > kMaxFaultTrigger) {
       throw std::runtime_error(ctx + ": fault_triggers entry out of range "
-                               "(0-999999), got " + std::to_string(raw));
+                               "(0-" + std::to_string(kMaxFaultTrigger) +
+                               "), got " + std::to_string(raw));
     }
     spec.fault_triggers.push_back(static_cast<uint32_t>(raw));
   }
   spec.fault_sample_percent =
       static_cast<unsigned>(require_u64(v, "fault_sample_percent", ctx, 100));
-  spec.survivor_samples =
-      static_cast<unsigned>(require_u64(v, "survivor_samples", ctx, 9999));
+  spec.survivor_samples = static_cast<unsigned>(
+      require_u64(v, "survivor_samples", ctx, kMaxSurvivorSamples));
 
   std::vector<std::string> diags = validate_campaign_spec(spec);
   if (!diags.empty()) {
@@ -301,7 +306,8 @@ const std::vector<CampaignFlag>& campaign_spec_flags() {
       {"--sample-percent", "N", true,
        "percent of mutants booted (0 = per-corpus default)"},
       {"--step-budget", "N", true, "interpreter steps per boot"},
-      {"--no-dedup", nullptr, true, "disable canonical token-class dedup"},
+      {"--no-dedup", nullptr, true,
+       "do not flag canonical token-class duplicates"},
       {"--flight-recorder", nullptr, false,
        "attach port-access post-mortems to non-clean records"},
       {"--watchdog-ms", "N", false,
@@ -347,24 +353,24 @@ std::string apply_campaign_flag(CampaignSpec& spec, const CampaignFlag& flag,
   }
   if (name == "--threads") {
     // Digits only: strtoul would silently wrap a leading '-' and clamp
-    // out-of-range values, defeating the strict parser. A worker count
-    // never needs more than 4 digits.
-    if (!parse_count(value, 4, &n)) {
-      return "--threads: '" + value +
-             "' is not a thread count (0-9999; 0 = all cores)";
+    // out-of-range values, defeating the strict parser.
+    if (!parse_count(value, kMaxThreads, &n)) {
+      return "--threads: '" + value + "' is not a thread count (0-" +
+             std::to_string(kMaxThreads) + "; 0 = all cores)";
     }
     spec.threads = static_cast<unsigned>(n);
     return "";
   }
   if (name == "--seed") {
-    if (!parse_count(value, 18, &n)) {
-      return "--seed: '" + value + "' is not a seed (up to 18 digits)";
+    if (!parse_count(value, kMaxSeed, &n)) {
+      return "--seed: '" + value + "' is not a seed (0-" +
+             std::to_string(kMaxSeed) + ")";
     }
     spec.seed = n;
     return "";
   }
   if (name == "--sample-percent") {
-    if (!parse_count(value, 3, &n) || n > 100) {
+    if (!parse_count(value, 100, &n)) {
       return "--sample-percent: '" + value +
              "' is not a percentage (0-100; 0 = per-corpus default)";
     }
@@ -372,9 +378,9 @@ std::string apply_campaign_flag(CampaignSpec& spec, const CampaignFlag& flag,
     return "";
   }
   if (name == "--step-budget") {
-    if (!parse_count(value, 12, &n) || n == 0) {
-      return "--step-budget: '" + value +
-             "' is not a step budget (1-999999999999)";
+    if (!parse_count(value, kMaxStepBudget, &n) || n == 0) {
+      return "--step-budget: '" + value + "' is not a step budget (1-" +
+             std::to_string(kMaxStepBudget) + ")";
     }
     spec.step_budget = n;
     return "";
@@ -388,10 +394,9 @@ std::string apply_campaign_flag(CampaignSpec& spec, const CampaignFlag& flag,
     return "";
   }
   if (name == "--watchdog-ms") {
-    if (!parse_count(value, 8, &n)) {
-      return "--watchdog-ms: '" + value +
-             "' is not a millisecond count (0-99999999; 0 disables the "
-             "watchdog)";
+    if (!parse_count(value, kMaxWatchdogMs, &n)) {
+      return "--watchdog-ms: '" + value + "' is not a millisecond count (0-" +
+             std::to_string(kMaxWatchdogMs) + "; 0 disables the watchdog)";
     }
     spec.watchdog_ms = n;
     return "";
@@ -404,7 +409,7 @@ std::string apply_campaign_flag(CampaignSpec& spec, const CampaignFlag& flag,
     return "";
   }
   if (name == "--fault-sample-percent") {
-    if (!parse_count(value, 3, &n) || n == 0 || n > 100) {
+    if (!parse_count(value, 100, &n) || n == 0) {
       return "--fault-sample-percent: '" + value +
              "' is not a percentage (1-100)";
     }
@@ -412,8 +417,9 @@ std::string apply_campaign_flag(CampaignSpec& spec, const CampaignFlag& flag,
     return "";
   }
   if (name == "--survivor-samples") {
-    if (!parse_count(value, 4, &n)) {
-      return "--survivor-samples: '" + value + "' is not a count (0-9999)";
+    if (!parse_count(value, kMaxSurvivorSamples, &n)) {
+      return "--survivor-samples: '" + value + "' is not a count (0-" +
+             std::to_string(kMaxSurvivorSamples) + ")";
     }
     spec.survivor_samples = static_cast<unsigned>(n);
     return "";

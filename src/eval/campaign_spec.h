@@ -43,6 +43,17 @@ enum class CampaignKind { kDriver, kFault, kSpec };
 /// Stable names used in JSON and diagnostics: "driver", "fault", "spec".
 [[nodiscard]] const char* campaign_kind_name(CampaignKind k);
 
+/// The largest value of each numeric spec field. The JSON reader and the
+/// flag parser both enforce these, so every spec a served request can carry
+/// survives the dispatcher's spec -> worker argv -> spec round trip.
+/// Percentages are bounded by 100 and need no constant.
+inline constexpr uint64_t kMaxSeed = 999'999'999'999'999'999;
+inline constexpr uint64_t kMaxStepBudget = 999'999'999'999;
+inline constexpr uint64_t kMaxWatchdogMs = 99'999'999;
+inline constexpr uint64_t kMaxThreads = 9999;
+inline constexpr uint64_t kMaxFaultTrigger = 999'999;
+inline constexpr uint64_t kMaxSurvivorSamples = 9999;
+
 struct CampaignSpec {
   CampaignKind kind = CampaignKind::kDriver;
   /// Corpus device filter ("all" or a device name from the kind's corpus).

@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "hw/fault_injection.h"
 #include "hw/flight_recorder.h"
@@ -238,6 +239,9 @@ struct PreparedCampaign {
   /// whole-unit fallback — then every mutant recompiles.
   minic::SplicedProgram clean_tail;
   minic::TailRecording recorded;
+  /// The clean tail's expanded tokens, incl. kEof, tagged with their sites
+  /// (the operator-swap scan and the fast-key spans read them).
+  std::vector<minic::Token> clean_tokens;
   std::unique_ptr<minic::bytecode::Patcher> patcher;
   /// Canonical dedup key of the CLEAN tail and, for every site whose token
   /// appears exactly once in the clean stream (and never via macro
@@ -246,18 +250,6 @@ struct PreparedCampaign {
   std::string clean_key;
   std::unordered_map<uint32_t, KeySpan> key_spans;
   mutable hw::DevicePool device_pool;
-};
-
-/// The site-independent residue of one compile+boot, kept only for mutants
-/// that canonical duplicates will be classified from.
-struct BootSnapshot {
-  bool clean = false;       // booted without fault, disk intact, right view
-  Outcome outcome = Outcome::kCompileTime;  // valid when !clean
-  std::string detail;
-  uint64_t steps = 0;
-  std::string trace;        // flight-recorder post-mortem (non-clean only)
-  support::LineBitmap executed;
-  std::map<std::string, std::set<uint32_t>> macro_use_lines;
 };
 
 /// Dead-code vs boot classification for a cleanly booting mutant: executed
@@ -474,7 +466,7 @@ bool precedence_swap_safe(const std::vector<minic::Token>& tokens,
 /// and falls back.
 bool operator_swap_keeps_tree(const PreparedCampaign& prep, uint32_t site_id,
                               minic::Tok new_op) {
-  const std::vector<minic::Token>& tokens = prep.recorded.tokens;
+  const std::vector<minic::Token>& tokens = prep.clean_tokens;
   size_t occurrences = 0;
   for (size_t i = 0; i < tokens.size(); ++i) {
     if (tokens[i].site != site_id) continue;
@@ -534,9 +526,10 @@ std::optional<minic::bytecode::PatchRequest> derive_patch_request(
     case mutation::SiteKind::kIdentifier: {
       if (tok->kind != minic::Tok::kIdent) return std::nullopt;
       // Macro-involved renames change the expanded token stream and move
-      // macro-use lines (which snapshots and dedup classification read), so
-      // they always recompile. This also keeps the `patched` bit a pure
-      // function of the mutant — shard-merge and thread-count invariant.
+      // macro-use lines (which the dead-code classification and the dedup
+      // key read), so they always recompile. This also keeps the `patched`
+      // bit a pure function of the mutant — shard-merge and thread-count
+      // invariant.
       if (prep.patcher->is_macro(site.original) ||
           prep.patcher->is_macro(m.replacement)) {
         return std::nullopt;
@@ -550,14 +543,74 @@ std::optional<minic::bytecode::PatchRequest> derive_patch_request(
   return std::nullopt;
 }
 
+/// Canonical token-class key of a mutant's lexed tail: each expanded token
+/// — kind, line, integer value, spelling for identifiers and strings — plus
+/// the tail's macro-use lines, which the dead-code classification reads.
+/// Two mutants with equal keys compile identically and boot identically
+/// (spellings that differ only in column positions cannot affect runtime
+/// behaviour; runtime messages carry lines, never columns). An unlexable
+/// mutant (`ok` false) keeps a raw-text key: its diagnostics may cite
+/// spelling-specific columns, so only byte-identical splices share one.
+std::string lexed_key(const minic::LexOutput& lexed, bool ok,
+                      const std::string& mutated_driver) {
+  if (!ok) return "!" + mutated_driver;
+  std::string key;
+  key.reserve(lexed.tokens.size() * 8);
+  for (const minic::Token& t : lexed.tokens) append_token_key(key, t);
+  append_macro_lines(key, lexed.macro_use_lines);
+  return key;
+}
+
+/// The key of a mutant no compile lexed for the campaign: a dedicated lex of
+/// the spliced driver, exactly as compile_tail lexes a tail.
+std::string canonical_key(const PreparedCampaign& prep,
+                          const std::string& mutated_driver) {
+  support::DiagnosticEngine diags;
+  support::SourceBuffer buf(prep.prefix.name, mutated_driver);
+  minic::LexOptions options;
+  options.seed_macros = &prep.prefix.macros;
+  options.line_offset = prep.prefix.lines;
+  minic::LexOutput lexed = minic::lex_unit(buf, diags, options);
+  return lexed_key(lexed, !diags.has_errors(), mutated_driver);
+}
+
+/// Fast canonical key: splices the replacement token's serialization into
+/// the precomputed clean key. Returns nullopt when the mutant is not
+/// eligible (define-body site, multi-token site, macro-involved
+/// replacement, possible token merges, unlexable replacement) — the caller
+/// then lexes for the key. Byte-identical to the lexed key for every
+/// eligible mutant (a differential ctest enforces this).
+std::optional<std::string> fast_canonical_key(const PreparedCampaign& prep,
+                                              const mutation::Mutant& m) {
+  if (prep.key_spans.empty()) return std::nullopt;
+  const mutation::Site& site = prep.sites[m.site];
+  if (!site.define_name.empty()) return std::nullopt;
+  auto span_it = prep.key_spans.find(static_cast<uint32_t>(m.site));
+  if (span_it == prep.key_spans.end()) return std::nullopt;
+  // A replacement naming a live macro would expand; a lex handles it.
+  if (prep.recorded.macros.count(m.replacement) != 0) return std::nullopt;
+  if (splice_may_merge(prep.config->driver, site, m.replacement)) {
+    return std::nullopt;
+  }
+  auto tok = lex_single_token(m.replacement);
+  if (!tok) return std::nullopt;
+  minic::Token t = *tok;
+  t.loc.line = span_it->second.line;  // replacement stays on the site's line
+  std::string key;
+  key.reserve(prep.clean_key.size() + m.replacement.size() + 16);
+  key.append(prep.clean_key, 0, span_it->second.begin);
+  append_token_key(key, t);
+  key.append(prep.clean_key, span_it->second.end, std::string::npos);
+  return key;
+}
+
 /// The pure per-mutant kernel: splice, compile (tail-only against the
 /// cached compiled prefix on the VM engine, whole-unit token splice on the
-/// walker), boot, classify. Touches nothing but its own locals and the
+/// walker), boot, classify and, when the campaign dedups, hash the
+/// mutant's canonical key. Touches nothing but its own locals and the
 /// read-only `prep` (plus the locked disk pool), so any number of these can
-/// run concurrently. When `snap` is non-null the site-independent boot
-/// residue is captured for duplicate classification.
-MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
-                            BootSnapshot* snap, std::string pre_spliced = {}) {
+/// run concurrently.
+MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix) {
   const DriverCampaignConfig& config = *prep.config;
   const mutation::Mutant& m = prep.mutants[mutant_ix];
   const mutation::Site& site = prep.sites[m.site];
@@ -583,7 +636,11 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
 
   // The boot runs one of three codes: the patched clean module, the tail
   // compile spliced onto the prefix segment (VM), or the whole unit
-  // (walker).
+  // (walker). The dedup key (built only when the campaign dedups) comes
+  // from the clean key for a patched mutant where the fast key applies,
+  // from compile_tail's own tail lex for a VM recompile, and otherwise
+  // from a lex of its own.
+  std::string key;
   minic::SplicedProgram spliced;
   minic::Program prog;
   const std::map<std::string, std::set<uint32_t>>* macro_uses = nullptr;
@@ -600,14 +657,24 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
     // clean macro-use map is the mutant's too (patch requests never touch
     // macro names, and a macro-body literal patch moves no use lines).
     macro_uses = &prep.clean_tail.macro_use_lines;
+    if (config.dedup) {
+      auto fast = fast_canonical_key(prep, m);
+      key = fast ? std::move(*fast)
+                 : canonical_key(prep, mutation::apply_mutant(
+                                           config.driver, prep.sites, m));
+    }
   } else {
-    // The dedup key phase may have spliced this mutant already; reuse it.
-    std::string mutated_driver =
-        pre_spliced.empty()
-            ? mutation::apply_mutant(config.driver, prep.sites, m)
-            : std::move(pre_spliced);
+    const std::string mutated_driver =
+        mutation::apply_mutant(config.driver, prep.sites, m);
     if (config.engine == minic::ExecEngine::kBytecodeVm) {
-      spliced = minic::compile_tail(prep.prefix, mutated_driver);
+      minic::TailLexObserver on_lex;
+      if (config.dedup) {
+        on_lex = [&](const minic::LexOutput& lexed, bool ok) {
+          key = lexed_key(lexed, ok, mutated_driver);
+        };
+      }
+      spliced = minic::compile_tail(prep.prefix, mutated_driver, nullptr,
+                                    on_lex);
       if (!spliced.internal_error.empty()) {
         throw std::logic_error("interpreter bug on mutant: " +
                                spliced.internal_error);
@@ -624,15 +691,17 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
       compile_ok = prog.ok();
       diags = &prog.diags;
     }
+    // The walker and a prefix without a stage-1 cache lexed no tail alone
+    // (a lexed key is never empty).
+    if (config.dedup && key.empty()) {
+      key = canonical_key(prep, mutated_driver);
+    }
   }
+  if (config.dedup) rec.key = support::fnv128(key);
   if (!compile_ok) {
     rec.outcome = Outcome::kCompileTime;
     if (!diags->all().empty()) {
       rec.detail = diags->all().front().to_string();
-    }
-    if (snap) {
-      snap->outcome = rec.outcome;
-      snap->detail = rec.detail;
     }
     return rec;
   }
@@ -663,99 +732,7 @@ MutantRecord run_one_mutant(const PreparedCampaign& prep, size_t mutant_ix,
   rec.outcome = clean ? classify_clean(prep, site, run.executed, *macro_uses)
                       : kMutantOutcome[static_cast<size_t>(end)];
   if (rig.recorder() && !clean) rec.trace = rig.recorder()->render_tail();
-  if (snap) {
-    snap->clean = clean;
-    snap->outcome = rec.outcome;
-    snap->detail = rec.detail;
-    snap->steps = rec.steps;
-    snap->trace = rec.trace;
-    if (clean) {
-      snap->executed = std::move(run.executed);
-      // Copy, not move: the patched path aliases the shared clean map.
-      snap->macro_use_lines = *macro_uses;
-    }
-  }
   return rec;
-}
-
-/// Classifies a canonical duplicate from its representative's boot residue
-/// against the duplicate's *own* site (stream-identical mutants at
-/// different sites can legitimately differ between Boot and Dead code).
-MutantRecord classify_duplicate(const PreparedCampaign& prep, size_t mutant_ix,
-                                const BootSnapshot& snap) {
-  const mutation::Mutant& m = prep.mutants[mutant_ix];
-  MutantRecord rec;
-  rec.mutant_index = mutant_ix;
-  rec.site = m.site;
-  rec.deduped = true;
-  // Key-equal mutants boot identically, so the representative's step count
-  // and post-mortem are this mutant's too.
-  rec.steps = snap.steps;
-  rec.trace = snap.trace;
-  if (snap.clean) {
-    rec.outcome = classify_clean(prep, prep.sites[m.site], snap.executed,
-                                 snap.macro_use_lines);
-  } else {
-    rec.outcome = snap.outcome;
-    rec.detail = snap.detail;
-  }
-  return rec;
-}
-
-/// Canonical token-class key of a spliced mutant: the lexed (macro-expanded)
-/// token stream — kind, line, integer value, spelling for identifiers and
-/// strings — plus the macro-use lines the dead-code classification reads.
-/// Two mutants with equal keys compile identically and boot identically
-/// (spellings that differ only in column positions cannot affect runtime
-/// behaviour; runtime messages carry lines, never columns).
-std::string canonical_key(const PreparedCampaign& prep,
-                          const std::string& mutated_driver) {
-  support::DiagnosticEngine diags;
-  support::SourceBuffer buf(prep.prefix.name, mutated_driver);
-  minic::LexOptions options;
-  options.seed_macros = &prep.prefix.macros;
-  options.line_offset = prep.prefix.lines;
-  minic::LexOutput lexed = minic::lex_unit(buf, diags, options);
-  if (diags.has_errors()) {
-    // Unlexable mutants keep a raw-text key: their diagnostics may cite
-    // spelling-specific columns, so only byte-identical splices dedup.
-    return "!" + mutated_driver;
-  }
-  std::string key;
-  key.reserve(lexed.tokens.size() * 8);
-  for (const minic::Token& t : lexed.tokens) append_token_key(key, t);
-  append_macro_lines(key, lexed.macro_use_lines);
-  return key;
-}
-
-/// Fast canonical key: splices the replacement token's serialization into
-/// the precomputed clean key. Returns nullopt when the mutant is not
-/// eligible (define-body site, multi-token site, macro-involved
-/// replacement, possible token merges, unlexable replacement) — the caller
-/// then takes the slow full-re-lex path. Byte-identical to the slow key for
-/// every eligible mutant (a differential ctest enforces this).
-std::optional<std::string> fast_canonical_key(const PreparedCampaign& prep,
-                                              const mutation::Mutant& m) {
-  if (prep.key_spans.empty()) return std::nullopt;
-  const mutation::Site& site = prep.sites[m.site];
-  if (!site.define_name.empty()) return std::nullopt;
-  auto span_it = prep.key_spans.find(static_cast<uint32_t>(m.site));
-  if (span_it == prep.key_spans.end()) return std::nullopt;
-  // A replacement naming a live macro would expand; slow path handles it.
-  if (prep.recorded.macros.count(m.replacement) != 0) return std::nullopt;
-  if (splice_may_merge(prep.config->driver, site, m.replacement)) {
-    return std::nullopt;
-  }
-  auto tok = lex_single_token(m.replacement);
-  if (!tok) return std::nullopt;
-  minic::Token t = *tok;
-  t.loc.line = span_it->second.line;  // replacement stays on the site's line
-  std::string key;
-  key.reserve(prep.clean_key.size() + m.replacement.size() + 16);
-  key.append(prep.clean_key, 0, span_it->second.begin);
-  append_token_key(key, t);
-  key.append(prep.clean_key, span_it->second.end, std::string::npos);
-  return key;
 }
 
 /// Runs the clean tail through the recording compile and, when it splices
@@ -774,8 +751,15 @@ void build_patch_context(PreparedCampaign& prep) {
             [](const minic::SiteSpan& a, const minic::SiteSpan& b) {
               return a.offset < b.offset;
             });
-  prep.clean_tail =
-      minic::compile_tail(prep.prefix, config.driver, &prep.recorded);
+  // Macro uses from the tail buffer ONLY: the canonical key serializes
+  // exactly this map, never the one merged with the prefix's.
+  std::map<std::string, std::set<uint32_t>> tail_macro_uses;
+  prep.clean_tail = minic::compile_tail(
+      prep.prefix, config.driver, &prep.recorded,
+      [&](const minic::LexOutput& lexed, bool) {
+        prep.clean_tokens = lexed.tokens;  // the parser consumes the original
+        tail_macro_uses = lexed.macro_use_lines;
+      });
   // The clean driver compiled whole-unit moments ago (baseline boot), so a
   // missing tail unit can only mean the whole-unit fallback — every mutant
   // then recompiles, exactly as on the walker.
@@ -794,9 +778,9 @@ void build_patch_context(PreparedCampaign& prep) {
     bool expanded = false;
   };
   std::string key;
-  key.reserve(prep.recorded.tokens.size() * 8);
+  key.reserve(prep.clean_tokens.size() * 8);
   std::unordered_map<uint32_t, SpanAgg> agg;
-  for (const minic::Token& t : prep.recorded.tokens) {
+  for (const minic::Token& t : prep.clean_tokens) {
     size_t begin = key.size();
     append_token_key(key, t);
     if (t.site == minic::kNoSite) continue;
@@ -805,7 +789,7 @@ void build_patch_context(PreparedCampaign& prep) {
     if (t.from_expansion) a.expanded = true;
     a.span = {begin, key.size(), t.loc.line};
   }
-  append_macro_lines(key, prep.recorded.tail_macro_use_lines);
+  append_macro_lines(key, tail_macro_uses);
   prep.clean_key = std::move(key);
   for (const auto& [site_id, a] : agg) {
     if (a.count == 1 && !a.expanded) prep.key_spans.emplace(site_id, a.span);
@@ -816,6 +800,23 @@ void build_patch_context(PreparedCampaign& prep) {
 
 DriverCampaignResult run_driver_campaign(const DriverCampaignConfig& config) {
   return run_driver_campaign_slice(config, SampleSlice{});
+}
+
+void flag_duplicates(std::vector<MutantRecord>& records) {
+  struct KeyHashHasher {
+    size_t operator()(const KeyHash& k) const {
+      return static_cast<size_t>(k.first ^ (k.second * 0x9e3779b97f4a7c15ULL));
+    }
+  };
+  std::unordered_set<KeyHash, KeyHashHasher> seen;
+  seen.reserve(records.size());
+  for (MutantRecord& rec : records) {
+    rec.deduped = !seen.insert(rec.key).second;
+    if (rec.deduped) {
+      rec.prefix_cache_hit = rec.patched = rec.patch_fallback = false;
+      rec.skipped_steps = 0;
+    }
+  }
 }
 
 void recount(DriverCampaignResult& result) {
@@ -835,8 +836,7 @@ void recount(DriverCampaignResult& result) {
 }
 
 DriverCampaignResult run_driver_campaign_slice(
-    const DriverCampaignConfig& config, SampleSlice slice,
-    std::vector<KeyHash>* keys) {
+    const DriverCampaignConfig& config, SampleSlice slice) {
   const KernelContext kc =
       check_kernel_preconditions("driver campaign", config, slice);
   PreparedCampaign prep;
@@ -901,70 +901,16 @@ DriverCampaignResult run_driver_campaign_slice(
   const std::vector<size_t> selected =
       sample_slice(prep.mutants.size(), config.sample_percent, config.seed,
                    slice, result.sample_size);
-  if (keys) keys->assign(config.dedup ? selected.size() : 0, KeyHash{});
 
-  // --- canonical dedup (phases 1-2) ----------------------------------------------
-  // Keys are computed in parallel (per-index writes only); the first-seen
-  // mapping is built sequentially afterwards, so it is deterministic at any
-  // thread count.
-  std::vector<size_t> dup_of(selected.size(), static_cast<size_t>(-1));
-  std::vector<uint8_t> wants_snapshot(selected.size(), 0);
-  std::vector<std::string> spliced(config.dedup ? selected.size() : 0);
-  if (config.dedup && !selected.empty()) {
-    std::vector<std::string> canonical(selected.size());
-    support::parallel_for(selected.size(), config.threads, [&](size_t i) {
-      const mutation::Mutant& m = prep.mutants[selected[i]];
-      // Token-local mutants splice their key into the precomputed clean
-      // key; the rest (define-body sites, macro-involved replacements,
-      // token merges) re-lex the spliced driver as before. Byte-identical
-      // either way, so dedup grouping never depends on which key path ran
-      // (the walker, which builds no patch context, re-lexes every key).
-      if (auto fast = fast_canonical_key(prep, m)) {
-        canonical[i] = std::move(*fast);
-      } else {
-        spliced[i] = mutation::apply_mutant(config.driver, prep.sites, m);
-        canonical[i] = canonical_key(prep, spliced[i]);
-      }
-      if (keys) (*keys)[i] = support::fnv128(canonical[i]);
-    });
-    std::unordered_map<std::string, size_t> first_seen;
-    first_seen.reserve(selected.size());
-    for (size_t i = 0; i < selected.size(); ++i) {
-      auto [it, inserted] = first_seen.emplace(std::move(canonical[i]), i);
-      if (!inserted) {
-        dup_of[i] = it->second;
-        wants_snapshot[it->second] = 1;
-      }
-    }
-  }
-
-  // --- per-mutant compile + boot (phase 3, parallel map) --------------------------
-  // Workers write only their own records[i] / snapshot slots; the
-  // order-sensitive tally reduction happens after the join, so the result
-  // is identical at any thread count.
+  // --- per-mutant compile + boot + key (parallel map) ----------------------
+  // Workers write only their own records[i]; the order-sensitive steps —
+  // duplicate flagging and the tally — run after the join, so the result is
+  // identical at any thread count.
   result.records.resize(selected.size());
-  std::vector<BootSnapshot> snapshots(config.dedup ? selected.size() : 0);
-  std::vector<size_t> unique_ix;
-  unique_ix.reserve(selected.size());
-  for (size_t i = 0; i < selected.size(); ++i) {
-    if (dup_of[i] == static_cast<size_t>(-1)) unique_ix.push_back(i);
-  }
-  run_boots(kc, unique_ix.size(), config.threads, [&](size_t u) {
-    size_t i = unique_ix[u];
-    BootSnapshot* snap = wants_snapshot[i] ? &snapshots[i] : nullptr;
-    result.records[i] = run_one_mutant(
-        prep, selected[i], snap,
-        config.dedup ? std::move(spliced[i]) : std::string());
+  run_boots(kc, selected.size(), config.threads, [&](size_t i) {
+    result.records[i] = run_one_mutant(prep, selected[i]);
   });
-
-  // --- duplicate classification (phase 4, sequential) -----------------------------
-  for (size_t i = 0; i < selected.size(); ++i) {
-    if (dup_of[i] != static_cast<size_t>(-1)) {
-      result.records[i] =
-          classify_duplicate(prep, selected[i], snapshots[dup_of[i]]);
-    }
-  }
-
+  if (config.dedup) flag_duplicates(result.records);
   recount(result);
   return result;
 }

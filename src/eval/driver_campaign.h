@@ -94,11 +94,11 @@ struct DriverCampaignConfig {
   /// The tree walker is the differential oracle: every mutant compiles as a
   /// whole unit (`minic::compile_with_prefix`) and runs on `minic::run_unit`.
   minic::ExecEngine engine = minic::ExecEngine::kBytecodeVm;
-  /// Skip compiling/booting mutants whose spliced unit lexes to a token
-  /// stream already seen this campaign (canonical token-class hash:
-  /// token kinds, values and lines, plus macro-use lines). Duplicates stay
-  /// visible in the records — classified against their own site from the
-  /// representative's boot — and tallies are unchanged.
+  /// Label canonical duplicates: each record carries the hash of its
+  /// spliced unit's canonical token-class key (token kinds, values and
+  /// lines, plus macro-use lines), and flag_duplicates marks every record
+  /// whose key an earlier one had. A label, not a skip: every mutant still
+  /// compiles and boots, so outcomes and tallies are the same either way.
   bool dedup = true;
   /// Wrap every boot's device in a `hw::FlightRecorder` and attach the
   /// rendered port-access tail to each non-clean record (`MutantRecord::
@@ -108,37 +108,43 @@ struct DriverCampaignConfig {
   bool flight_recorder = false;
 };
 
+/// 128-bit hash of a mutant's canonical dedup key (support::fnv128).
+using KeyHash = std::pair<uint64_t, uint64_t>;
+
 struct MutantRecord {
   size_t mutant_index = 0;  // into the full mutant list
   size_t site = 0;
   Outcome outcome = Outcome::kCompileTime;
   std::string detail;       // fault message / diagnostic code, when any
-  /// True when this mutant's unit was a canonical duplicate: its outcome
-  /// was classified from the representative's boot without recompiling.
+  /// True when an earlier record in sample order has the same `key`; set
+  /// by flag_duplicates only. The mutant still compiled and booted: a
+  /// key-equal mutant's boot equals its representative's.
   bool deduped = false;
-  /// Interpreter steps the boot retired (0 for compile-time outcomes;
-  /// duplicates carry their representative's — identical — count).
+  /// Interpreter steps the boot retired (0 for compile-time outcomes).
   uint64_t steps = 0;
+  /// Hash of the mutant's canonical dedup key when the campaign dedups,
+  /// else zero. Shard artifacts carry it so a merge can flag duplicates
+  /// across slices.
+  KeyHash key;
   /// Flight-recorder post-mortem: the rendered tail of port accesses, only
   /// for non-clean boots and only when the config enables the recorder.
   std::string trace;
+  // Boot telemetry: flag_duplicates clears these four on duplicates, so
+  // the counters summed from them count one boot per key.
   /// True when this mutant booted a patched copy of the clean tail bytecode
   /// (no per-mutant front end ran). Telemetry only — the boot itself is
   /// byte-identical to a recompiled one.
   bool patched = false;
   /// True when the campaign built a patcher but this mutant was
   /// structure-changing (or otherwise ineligible) and recompiled instead.
-  /// Duplicates carry neither bit: they never boot at all.
   bool patch_fallback = false;
   /// True when this mutant compiled through the per-campaign compiled-prefix
   /// cache: a tail-only compile spliced onto the shared segment, or a
-  /// patched copy of the clean tail. Never on the tree walker or on
-  /// duplicates.
+  /// patched copy of the clean tail. Never on the tree walker.
   bool prefix_cache_hit = false;
   /// Of `steps`, those the VM's loop fast-forward accounted without
-  /// executing (0 for duplicates, which never boot). Telemetry kept in
-  /// memory only: reports and artifacts never carry it, since the record is
-  /// identical either way.
+  /// executing. Telemetry kept in memory only: reports and artifacts never
+  /// carry it, since the record is identical either way.
   uint64_t skipped_steps = 0;
 };
 
@@ -168,7 +174,7 @@ struct DriverCampaignResult : CampaignBaseline {
   bool dedup = true;         // DriverCampaignConfig::dedup of the run
 
   // Counters derived from `records` by recount().
-  size_t deduped_mutants = 0;  // sampled mutants that skipped compile+boot
+  size_t deduped_mutants = 0;  // records flagged as canonical duplicates
   /// Sum of the records' `prefix_cache_hit` bits. Always 0 on the tree
   /// walker, which compiles whole units.
   size_t prefix_cache_hits = 0;
@@ -191,6 +197,13 @@ struct DriverCampaignResult : CampaignBaseline {
 /// the merge recomputes global ones.
 void recount(DriverCampaignResult& result);
 
+/// The one dedup pass, run by the kernel over its slice and by the shard
+/// merge over the concatenated slices: walks `records` in sample order,
+/// sets `deduped` on every record whose key hash an earlier record had
+/// (clearing it on the rest), and clears the boot telemetry of each
+/// duplicate. Campaigns without dedup carry no keys and skip it.
+void flag_duplicates(std::vector<MutantRecord>& records);
+
 /// One contiguous slice of the sampled mutant sequence, in sample order:
 /// slice `index` of `count` covers sample positions
 /// [sample_slice_bounds(S, slice)) of the S sampled mutants. The default
@@ -211,9 +224,6 @@ struct SampleSlice {
           sample_size * (slice.index + 1) / slice.count};
 }
 
-/// 128-bit hash of a mutant's canonical dedup key (support::fnv128).
-using KeyHash = std::pair<uint64_t, uint64_t>;
-
 /// Runs the campaign against the configured device binding. Preconditions
 /// (std::logic_error naming the device and entry otherwise): the binding is
 /// populated, and the unmutated unit compiles, boots without fault or
@@ -223,15 +233,13 @@ using KeyHash = std::pair<uint64_t, uint64_t>;
 
 /// Sliced variant: the full campaign prepared identically (baseline boot,
 /// site scan, deterministic sample), but only the mutants in `slice` are
-/// deduped, compiled and booted. Dedup is slice-local: canonical duplicates
-/// are only detected within the slice, so the records' `deduped` flags and
-/// every counter are slice-local too (eval/merge.h re-dedups across slices
-/// so a merged run is byte-identical to the unsharded one). With dedup on,
-/// `keys` (optional) receives each record's canonical dedup-key hash, which
-/// that re-dedup needs. The {0, 1} slice is exactly run_driver_campaign.
+/// compiled and booted. flag_duplicates runs over the slice alone, so the
+/// records' `deduped` flags and every counter are slice-local (eval/merge.h
+/// runs it again over the concatenated slices, so a merged run is
+/// byte-identical to the unsharded one). The {0, 1} slice is exactly
+/// run_driver_campaign.
 [[nodiscard]] DriverCampaignResult run_driver_campaign_slice(
-    const DriverCampaignConfig& config, SampleSlice slice,
-    std::vector<KeyHash>* keys = nullptr);
+    const DriverCampaignConfig& config, SampleSlice slice);
 
 /// Classifies one already-compiled-or-failed mutant run; exposed for tests.
 [[nodiscard]] const char* outcome_short(Outcome o);

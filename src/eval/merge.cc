@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <tuple>
-#include <unordered_set>
+#include <type_traits>
 
 #include "eval/report.h"
 
@@ -135,51 +135,17 @@ CampaignSlice<Result> concatenate(
     const CampaignSlice<Result>& a = *ordered[s].second;
     records.insert(records.end(), a.result.records.begin(),
                    a.result.records.end());
-    merged.keys.insert(merged.keys.end(), a.keys.begin(), a.keys.end());
   }
   return merged;
 }
-
-struct KeyHashHasher {
-  size_t operator()(const KeyHash& k) const {
-    return static_cast<size_t>(k.first ^ (k.second * 0x9e3779b97f4a7c15ULL));
-  }
-};
-
-/// Re-dedups a concatenated mutation campaign across its shards (see the
-/// file comment in merge.h). A record whose canonical key appeared in an
-/// earlier shard was compiled and booted there redundantly — the unsharded
-/// run would have classified it from the representative, with an identical
-/// outcome (the dedup invariant), so only its flags need rewriting.
-void rededup(ShardArtifact& merged) {
-  std::vector<MutantRecord>& records = merged.result.records;
-  if (merged.result.dedup && merged.keys.size() != records.size()) {
-    fail("campaign " + merged.result.device + "/" + merged.label +
-         " carries " + std::to_string(merged.keys.size()) +
-         " dedup-key hashes for " + std::to_string(records.size()) +
-         " records");
-  }
-  std::unordered_set<KeyHash, KeyHashHasher> seen;
-  seen.reserve(merged.keys.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    MutantRecord& rec = records[i];
-    rec.deduped = merged.result.dedup && !seen.insert(merged.keys[i]).second;
-    if (rec.deduped) {
-      // Duplicates never boot, so they carry no boot telemetry.
-      rec.prefix_cache_hit = rec.patched = rec.patch_fallback = false;
-      rec.skipped_steps = 0;
-    }
-  }
-}
-
-void rededup(FaultShardArtifact&) {}  // scenarios are never deduped
 
 /// Merges the `list` section (mutation or fault campaigns) of whole bundles:
 /// one shard count everywhere, bundle indices exactly 1..N, and the same
 /// campaign list (device/label, in order) in every bundle — the bundles are
 /// slices of one run, not a grab bag. Each campaign's slices must then tile
 /// it (check_tiling, with `units` and `kind_fields`) and are concatenated,
-/// re-deduped and recounted.
+/// flagged for duplicates across the whole sample (mutation campaigns run
+/// with dedup) and recounted.
 template <class Result, class KindFields>
 std::vector<CampaignSlice<Result>> merge_bundles(
     const std::vector<ShardBundle>& bundles,
@@ -231,7 +197,9 @@ std::vector<CampaignSlice<Result>> merge_bundles(
       shards.emplace_back(index, &(bundle->*list)[j]);
     }
     Artifact m = concatenate(check_tiling(shards, kind, units, kind_fields));
-    rededup(m);
+    if constexpr (std::is_same_v<Result, DriverCampaignResult>) {
+      if (m.result.dedup) flag_duplicates(m.result.records);
+    }
     recount(m.result);
     merged.push_back(std::move(m));
   }

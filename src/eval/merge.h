@@ -3,18 +3,14 @@
 // byte-identical to the single-process run, and therefore
 // eval/report.h's rendered tables too.
 //
-// Merge semantics: canonical-key dedup is shard-local while the shards run
-// (a shard cannot see another shard's mutants), so a mutant that the
-// unsharded campaign would classify as a duplicate may have been genuinely
-// compiled and booted by its shard. That is safe — the dedup invariant
-// (ctest-enforced since the dedup PR) guarantees a key-equal mutant's run
-// produces the same outcome and detail as duplicate classification — but
-// the `deduped` flags and the dedup/prefix-cache counters must be
-// reconstructed globally. The merge therefore re-dedups across shards: it
-// walks the concatenated records in sample order, marks every record whose
-// canonical key hash appeared earlier as `deduped`, clears the boot-only
-// bits (prefix cache, patching, fast-forward) of such a record, since the
-// unsharded campaign never compiles it, and recounts.
+// Merge semantics: dedup is a label. Every shard compiles and boots every
+// mutant of its slice, and each record carries its canonical dedup-key
+// hash, so a shard's `deduped` flags can only see its own slice. The merge
+// concatenates the slices in sample order and runs the kernel's own
+// flag_duplicates (eval/driver_campaign.h) over them: every record whose key
+// hash appeared earlier in the whole sample is flagged and its boot
+// telemetry bits (prefix cache, patching, fast-forward) cleared, exactly as
+// the unsharded kernel does, and then everything is recounted.
 #pragma once
 
 #include <string>
@@ -28,7 +24,7 @@ namespace eval {
 /// coordinates (same count everywhere, indices exactly 1..N), requires
 /// every bundle to carry the same campaign list (device/label, in order),
 /// and merges each campaign across the bundles into one artifact whose
-/// slice is the whole sample, with the shards' key hashes concatenated.
+/// slice is the whole sample.
 /// Campaigns come back in the bundles' common list order. A campaign's
 /// artifacts must tile exactly that campaign — one config fingerprint,
 /// agreeing metadata and baseline telemetry, slice bounds matching the

@@ -48,14 +48,14 @@ struct CampaignMetricsRow {
   /// deterministic section like the dedup counters.
   uint64_t patch_hits = 0;
   uint64_t patch_fallbacks = 0;
-  /// Mutation rows: records that individually compiled and booted (not
-  /// canonical duplicates, not compile-time failures).
+  /// Mutation rows: booted records that are not canonical duplicates (one
+  /// boot per key; compile-time failures never boot).
   uint64_t unique_boots = 0;
   uint64_t triggered = 0;  // fault rows only
 
-  /// Sum of interpreter steps over ALL records. Duplicates carry their
-  /// representative's (identical) count, so the sum is invariant under the
-  /// merge's re-dedup flag rewrites.
+  /// Sum of interpreter steps over ALL records. Duplicates boot too, and
+  /// key-equal mutants retire identical counts, so the sum does not depend
+  /// on how the records were flagged.
   uint64_t boot_steps = 0;
   uint64_t baseline_steps = 0;
   /// Zero-suppressed (opcode name, dispatch count) pairs of the baseline

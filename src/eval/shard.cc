@@ -172,7 +172,7 @@ CampaignSlice<Result> run_slice(ShardSpec spec, const std::string& label,
   a.label = label;
   a.engine = minic::exec_engine_name(engine);
   a.fingerprint = std::move(fingerprint);
-  a.result = kernel(slice, a.keys);
+  a.result = kernel(slice);
   std::tie(a.slice_begin, a.slice_end) =
       sample_slice_bounds(a.result.sample_size, slice);
   return a;
@@ -351,8 +351,8 @@ ShardArtifact parse_artifact(const support::JsonValue& c, size_t position) {
       r.trace = trace->as_string();
     }
     if (res.dedup) {
-      a.keys.push_back(
-          parse_hex128(require_string(rj, "key", rctx), rctx + " field 'key'"));
+      r.key =
+          parse_hex128(require_string(rj, "key", rctx), rctx + " field 'key'");
     } else if (rj.find("key") != nullptr) {
       throw std::runtime_error(rctx + ": has a dedup key but the campaign "
                                "ran with dedup off");
@@ -475,8 +475,8 @@ ShardArtifact run_campaign_shard(const DriverCampaignConfig& config,
                                  const std::string& label, ShardSpec spec) {
   return run_slice<DriverCampaignResult>(
       spec, label, config.engine, campaign_fingerprint(config),
-      [&](SampleSlice slice, std::vector<KeyHash>& keys) {
-        return run_driver_campaign_slice(config, slice, &keys);
+      [&](SampleSlice slice) {
+        return run_driver_campaign_slice(config, slice);
       });
 }
 
@@ -498,7 +498,7 @@ FaultShardArtifact run_fault_campaign_shard(const FaultCampaignConfig& config,
                                             ShardSpec spec) {
   return run_slice<FaultCampaignResult>(
       spec, label, config.base.engine, fault_campaign_fingerprint(config),
-      [&](SampleSlice slice, std::vector<KeyHash>&) {
+      [&](SampleSlice slice) {
         return run_fault_campaign_slice(config, slice);
       });
 }
@@ -529,8 +529,7 @@ std::string serialize_shard_bundle(const ShardBundle& bundle) {
     c.set("tally", tally_to_json(res.tally.mutants, outcome_short));
 
     JsonValue records = JsonValue::array();
-    for (size_t i = 0; i < res.records.size(); ++i) {
-      const MutantRecord& r = res.records[i];
+    for (const MutantRecord& r : res.records) {
       JsonValue rec = JsonValue::object();
       rec.set("mutant", r.mutant_index);
       rec.set("site", r.site);
@@ -542,7 +541,7 @@ std::string serialize_shard_bundle(const ShardBundle& bundle) {
       if (r.patched) rec.set("patched", true);
       if (r.patch_fallback) rec.set("patch_fallback", true);
       if (res.dedup) {
-        rec.set("key", support::hex128(a.keys[i].first, a.keys[i].second));
+        rec.set("key", support::hex128(r.key.first, r.key.second));
       }
       if (!r.trace.empty()) rec.set("trace", r.trace);
       records.push_back(std::move(rec));

@@ -4,7 +4,8 @@
 // A shard artifact is the recovery-friendly unit of work for scaling the
 // campaigns past one process (or one host): it carries everything a merge
 // needs to reassemble the exact single-process result — the per-mutant
-// records with their canonical dedup-key hashes, the slice bounds, the
+// records (with their canonical dedup-key hashes, `MutantRecord::key`, from
+// which the merge flags duplicates across slices), the slice bounds, the
 // shard-local tallies/counters, and a config fingerprint that pins the
 // campaign configuration the shard actually ran. eval/merge.h recombines
 // artifacts and rejects any set whose fingerprints, shard counts or slice
@@ -56,9 +57,6 @@ struct CampaignSlice {
   size_t slice_begin = 0;  // sample positions [slice_begin, slice_end)
   size_t slice_end = 0;
   Result result;
-  /// Mutation campaigns with dedup on: each record's canonical dedup-key
-  /// hash, so a merge can re-dedup across slices. Empty otherwise.
-  std::vector<KeyHash> keys;
 };
 using ShardArtifact = CampaignSlice<DriverCampaignResult>;
 using FaultShardArtifact = CampaignSlice<FaultCampaignResult>;

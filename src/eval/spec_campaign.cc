@@ -232,9 +232,11 @@ SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
   row.mutants = mutants.size();
   SpecSplicer splicer(spec, sites);
 
-  // Canonical dedup, mirroring the driver campaign's: keys are computed in
-  // parallel (per-index writes only); the first-seen mapping is built
-  // sequentially afterwards, so it is deterministic at any thread count.
+  // Canonical dedup. Unlike the driver campaign's, which only labels
+  // records, this one skips work: a splice keys in O(1), so every duplicate
+  // saves its check for free. Keys are computed in parallel (per-index
+  // writes only); the first-seen mapping is built sequentially afterwards,
+  // so it is deterministic at any thread count.
   std::vector<uint8_t> relexed(mutants.size(), 0);
   std::vector<size_t> dup_of(mutants.size(), kNone);
   if (config.dedup && !mutants.empty()) {

@@ -120,7 +120,8 @@ SplicedProgram spliced_from_whole_unit(const PreparedPrefix& prefix,
 }  // namespace
 
 SplicedProgram compile_tail(const PreparedPrefix& prefix,
-                            const std::string& tail, TailRecording* record) {
+                            const std::string& tail, TailRecording* record,
+                            const TailLexObserver& on_lex) {
   if (!prefix.compiled) return spliced_from_whole_unit(prefix, tail);
   const CompiledPrefix& cp = *prefix.compiled;
   SplicedProgram out;
@@ -133,6 +134,7 @@ SplicedProgram compile_tail(const PreparedPrefix& prefix,
     StageTimer timer(Stage::kLex);
     return lex_unit(buf, out.diags, options);
   }();
+  if (on_lex) on_lex(lexed, !out.diags.has_errors());
   if (out.diags.has_errors()) return out;
 
   out.macro_use_lines = prefix.macro_use_lines;
@@ -140,10 +142,8 @@ SplicedProgram compile_tail(const PreparedPrefix& prefix,
     out.macro_use_lines[name].insert(lines.begin(), lines.end());
   }
   if (record != nullptr) {
-    record->tail_macro_use_lines = std::move(lexed.macro_use_lines);
     record->macros = prefix.macros;
     for (auto& [name, body] : lexed.macros) record->macros[name] = body;
-    record->tokens = lexed.tokens;  // the parser consumes the original
   }
 
   auto tail_unit = [&] {

@@ -1,6 +1,7 @@
 // Facade over the MiniC pipeline: preprocess+lex -> parse -> typecheck.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -159,21 +160,25 @@ struct TailRecording {
   bytecode::PatchTable patch;
   std::unique_ptr<Unit> tail_unit;  // null on errors or whole-unit fallback
   MacroTable macros;                // prefix seeds + tail definitions
-  /// Expanded clean tail tokens, incl. kEof (the campaign's fast dedup-key
-  /// path serializes per-token key spans from them).
-  std::vector<Token> tokens;
-  /// Macro uses from the tail buffer ONLY (pre-merge) — the campaign's
-  /// canonical dedup key serializes exactly this map, never the merged one.
-  std::map<std::string, std::set<uint32_t>> tail_macro_use_lines;
 };
+
+/// Optional `compile_tail` observer of the tail's own lex, called once
+/// before the parser consumes it: `lexed` holds the expanded tail tokens
+/// (incl. kEof) and the tail buffer's macro uses only (never the prefix's),
+/// and `ok` is false when the lex reported errors. Only the stage-1 path
+/// lexes the tail by itself; without a stage-1 cache `compile_tail`
+/// compiles the whole unit and never calls it.
+using TailLexObserver = std::function<void(const LexOutput& lexed, bool ok)>;
 
 /// Stages 2+3: compiles only `tail` against `prefix.compiled` and splices
 /// the cached segment, falling back to the whole unit as described in the
 /// pipeline comment above. A non-null `record` also records patch points
-/// and keeps the front end's intermediate results (see TailRecording).
+/// and keeps the tail unit (see TailRecording); `on_lex` sees the tail's
+/// lex (see TailLexObserver).
 [[nodiscard]] SplicedProgram compile_tail(const PreparedPrefix& prefix,
                                           const std::string& tail,
-                                          TailRecording* record = nullptr);
+                                          TailRecording* record = nullptr,
+                                          const TailLexObserver& on_lex = {});
 
 /// Runs `entry` in a spliced module on the bytecode VM. The walker has no
 /// module form — use `run_unit` with a whole-unit Program for the oracle.

@@ -55,11 +55,11 @@ std::string await_shard(ShardJob& shard) {
         now >= shard.deadline_ns ? 1 : (shard.deadline_ns - now) / 1'000'000 + 1;
   }
   support::WaitResult wr = support::wait_process(shard.pid, timeout_ms);
+  if (wr.timed_out) support::kill_process(shard.pid);
+  shard.pid = -1;  // reaped either way
   if (wr.timed_out) {
-    support::kill_process(shard.pid);
     return "timed out after " + std::to_string(timeout_ms) + "ms";
   }
-  shard.pid = -1;
   if (!wr.clean_exit()) return wr.describe();
   return "";
 }
@@ -104,6 +104,18 @@ DispatchOutcome run_shard_job(const eval::CampaignSpec& spec,
                   shard.artifact_path};
     shard.argv.insert(shard.argv.end(), spec_args.begin(), spec_args.end());
   }
+
+  // Whatever ends the dispatch early (a shard out of retries, a failed
+  // spawn), no worker outlives it: the ones still running are killed and
+  // reaped on the way out.
+  struct ReapOnExit {
+    std::vector<ShardJob>& shards;
+    ~ReapOnExit() {
+      for (const ShardJob& shard : shards) {
+        if (shard.pid > 0) support::kill_process(shard.pid);
+      }
+    }
+  } reap{shards};
 
   DispatchOutcome out;
   support::ProgressMeter meter(config.job_tag + " shards", n);

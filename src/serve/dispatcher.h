@@ -2,15 +2,17 @@
 // existing `mutation_hunt --shard i/N --out <artifact>` path, then merges
 // the shard artifacts back through eval/merge — so the report a dispatch
 // produces is byte-identical to the single-process run (the merge layer
-// validates fingerprints, 1..N coverage and slice tiling, and re-dedups
-// across shards).
+// validates fingerprints, 1..N coverage and slice tiling, and flags
+// duplicates across shards).
 //
 // Fault tolerance: every shard has a wall-clock deadline fixed at spawn
 // time and a bounded retry budget. A worker that times out is killed; a
 // worker that dies on a signal, exits non-zero, or leaves an unloadable
 // artifact is re-dispatched — only its own slice reruns, and the merged
 // report is still byte-identical because the artifacts carry everything the
-// merge validates. Spec-kind campaigns (Table 2) have no slice API and run
+// merge validates. A shard that exhausts its retries fails the dispatch,
+// and every worker still running is killed and reaped before the error
+// propagates. Spec-kind campaigns (Table 2) have no slice API and run
 // in-process instead.
 #pragma once
 

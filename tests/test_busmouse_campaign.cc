@@ -242,7 +242,7 @@ TEST(BusmouseCampaign, CDevilCampaignDeterministicAcrossEnginesThreadsAndCache) 
   campaign_matrix(cdevil_mouse_config(), "cdevil busmouse");
 }
 
-TEST(BusmouseCampaign, DedupSkipsBootsButLeavesTalliesUnchanged) {
+TEST(BusmouseCampaign, DedupLabelsDuplicatesAndLeavesTalliesUnchanged) {
   auto cfg = cdevil_mouse_config();
   cfg.dedup = true;
   auto on = eval::run_driver_campaign(cfg);

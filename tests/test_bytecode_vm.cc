@@ -14,6 +14,7 @@
 #include "corpus/smoke_drivers.h"
 #include "corpus/specs.h"
 #include "devil/compiler.h"
+#include "eval/campaign_spec.h"
 #include "eval/device_bindings.h"
 #include "eval/driver_campaign.h"
 #include "eval/report.h"
@@ -495,39 +496,127 @@ TEST(CampaignEngines, CDevilByteIdenticalAcrossEnginesAndThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// Mutant dedup: skipping canonical duplicates must not change any reported
-// outcome or tally, and duplicates must stay visible in the records.
+// Mutant dedup is a label: every sampled mutant compiles and boots, and
+// flag_duplicates marks each record whose canonical key an earlier record
+// had. The label rests on one invariant, which the shard merge relies on
+// too: key-equal mutants boot identically.
 // ---------------------------------------------------------------------------
 
-TEST(CampaignDedup, OutcomesAndTalliesUnchanged) {
-  eval::DriverCampaignConfig cfg;
-  cfg.driver = corpus::c_ide_driver();
-  cfg.device = eval::ide_binding();
-  cfg.sample_percent = 25;
-  cfg.threads = 4;
-  cfg.dedup = true;
-  auto on = eval::run_driver_campaign(cfg);
-  cfg.dedup = false;
-  auto off = eval::run_driver_campaign(cfg);
+/// The C and CDevil campaigns of one corpus device, with the flight
+/// recorder on so traces are compared too.
+eval::DeviceCampaignConfigs recorded_configs(const corpus::CampaignDrivers& d,
+                                             unsigned sample_percent = 0) {
+  eval::CampaignSpec spec;
+  spec.sample_percent = sample_percent;  // 0: the corpus sample
+  spec.flight_recorder = true;
+  spec.threads = 4;
+  return eval::driver_configs_for(spec, d);
+}
 
+/// The invariant itself: each duplicate's own boot equals its
+/// representative's (the first record with its key) in steps, detail and
+/// trace, and in outcome too, except that a clean boot classifies against
+/// each mutant's own site as Boot or Dead code.
+void expect_duplicates_boot_like_representatives(
+    const eval::DriverCampaignResult& r) {
+  auto clean = [](eval::Outcome o) {
+    return o == eval::Outcome::kBoot || o == eval::Outcome::kDeadCode;
+  };
+  std::map<eval::KeyHash, size_t> first;
+  for (size_t i = 0; i < r.records.size(); ++i) {
+    const eval::MutantRecord& rec = r.records[i];
+    auto [it, inserted] = first.emplace(rec.key, i);
+    EXPECT_EQ(rec.deduped, !inserted) << i;
+    if (inserted) continue;
+    const eval::MutantRecord& rep = r.records[it->second];
+    EXPECT_EQ(rec.steps, rep.steps) << i;
+    EXPECT_EQ(rec.detail, rep.detail) << i;
+    EXPECT_EQ(rec.trace, rep.trace) << i;
+    if (!clean(rec.outcome) || !clean(rep.outcome)) {
+      EXPECT_EQ(rec.outcome, rep.outcome) << i;
+    }
+  }
+}
+
+/// Dedup on vs off: the same records except for the label. A duplicate's
+/// boot telemetry is cleared, so the counters count one boot per key;
+/// everything else matches field for field.
+void expect_only_labels_differ(const eval::DriverCampaignResult& on,
+                               const eval::DriverCampaignResult& off) {
   EXPECT_EQ(off.deduped_mutants, 0u);
   ASSERT_EQ(on.records.size(), off.records.size());
   for (size_t i = 0; i < on.records.size(); ++i) {
-    EXPECT_EQ(on.records[i].mutant_index, off.records[i].mutant_index) << i;
-    EXPECT_EQ(on.records[i].site, off.records[i].site) << i;
-    EXPECT_EQ(on.records[i].outcome, off.records[i].outcome) << i;
-    EXPECT_EQ(on.records[i].detail, off.records[i].detail) << i;
-    if (on.records[i].deduped) {
-      // Visible in the records, with the duplicate's own site.
-      EXPECT_FALSE(off.records[i].deduped) << i;
+    const eval::MutantRecord& a = on.records[i];
+    const eval::MutantRecord& b = off.records[i];
+    EXPECT_EQ(a.mutant_index, b.mutant_index) << i;
+    EXPECT_EQ(a.site, b.site) << i;
+    EXPECT_EQ(a.outcome, b.outcome) << i;
+    EXPECT_EQ(a.detail, b.detail) << i;
+    EXPECT_EQ(a.steps, b.steps) << i;
+    EXPECT_EQ(a.trace, b.trace) << i;
+    EXPECT_FALSE(b.deduped) << i;
+    EXPECT_EQ(b.key, eval::KeyHash{}) << i;  // no dedup, no key
+    if (a.deduped) {
+      EXPECT_FALSE(a.patched || a.patch_fallback || a.prefix_cache_hit) << i;
+      EXPECT_EQ(a.skipped_steps, 0u) << i;
+    } else {
+      EXPECT_EQ(a.patched, b.patched) << i;
+      EXPECT_EQ(a.patch_fallback, b.patch_fallback) << i;
+      EXPECT_EQ(a.prefix_cache_hit, b.prefix_cache_hit) << i;
+      EXPECT_EQ(a.skipped_steps, b.skipped_steps) << i;
     }
   }
   EXPECT_EQ(eval::render_driver_table("T", on),
             eval::render_driver_table("T", off));
-  // The C driver's macro set guarantees canonical duplicates (identifier
+}
+
+TEST(CampaignDedup, OutcomesAndTalliesUnchanged) {
+  size_t deduped = 0;
+  for (const auto& d : corpus::campaign_drivers()) {
+    eval::DeviceCampaignConfigs cfgs = recorded_configs(d);
+    for (eval::DriverCampaignConfig cfg : {cfgs.c, cfgs.cdevil}) {
+      SCOPED_TRACE(std::string(d.device) + (cfg.is_cdevil ? "/CDevil" : "/C"));
+      cfg.dedup = true;
+      auto on = eval::run_driver_campaign(cfg);
+      cfg.dedup = false;
+      auto off = eval::run_driver_campaign(cfg);
+      expect_only_labels_differ(on, off);
+      expect_duplicates_boot_like_representatives(on);
+      deduped += on.deduped_mutants;
+    }
+  }
+  // The C drivers' macro sets guarantee canonical duplicates (identifier
   // mutants that preserve the expanded value, e.g. IDE_STATUS vs
   // IDE_COMMAND both expanding to 0x1f7).
+  EXPECT_GT(deduped, 0u);
+}
+
+TEST(CampaignDedup, PrefixWithoutStageOneCacheLexesItsOwnKeys) {
+  // Stubs that call into the driver do not stand alone, so the campaign
+  // gets no stage-1 cache and no patcher: every mutant compiles the whole
+  // unit, and every key comes from a lex of its own. The stub shifts every
+  // line by one, which keeps key equality, so the labels must match the
+  // same driver's campaign without stubs, whose keys come from the fast
+  // splice and the tail compile's lex.
+  const corpus::CampaignDrivers& d = corpus::campaign_drivers()[1];
+  ASSERT_STREQ(d.device, "busmouse");
+  eval::DriverCampaignConfig cfg = recorded_configs(d, 25).c;
+  const auto standalone = eval::run_driver_campaign(cfg);
+  cfg.stubs = "int stub_probe() { return mouse_boot(); }";
+  ASSERT_EQ(minic::prepare_prefix(cfg.unit_name, cfg.stubs + "\n").compiled,
+            nullptr);
+  const auto on = eval::run_driver_campaign(cfg);
+  EXPECT_EQ(on.prefix_cache_hits, 0u);
+  EXPECT_EQ(on.patch_hits + on.patch_fallbacks, 0u);
   EXPECT_GT(on.deduped_mutants, 0u);
+  ASSERT_EQ(on.records.size(), standalone.records.size());
+  for (size_t i = 0; i < on.records.size(); ++i) {
+    EXPECT_EQ(on.records[i].mutant_index, standalone.records[i].mutant_index);
+    EXPECT_EQ(on.records[i].deduped, standalone.records[i].deduped) << i;
+  }
+  cfg.dedup = false;
+  expect_only_labels_differ(on, eval::run_driver_campaign(cfg));
+  expect_duplicates_boot_like_representatives(on);
 }
 
 TEST(CampaignDedup, DedupIsThreadCountInvariant) {

@@ -14,7 +14,9 @@
 //    the daemon keeps serving.
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -215,6 +217,63 @@ TEST(CampaignSpecJson, UnknownFieldRejected) {
                std::runtime_error);
 }
 
+TEST(CampaignSpecJson, EveryBoundSurvivesTheWorkerArgv) {
+  // The dispatcher hands a served JSON spec to its workers as flags, so
+  // every value the JSON reader accepts must parse as a flag too: a spec
+  // with every numeric field at its maximum survives spec -> argv -> spec.
+  eval::CampaignSpec max;
+  max.seed = eval::kMaxSeed;
+  max.sample_percent = 100;
+  max.step_budget = eval::kMaxStepBudget;
+  max.watchdog_ms = eval::kMaxWatchdogMs;
+  max.threads = static_cast<unsigned>(eval::kMaxThreads);
+  max.fault_triggers = {0, static_cast<uint32_t>(eval::kMaxFaultTrigger)};
+  max.fault_sample_percent = 100;
+  max.survivor_samples = static_cast<unsigned>(eval::kMaxSurvivorSamples);
+  EXPECT_EQ(eval::campaign_spec_from_json(eval::campaign_spec_to_json(max),
+                                          "max"),
+            max);
+  eval::CampaignSpec parsed;
+  const std::vector<std::string> args = eval::campaign_spec_to_args(max);
+  for (size_t i = 0; i < args.size(); ++i) {
+    const eval::CampaignFlag* flag = eval::find_campaign_flag(args[i]);
+    ASSERT_NE(flag, nullptr) << args[i];
+    const std::string value = flag->value_name != nullptr ? args[++i] : "";
+    EXPECT_EQ(eval::apply_campaign_flag(parsed, *flag, value), "")
+        << flag->flag << " " << value;
+  }
+  EXPECT_EQ(parsed, max);
+
+  // One past each maximum is a JSON error naming the field.
+  using Spec = eval::CampaignSpec;
+  const std::pair<const char*, void (*)(Spec&)> past_max[] = {
+      {"seed", [](Spec& s) { s.seed = eval::kMaxSeed + 1; }},
+      {"sample_percent", [](Spec& s) { s.sample_percent = 101; }},
+      {"step_budget",
+       [](Spec& s) { s.step_budget = eval::kMaxStepBudget + 1; }},
+      {"watchdog_ms",
+       [](Spec& s) { s.watchdog_ms = eval::kMaxWatchdogMs + 1; }},
+      {"threads", [](Spec& s) { s.threads = eval::kMaxThreads + 1; }},
+      {"fault_triggers",
+       [](Spec& s) { s.fault_triggers = {eval::kMaxFaultTrigger + 1}; }},
+      {"fault_sample_percent", [](Spec& s) { s.fault_sample_percent = 101; }},
+      {"survivor_samples",
+       [](Spec& s) { s.survivor_samples = eval::kMaxSurvivorSamples + 1; }},
+  };
+  for (const auto& [name, set_past_max] : past_max) {
+    Spec spec = max;
+    set_past_max(spec);
+    try {
+      (void)eval::campaign_spec_from_json(eval::campaign_spec_to_json(spec),
+                                          "bounds");
+      ADD_FAILURE() << name << " one past its maximum was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CampaignSpecFingerprint, StableAcrossCallsAndThreadCounts) {
   eval::CampaignSpec spec;
   spec.device = "busmouse";
@@ -258,7 +317,9 @@ TEST(Dispatcher, TimeoutKillsWorkerAndFailsWithShardDiagnostic) {
   {
     std::FILE* f = std::fopen(script.c_str(), "w");
     ASSERT_NE(f, nullptr);
-    std::fputs("#!/bin/sh\nsleep 600\n", f);
+    // exec: the killed worker must be the sleeper itself, or the sleep
+    // outlives the test as an orphan.
+    std::fputs("#!/bin/sh\nexec sleep 600\n", f);
     std::fclose(f);
   }
   ASSERT_EQ(std::system(("chmod +x " + script).c_str()), 0);
@@ -282,6 +343,59 @@ TEST(Dispatcher, TimeoutKillsWorkerAndFailsWithShardDiagnostic) {
     EXPECT_NE(what.find("timed out"), std::string::npos) << what;
     EXPECT_NE(what.find("worker log"), std::string::npos) << what;
   }
+}
+
+TEST(Dispatcher, FailedDispatchLeavesNoWorkerBehind) {
+  // Shard 1 exits non-zero at once (once shard 2 has written its pid, so
+  // the test knows it); shard 2 sleeps. With no retries shard 1 fails the
+  // dispatch, and by the time the error arrives shard 2's worker must be
+  // killed and reaped, neither running nor a zombie.
+  const std::string dir = ::testing::TempDir() + "serve-reap";
+  const std::string pid_file = dir + "/sleeper.pid";
+  const std::string script = dir + "/split-worker.sh";
+  ASSERT_EQ(std::system(("mkdir -p " + dir + " && rm -f " + pid_file).c_str()),
+            0);
+  {
+    std::FILE* f = std::fopen(script.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    // A worker's argv starts `--shard I/N --out FILE`.
+    const std::string body =
+        "#!/bin/sh\n"
+        "if [ \"$2\" = 2/2 ]; then\n"
+        "  echo $$ > " + pid_file + ".tmp && mv " + pid_file + ".tmp " +
+        pid_file + "\n"
+        "  exec sleep 600\n"
+        "fi\n"
+        "while [ ! -f " + pid_file + " ]; do sleep 0.01; done\n"
+        "exit 3\n";
+    std::fputs(body.c_str(), f);
+    std::fclose(f);
+  }
+  ASSERT_EQ(std::system(("chmod +x " + script).c_str()), 0);
+
+  serve::DispatcherConfig cfg;
+  cfg.worker_binary = script;
+  cfg.scratch_dir = dir;
+  cfg.workers = 2;
+  cfg.worker_retries = 0;
+  cfg.job_tag = "split";
+  eval::CampaignSpec spec;
+  spec.device = "busmouse";
+  EXPECT_THROW((void)serve::dispatch_campaign(spec, cfg), std::runtime_error);
+
+  std::FILE* f = std::fopen(pid_file.c_str(), "r");
+  ASSERT_NE(f, nullptr) << "shard 2 never wrote its pid";
+  long pid = 0;
+  const int scanned = std::fscanf(f, "%ld", &pid);
+  std::fclose(f);
+  ASSERT_EQ(scanned, 1);
+  const bool alive = ::kill(static_cast<pid_t>(pid), 0) == 0;
+  if (alive) {  // do not leave the sleeper behind either
+    ::kill(static_cast<pid_t>(pid), SIGKILL);
+    ::waitpid(static_cast<pid_t>(pid), nullptr, 0);
+  }
+  EXPECT_FALSE(alive) << "shard 2's worker (pid " << pid
+                      << ") outlived the failed dispatch";
 }
 
 // --- live service ------------------------------------------------------------
