@@ -163,7 +163,6 @@ support::JsonValue campaign_spec_to_json(const CampaignSpec& spec) {
   v.set("fault_triggers", std::move(triggers));
   v.set("fault_sample_percent",
         static_cast<uint64_t>(spec.fault_sample_percent));
-  v.set("survivor_samples", static_cast<uint64_t>(spec.survivor_samples));
   return v;
 }
 
@@ -174,8 +173,7 @@ CampaignSpec campaign_spec_from_json(const support::JsonValue& v,
       v, ctx,
       {"format", "version", "kind", "device", "engine", "seed",
        "sample_percent", "step_budget", "dedup", "flight_recorder",
-       "watchdog_ms", "threads", "fault_triggers", "fault_sample_percent",
-       "survivor_samples"});
+       "watchdog_ms", "threads", "fault_triggers", "fault_sample_percent"});
   using support::require;
   using support::require_string;
   using support::require_u64;
@@ -206,8 +204,6 @@ CampaignSpec campaign_spec_from_json(const support::JsonValue& v,
   }
   spec.fault_sample_percent =
       static_cast<unsigned>(require_u64(v, "fault_sample_percent", ctx, 100));
-  spec.survivor_samples = static_cast<unsigned>(
-      require_u64(v, "survivor_samples", ctx, kMaxSurvivorSamples));
 
   std::vector<std::string> diags = validate_campaign_spec(spec);
   if (!diags.empty()) {
@@ -253,7 +249,6 @@ DeviceFaultConfigs fault_configs_for(const CampaignSpec& spec,
 
 SpecCampaignConfig spec_campaign_config_for(const CampaignSpec& spec) {
   SpecCampaignConfig cfg;
-  cfg.max_survivor_samples = spec.survivor_samples;
   cfg.threads = spec.threads;
   cfg.dedup = spec.dedup;
   return cfg;
@@ -280,10 +275,9 @@ std::string campaign_spec_fingerprint(const CampaignSpec& spec) {
       break;
     case CampaignKind::kSpec:
       // Table 2 has no per-device config; the digest pins the corpus text
-      // and the two knobs that move rows (dedup cannot change tallies but
+      // and the one knob that moves rows (dedup cannot change tallies but
       // does change the deduped column).
       h.update_u64(spec.dedup ? 1 : 0);
-      h.update_u64(spec.survivor_samples);
       for (const auto& entry : corpus::all_specs()) {
         h.update_field(entry.name);
         h.update_field(entry.text);
@@ -316,8 +310,6 @@ const std::vector<CampaignFlag>& campaign_spec_flags() {
        "fault-campaign trigger offsets (default 0,1,2,7)"},
       {"--fault-sample-percent", "N", true,
        "percent of the fault-scenario matrix booted"},
-      {"--survivor-samples", "N", true,
-       "survivors listed per Table 2 row (spec campaigns)"},
   };
   return flags;
 }
@@ -416,14 +408,6 @@ std::string apply_campaign_flag(CampaignSpec& spec, const CampaignFlag& flag,
     spec.fault_sample_percent = static_cast<unsigned>(n);
     return "";
   }
-  if (name == "--survivor-samples") {
-    if (!parse_count(value, kMaxSurvivorSamples, &n)) {
-      return "--survivor-samples: '" + value + "' is not a count (0-" +
-             std::to_string(kMaxSurvivorSamples) + ")";
-    }
-    spec.survivor_samples = static_cast<unsigned>(n);
-    return "";
-  }
   return "unhandled campaign flag '" + name + "'";
 }
 
@@ -455,8 +439,6 @@ std::vector<std::string> campaign_spec_to_args(const CampaignSpec& spec) {
   args.insert(args.end(), {"--fault-triggers", triggers});
   args.insert(args.end(), {"--fault-sample-percent",
                            std::to_string(spec.fault_sample_percent)});
-  args.insert(args.end(), {"--survivor-samples",
-                           std::to_string(spec.survivor_samples)});
   return args;
 }
 

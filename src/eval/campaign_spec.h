@@ -52,7 +52,6 @@ inline constexpr uint64_t kMaxStepBudget = 999'999'999'999;
 inline constexpr uint64_t kMaxWatchdogMs = 99'999'999;
 inline constexpr uint64_t kMaxThreads = 9999;
 inline constexpr uint64_t kMaxFaultTrigger = 999'999;
-inline constexpr uint64_t kMaxSurvivorSamples = 9999;
 
 struct CampaignSpec {
   CampaignKind kind = CampaignKind::kDriver;
@@ -75,8 +74,6 @@ struct CampaignSpec {
   /// (FaultCampaignConfig::triggers / sample_percent).
   std::vector<uint32_t> fault_triggers = {0, 1, 2, 7};
   unsigned fault_sample_percent = 100;
-  /// Spec campaigns only: survivors listed per Table 2 row.
-  unsigned survivor_samples = 8;
 
   friend bool operator==(const CampaignSpec&, const CampaignSpec&) = default;
 };
@@ -123,15 +120,14 @@ struct DeviceFaultConfigs {
 [[nodiscard]] DeviceFaultConfigs fault_configs_for(
     const CampaignSpec& spec, const corpus::CampaignDrivers& drivers);
 
-/// Table 2 campaign config derived from the spec (threads, dedup,
-/// survivor_samples).
+/// Table 2 campaign config derived from the spec (threads, dedup).
 [[nodiscard]] SpecCampaignConfig spec_campaign_config_for(
     const CampaignSpec& spec);
 
 /// Digest of everything in the spec that can change campaign results: the
 /// kind, then every selected campaign's config fingerprint (driver and
-/// fault kinds) or the spec corpus text plus the dedup/survivor knobs (spec
-/// kind). Specs that differ only in threads or watchdog_ms fingerprint
+/// fault kinds) or the spec corpus text plus the dedup knob (spec kind).
+/// Specs that differ only in threads or watchdog_ms fingerprint
 /// identically — the cache-replay guarantee. Compiles corpus Devil specs to
 /// derive configs; throws std::runtime_error when one fails.
 [[nodiscard]] std::string campaign_spec_fingerprint(const CampaignSpec& spec);

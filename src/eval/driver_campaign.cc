@@ -358,37 +358,6 @@ bool splice_may_merge(const std::string& driver, const mutation::Site& site,
   return false;
 }
 
-/// Binary-operator precedence, mirroring the MiniC parser's table exactly.
-/// -1 for anything that is not a binary operator.
-int binop_precedence(minic::Tok t) {
-  using minic::Tok;
-  switch (t) {
-    case Tok::kStar: case Tok::kSlash: case Tok::kPercent: return 10;
-    case Tok::kPlus: case Tok::kMinus: return 9;
-    case Tok::kShl: case Tok::kShr: return 8;
-    case Tok::kLt: case Tok::kGt: case Tok::kLe: case Tok::kGe: return 7;
-    case Tok::kEq: case Tok::kNe: return 6;
-    case Tok::kAmp: return 5;
-    case Tok::kCaret: return 4;
-    case Tok::kPipe: return 3;
-    case Tok::kAmpAmp: return 2;
-    case Tok::kPipePipe: return 1;
-    default: return -1;
-  }
-}
-
-bool is_assign_tok(minic::Tok t) {
-  using minic::Tok;
-  switch (t) {
-    case Tok::kAssign: case Tok::kPlusAssign: case Tok::kMinusAssign:
-    case Tok::kAndAssign: case Tok::kOrAssign: case Tok::kXorAssign:
-    case Tok::kShlAssign: case Tok::kShrAssign:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Grouping class of an operator token for the precedence-safety check:
 /// the parser's binary precedence (>= 0), one shared level for all
 /// (right-associative) assignment operators, one for the unary-only
@@ -396,9 +365,9 @@ bool is_assign_tok(minic::Tok t) {
 /// never re-associate; swaps across classes are never provably safe.
 enum { kClassAssign = -2, kClassUnary = -3, kClassUnknown = -4 };
 int grouping_class(minic::Tok t) {
-  int p = binop_precedence(t);
+  int p = minic::binary_precedence(t);
   if (p >= 0) return p;
-  if (is_assign_tok(t)) return kClassAssign;
+  if (minic::is_assignment(t)) return kClassAssign;
   if (t == minic::Tok::kTilde || t == minic::Tok::kBang) return kClassUnary;
   return kClassUnknown;
 }
@@ -423,7 +392,7 @@ bool precedence_swap_safe(const std::vector<minic::Token>& tokens,
       case Tok::kEof:
         return true;
       default:
-        return is_assign_tok(k);
+        return minic::is_assignment(k);
     }
   };
   int depth = 0;
@@ -437,7 +406,7 @@ bool precedence_swap_safe(const std::vector<minic::Token>& tokens,
     }
     if (depth > 0) continue;
     if (boundary(k)) break;
-    int p = binop_precedence(k);
+    int p = minic::binary_precedence(k);
     if (p >= lo && p <= hi) return false;
   }
   depth = 0;
@@ -451,7 +420,7 @@ bool precedence_swap_safe(const std::vector<minic::Token>& tokens,
     }
     if (depth > 0) continue;
     if (boundary(k)) break;
-    int p = binop_precedence(k);
+    int p = minic::binary_precedence(k);
     if (p >= lo && p <= hi) return false;
   }
   return true;

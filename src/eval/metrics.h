@@ -11,14 +11,19 @@
 //    churn, per-worker record shares). Never compared byte-for-byte; shard
 //    merges aggregate it (counter sums, bucket-wise histogram merges).
 //
+// The artifact is written, never read back by this program: CI and
+// devilbench read its JSON themselves (`python3 -c 'import json...'`, `jq`).
+// A deterministic row is built directly as its JSON object, so a new counter
+// is one `row.set(...)` line in a row builder. The one reader left is
+// `process_metrics_from_json`: shard bundles embed their process timings and
+// `--merge` (and the service's dispatcher) read them back.
+//
 // Serialization rides on support/json_io (compact, insertion-ordered,
 // byte-stable) and the same atomic tmp+rename write path as shard bundles.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "eval/driver_campaign.h"
@@ -28,68 +33,33 @@
 
 namespace eval {
 
-/// One campaign's deterministic telemetry row. Mutation and fault campaigns
-/// share the struct; `fault_campaign` selects which counters are meaningful
-/// (and serialized): dedup/prefix-cache/unique-boot counters for mutation
-/// rows, the triggered count for fault rows.
-struct CampaignMetricsRow {
-  std::string device;
-  std::string label;   // "C" / "CDevil"
-  std::string entry;
-  std::string engine;  // minic::exec_engine_name
-  bool fault_campaign = false;
-
-  uint64_t records = 0;            // sampled mutants / scenarios
-  uint64_t deduped = 0;            // mutation rows only
-  uint64_t prefix_cache_hits = 0;  // mutation rows only
-  /// Mutation rows only: boots from a patched clean-tail module vs
-  /// recompiles while the campaign had a patcher. Deterministic (the patched
-  /// split is a pure function of each mutant), so they live in the
-  /// deterministic section like the dedup counters.
-  uint64_t patch_hits = 0;
-  uint64_t patch_fallbacks = 0;
-  /// Mutation rows: booted records that are not canonical duplicates (one
-  /// boot per key; compile-time failures never boot).
-  uint64_t unique_boots = 0;
-  uint64_t triggered = 0;  // fault rows only
-
-  /// Sum of interpreter steps over ALL records. Duplicates boot too, and
-  /// key-equal mutants retire identical counts, so the sum does not depend
-  /// on how the records were flagged.
-  uint64_t boot_steps = 0;
-  uint64_t baseline_steps = 0;
-  /// Zero-suppressed (opcode name, dispatch count) pairs of the baseline
-  /// boot, in opcode order. Empty on the tree walker.
-  std::vector<std::pair<std::string, uint64_t>> baseline_opcodes;
-  /// (short outcome name, record count) pairs in outcome-enum order,
-  /// zero rows omitted.
-  std::vector<std::pair<std::string, uint64_t>> tally;
-
-  friend bool operator==(const CampaignMetricsRow&,
-                         const CampaignMetricsRow&) = default;
-};
+/// One campaign's deterministic telemetry row, as the JSON object the
+/// artifact carries. Keys, in order:
+///
+///  - "device", "label" ("C" / "CDevil"), "entry", "engine"
+///    (minic::exec_engine_name), "records" (sampled mutants / scenarios);
+///  - mutation rows: "deduped", "prefix_cache_hits", "patch_hits" and
+///    "patch_fallbacks" (boots from a patched clean-tail module vs
+///    recompiles while the campaign had a patcher; a pure function of each
+///    mutant), "unique_boots" (booted records that are not canonical
+///    duplicates; compile-time failures never boot);
+///  - fault rows: "triggered" (records whose fault fired);
+///  - "boot_steps": interpreter steps summed over ALL records (duplicates
+///    boot too, and key-equal mutants retire identical counts, so the sum
+///    does not depend on how records were flagged);
+///  - "baseline_steps" and "baseline_opcodes" (opcode name -> dispatch
+///    count of the baseline boot, zero-suppressed, in opcode order; empty on
+///    the tree walker);
+///  - "tally": short outcome name -> record count in outcome-enum order,
+///    zero rows omitted.
+using CampaignMetricsRow = support::JsonValue;
 
 /// The "timings" section: one process's (or, after aggregation, one shard
-/// fleet's) wall-clock telemetry. Everything here is non-deterministic.
-struct ProcessMetrics {
+/// fleet's) collector snapshot plus the caller-measured thread count and
+/// wall time. Everything here is non-deterministic.
+struct ProcessMetrics : support::MetricsSnapshot {
   uint64_t threads = 0;  // summed across merged shards
   uint64_t wall_ns = 0;
-  std::array<support::Histogram, support::kStageCount> stages;
-  uint64_t pool_fresh = 0;
-  uint64_t pool_recycled = 0;
-  /// Boots killed by the wall-clock watchdog — host-speed dependent, hence
-  /// a timing counter and never part of the deterministic section.
-  uint64_t watchdog_trips = 0;
-  support::Histogram worker_records;
-  /// Campaign-service counters (support::MetricsSnapshot's service_* set).
-  /// Serialized as an optional "service" sub-object only when any counter
-  /// is nonzero, so artifacts from non-daemon runs are byte-identical to
-  /// the pre-service format and old artifacts still parse.
-  uint64_t service_jobs_queued = 0;
-  uint64_t service_jobs_dispatched = 0;
-  uint64_t service_cache_hits = 0;
-  uint64_t service_workers_spawned = 0;
-  uint64_t service_worker_retries = 0;
 
   friend bool operator==(const ProcessMetrics&,
                          const ProcessMetrics&) = default;
@@ -99,9 +69,6 @@ struct MetricsArtifact {
   std::vector<CampaignMetricsRow> campaigns;
   std::vector<CampaignMetricsRow> fault_campaigns;
   ProcessMetrics process;
-
-  friend bool operator==(const MetricsArtifact&,
-                         const MetricsArtifact&) = default;
 };
 
 /// Row builders. `engine` is the minic::exec_engine_name string of the
@@ -133,23 +100,18 @@ struct MetricsArtifact {
 /// (commutative and associative, so shard order cannot change the result).
 void merge_process_metrics(ProcessMetrics& into, const ProcessMetrics& from);
 
-/// JSON round trip. serialize is byte-stable; parse validates the format
-/// tag, version and every field, and throws std::runtime_error with a clear
-/// diagnostic on corrupt input. parse(serialize(a)) == a, and re-serializing
-/// a parsed artifact reproduces the exact input bytes.
+/// The whole artifact as compact, byte-stable JSON.
 [[nodiscard]] std::string serialize_metrics(const MetricsArtifact& artifact);
-[[nodiscard]] MetricsArtifact parse_metrics(const std::string& text);
 
 /// The "deterministic" section alone, as compact JSON — the byte string CI
 /// compares across thread counts and merged-vs-single runs.
 [[nodiscard]] std::string deterministic_metrics_json(
     const MetricsArtifact& artifact);
 
-/// File wrappers on the shared atomic tmp+rename path (eval/shard.h):
-/// save throws ArtifactWriteError (CLI exit 2) and never leaves a partial
-/// file; load/parse errors throw std::runtime_error prefixed with the path.
+/// Writes serialize_metrics(artifact) on the shared atomic tmp+rename path
+/// (eval/shard.h): throws ArtifactWriteError (CLI exit 2) and never leaves a
+/// partial file.
 void save_metrics_artifact(const std::string& path,
                            const MetricsArtifact& artifact);
-[[nodiscard]] MetricsArtifact load_metrics_artifact(const std::string& path);
 
 }  // namespace eval

@@ -1016,19 +1016,6 @@ class FunctionCompiler {
     return false;
   }
 
-  static Tok compound_base(Tok t) {
-    switch (t) {
-      case Tok::kPlusAssign: return Tok::kPlus;
-      case Tok::kMinusAssign: return Tok::kMinus;
-      case Tok::kAndAssign: return Tok::kAmp;
-      case Tok::kOrAssign: return Tok::kPipe;
-      case Tok::kXorAssign: return Tok::kCaret;
-      case Tok::kShlAssign: return Tok::kShl;
-      case Tok::kShrAssign: return Tok::kShr;
-      default: return Tok::kEof;
-    }
-  }
-
   uint16_t compile_assign(const Expr& e, int dst, bool used) {
     const Expr& lhs = *e.sub[0];
     const Expr& rhs = *e.sub[1];

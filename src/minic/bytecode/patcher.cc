@@ -34,21 +34,6 @@ std::optional<Op> plain_binop_op(Tok t) {
   }
 }
 
-/// Compound assignment -> base operator, mirroring the compiler's
-/// compound_base (no `/=` or `%=` in MiniC).
-Tok compound_base(Tok t) {
-  switch (t) {
-    case Tok::kPlusAssign: return Tok::kPlus;
-    case Tok::kMinusAssign: return Tok::kMinus;
-    case Tok::kAndAssign: return Tok::kAmp;
-    case Tok::kOrAssign: return Tok::kPipe;
-    case Tok::kXorAssign: return Tok::kCaret;
-    case Tok::kShlAssign: return Tok::kShl;
-    case Tok::kShrAssign: return Tok::kShr;
-    default: return Tok::kEof;
-  }
-}
-
 std::optional<Op> unary_op(Tok t) {
   switch (t) {
     case Tok::kMinus: return Op::kNeg;

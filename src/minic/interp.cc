@@ -469,7 +469,7 @@ class Machine {
           if (arr_elem) {
             int64_t next = e.op == Tok::kAssign
                                ? rhs
-                               : apply_binop(compound_op(e.op), *arr_elem,
+                               : apply_binop(compound_base(e.op), *arr_elem,
                                              rhs);
             *arr_elem = coerce_int(next, elem_type_);
             return *arr_elem;
@@ -477,7 +477,7 @@ class Machine {
           assert(target != nullptr);
           int64_t next = e.op == Tok::kAssign
                              ? rhs
-                             : apply_binop(compound_op(e.op), target->i, rhs);
+                             : apply_binop(compound_base(e.op), target->i, rhs);
           target->i = coerce_int(next, target->type);
           return target->i;
         }
@@ -602,6 +602,8 @@ class Machine {
       case Tok::kLe: return a <= b;
       case Tok::kGe: return a >= b;
       default:
+        // Also compound_base's kEof: an assignment token that is not `=`
+        // and not a compound assignment.
         throw Fault{FaultKind::kInternal, "bad binary op"};
     }
   }
@@ -654,7 +656,7 @@ class Machine {
     if (arr_elem) {
       int64_t cur = *arr_elem;
       int64_t next =
-          e.op == Tok::kAssign ? rhs.i : apply_binop(compound_op(e.op), cur,
+          e.op == Tok::kAssign ? rhs.i : apply_binop(compound_base(e.op), cur,
                                                      rhs.i);
       *arr_elem = coerce_int(next, elem_type_);
       return Value::integer(*arr_elem, elem_type_);
@@ -664,24 +666,10 @@ class Machine {
     if (e.op == Tok::kAssign) {
       store_into(*target, std::move(rhs));
     } else {
-      int64_t next = apply_binop(compound_op(e.op), target->i, rhs.i);
+      int64_t next = apply_binop(compound_base(e.op), target->i, rhs.i);
       target->i = coerce_int(next, target->type);
     }
     return *target;
-  }
-
-  static Tok compound_op(Tok t) {
-    switch (t) {
-      case Tok::kPlusAssign: return Tok::kPlus;
-      case Tok::kMinusAssign: return Tok::kMinus;
-      case Tok::kAndAssign: return Tok::kAmp;
-      case Tok::kOrAssign: return Tok::kPipe;
-      case Tok::kXorAssign: return Tok::kCaret;
-      case Tok::kShlAssign: return Tok::kShl;
-      case Tok::kShrAssign: return Tok::kShr;
-      default:
-        throw Fault{FaultKind::kInternal, "bad compound op"};
-    }
   }
 
   // ---- calls ------------------------------------------------------------------

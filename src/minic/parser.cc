@@ -20,59 +20,6 @@ StmtPtr make_stmt(StmtKind kind, support::SourceLoc loc) {
   return s;
 }
 
-/// C binary operator precedence (higher binds tighter). Assignment and ?:
-/// are handled separately.
-int precedence(Tok t) {
-  switch (t) {
-    case Tok::kStar:
-    case Tok::kSlash:
-    case Tok::kPercent:
-      return 10;
-    case Tok::kPlus:
-    case Tok::kMinus:
-      return 9;
-    case Tok::kShl:
-    case Tok::kShr:
-      return 8;
-    case Tok::kLt:
-    case Tok::kGt:
-    case Tok::kLe:
-    case Tok::kGe:
-      return 7;
-    case Tok::kEq:
-    case Tok::kNe:
-      return 6;
-    case Tok::kAmp:
-      return 5;
-    case Tok::kCaret:
-      return 4;
-    case Tok::kPipe:
-      return 3;
-    case Tok::kAmpAmp:
-      return 2;
-    case Tok::kPipePipe:
-      return 1;
-    default:
-      return -1;
-  }
-}
-
-bool is_assign_op(Tok t) {
-  switch (t) {
-    case Tok::kAssign:
-    case Tok::kPlusAssign:
-    case Tok::kMinusAssign:
-    case Tok::kAndAssign:
-    case Tok::kOrAssign:
-    case Tok::kXorAssign:
-    case Tok::kShlAssign:
-    case Tok::kShrAssign:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 const Token& Parser::peek(int ahead) const {
@@ -412,7 +359,7 @@ StmtPtr Parser::parse_statement() {
 
 ExprPtr Parser::parse_assignment() {
   ExprPtr lhs = parse_conditional();
-  if (is_assign_op(peek().kind)) {
+  if (is_assignment(peek().kind)) {
     const Token& op_tok = advance();
     Tok op = op_tok.kind;
     auto e = make_expr(ExprKind::kAssign, lhs->loc);
@@ -441,7 +388,7 @@ ExprPtr Parser::parse_conditional() {
 ExprPtr Parser::parse_binary(int min_prec) {
   ExprPtr lhs = parse_unary();
   for (;;) {
-    int prec = precedence(peek().kind);
+    int prec = binary_precedence(peek().kind);
     if (prec < 0 || prec < min_prec) return lhs;
     const Token& op_tok = advance();
     Tok op = op_tok.kind;

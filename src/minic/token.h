@@ -45,6 +45,56 @@ enum class Tok {
 
 [[nodiscard]] const char* tok_name(Tok t);
 
+// Operator facts. Inline: the parser's binary-expression loop asks for a
+// precedence at every token. The bytecode compiler, the patcher, the tree
+// walker and the campaign's patch-eligibility scan must agree with the
+// parser, so they read these too.
+
+/// C binary-operator precedence (higher binds tighter); -1 for a token that
+/// is not a binary operator. Assignment and ?: are parsed separately.
+[[nodiscard]] inline int binary_precedence(Tok t) {
+  switch (t) {
+    case Tok::kStar: case Tok::kSlash: case Tok::kPercent: return 10;
+    case Tok::kPlus: case Tok::kMinus: return 9;
+    case Tok::kShl: case Tok::kShr: return 8;
+    case Tok::kLt: case Tok::kGt: case Tok::kLe: case Tok::kGe: return 7;
+    case Tok::kEq: case Tok::kNe: return 6;
+    case Tok::kAmp: return 5;
+    case Tok::kCaret: return 4;
+    case Tok::kPipe: return 3;
+    case Tok::kAmpAmp: return 2;
+    case Tok::kPipePipe: return 1;
+    default: return -1;
+  }
+}
+
+/// `=` and the compound assignments (all right-associative, one level).
+[[nodiscard]] inline bool is_assignment(Tok t) {
+  switch (t) {
+    case Tok::kAssign: case Tok::kPlusAssign: case Tok::kMinusAssign:
+    case Tok::kAndAssign: case Tok::kOrAssign: case Tok::kXorAssign:
+    case Tok::kShlAssign: case Tok::kShrAssign:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// A compound assignment's base operator (`+=` -> `+`); kEof for any other
+/// token. MiniC has no `/=` or `%=`.
+[[nodiscard]] inline Tok compound_base(Tok t) {
+  switch (t) {
+    case Tok::kPlusAssign: return Tok::kPlus;
+    case Tok::kMinusAssign: return Tok::kMinus;
+    case Tok::kAndAssign: return Tok::kAmp;
+    case Tok::kOrAssign: return Tok::kPipe;
+    case Tok::kXorAssign: return Tok::kCaret;
+    case Tok::kShlAssign: return Tok::kShl;
+    case Tok::kShrAssign: return Tok::kShr;
+    default: return Tok::kEof;
+  }
+}
+
 /// "No provenance" site tag. Tokens the mutation model cannot touch (and all
 /// tokens of buffers lexed without site spans) carry this.
 inline constexpr uint32_t kNoSite = 0xffffffffu;

@@ -42,13 +42,9 @@ void CampaignService::stop() {
   }
   queue_cv_.notify_all();
   if (acceptor_.joinable()) acceptor_.join();
-  // The acceptor is down, so connections_ can no longer grow.
-  std::vector<std::thread> connections;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    connections.swap(connections_);
-  }
-  for (std::thread& t : connections) t.join();
+  // The acceptor is down, so connections_ can no longer change.
+  for (Connection& c : connections_) c.thread.join();
+  connections_.clear();
   if (executor_.joinable()) executor_.join();
   started_ = false;
 }
@@ -57,12 +53,25 @@ void CampaignService::accept_loop() {
   for (;;) {
     int fd = listener_.accept_connection();
     if (fd < 0) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      ::close(fd);
-      return;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stopping_) {
+        ::close(fd);
+        return;
+      }
     }
-    connections_.emplace_back([this, fd] { handle_connection(fd); });
+    // Reap the readers that have finished: each one still holds its stack
+    // until it is joined.
+    std::erase_if(connections_, [](Connection& c) {
+      if (!c.done) return false;
+      c.thread.join();
+      return true;
+    });
+    Connection& conn = connections_.emplace_back();
+    conn.thread = std::thread([this, fd, &conn] {
+      handle_connection(fd);
+      conn.done = true;
+    });
   }
 }
 

@@ -7,7 +7,9 @@
 // Threading: one acceptor thread blocks in accept; each connection gets a
 // short-lived reader thread that parses the request, enqueues {request, fd}
 // and exits (a malformed or oversized request is answered with an error
-// response right there — the daemon never dies on bad input); one executor
+// response right there — the daemon never dies on bad input). The acceptor
+// joins finished readers before it starts the next one, so the daemon holds
+// a thread per open connection, not per connection ever accepted; one executor
 // thread drains the queue in order and owns writing every response. Serial
 // execution is deliberate: one campaign already saturates the machine with
 // its shard workers, so concurrency lives inside a job, not across jobs.
@@ -20,14 +22,15 @@
 // computed result populates it even when the request bypassed lookup.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "serve/dispatcher.h"
 #include "serve/wire.h"
@@ -80,6 +83,13 @@ class CampaignService {
     uint64_t seq = 0;
   };
 
+  /// A connection's reader thread. `done` is its last act, so a reader
+  /// whose flag is set can be joined without waiting on a request.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void accept_loop();
   void handle_connection(int fd);
   void execute_loop();
@@ -92,11 +102,12 @@ class CampaignService {
   Listener listener_;
   std::thread acceptor_;
   std::thread executor_;
+  /// Touched only by the acceptor, then by stop() once it has joined it.
+  std::list<Connection> connections_;
 
   std::mutex mu_;
   std::condition_variable queue_cv_;
   std::deque<Job> queue_;
-  std::vector<std::thread> connections_;
   bool stopping_ = false;
   bool started_ = false;
   uint64_t next_seq_ = 0;

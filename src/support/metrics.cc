@@ -31,6 +31,19 @@ void Histogram::set_bucket(size_t b, uint64_t n) {
   buckets_[b] = n;
 }
 
+void MetricsSnapshot::merge(const MetricsSnapshot& other) {
+  for (size_t s = 0; s < kStageCount; ++s) stages[s].merge(other.stages[s]);
+  pool_fresh += other.pool_fresh;
+  pool_recycled += other.pool_recycled;
+  watchdog_trips += other.watchdog_trips;
+  worker_records.merge(other.worker_records);
+  service_jobs_queued += other.service_jobs_queued;
+  service_jobs_dispatched += other.service_jobs_dispatched;
+  service_cache_hits += other.service_cache_hits;
+  service_workers_spawned += other.service_workers_spawned;
+  service_worker_retries += other.service_worker_retries;
+}
+
 const char* stage_name(Stage stage) {
   switch (stage) {
     case Stage::kLex: return "lex";

@@ -93,6 +93,13 @@ struct MetricsSnapshot {
   uint64_t service_cache_hits = 0;
   uint64_t service_workers_spawned = 0;
   uint64_t service_worker_retries = 0;
+
+  /// Adds `other` in: counters sum, histograms merge bucket-wise
+  /// (commutative and associative, so shard order cannot change the result).
+  void merge(const MetricsSnapshot& other);
+
+  friend bool operator==(const MetricsSnapshot&,
+                         const MetricsSnapshot&) = default;
 };
 
 /// Process-wide wall-clock collector. All methods are thread-safe; when

@@ -11,7 +11,8 @@
 //    zero mutant boots happen in this process or any child);
 //  - concurrent clients each getting their own correct answer;
 //  - malformed and oversized requests answered with an error response while
-//    the daemon keeps serving.
+//    the daemon keeps serving, and every finished connection's reader
+//    thread joined while it does.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -190,7 +192,6 @@ TEST(CampaignSpecJson, RoundTripReproducesNonDefaultSpec) {
   spec.threads = 4;
   spec.fault_triggers = {1, 5};
   spec.fault_sample_percent = 50;
-  spec.survivor_samples = 3;
 
   support::JsonValue v = eval::campaign_spec_to_json(spec);
   eval::CampaignSpec back = eval::campaign_spec_from_json(v, "round trip");
@@ -215,6 +216,10 @@ TEST(CampaignSpecJson, UnknownFieldRejected) {
   retired.set("bytecode_patch", true);
   EXPECT_THROW((void)eval::campaign_spec_from_json(retired, "strict"),
                std::runtime_error);
+  retired = eval::campaign_spec_to_json(eval::CampaignSpec{});
+  retired.set("survivor_samples", int64_t{8});
+  EXPECT_THROW((void)eval::campaign_spec_from_json(retired, "strict"),
+               std::runtime_error);
 }
 
 TEST(CampaignSpecJson, EveryBoundSurvivesTheWorkerArgv) {
@@ -229,7 +234,6 @@ TEST(CampaignSpecJson, EveryBoundSurvivesTheWorkerArgv) {
   max.threads = static_cast<unsigned>(eval::kMaxThreads);
   max.fault_triggers = {0, static_cast<uint32_t>(eval::kMaxFaultTrigger)};
   max.fault_sample_percent = 100;
-  max.survivor_samples = static_cast<unsigned>(eval::kMaxSurvivorSamples);
   EXPECT_EQ(eval::campaign_spec_from_json(eval::campaign_spec_to_json(max),
                                           "max"),
             max);
@@ -257,8 +261,6 @@ TEST(CampaignSpecJson, EveryBoundSurvivesTheWorkerArgv) {
       {"fault_triggers",
        [](Spec& s) { s.fault_triggers = {eval::kMaxFaultTrigger + 1}; }},
       {"fault_sample_percent", [](Spec& s) { s.fault_sample_percent = 101; }},
-      {"survivor_samples",
-       [](Spec& s) { s.survivor_samples = eval::kMaxSurvivorSamples + 1; }},
   };
   for (const auto& [name, set_past_max] : past_max) {
     Spec spec = max;
@@ -599,6 +601,37 @@ TEST(CampaignService, MalformedAndOversizedRequestsAnsweredNotFatal) {
       dispatch_to(live.service.endpoint(), busmouse_request());
   ASSERT_TRUE(resp.ok) << resp.error;
   EXPECT_EQ(resp.report, single_process_report("--device busmouse"));
+}
+
+/// Lines of /proc/self/maps. A thread that has finished but was never
+/// joined still maps its stack and guard page.
+size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  size_t n = 0;
+  std::string line;
+  while (std::getline(maps, line)) ++n;
+  return n;
+}
+
+TEST(CampaignService, FinishedConnectionsReleaseTheirThreads) {
+  LiveService live("reap");
+  auto send_malformed = [&] {
+    int fd = serve::connect_endpoint(live.service.endpoint());
+    serve::write_frame(fd, "{\"junk\":true}");
+    std::string payload;
+    const bool answered = serve::read_frame(fd, 1 << 20, &payload);
+    ::close(fd);
+    ASSERT_TRUE(answered);
+    EXPECT_FALSE(serve::parse_campaign_response(payload).ok);
+  };
+  send_malformed();  // the first reader's stack is mapped from here on
+  const size_t before = mapping_count();
+  for (int i = 0; i < 200; ++i) send_malformed();
+  const size_t after = mapping_count();
+  // Unreaped, the 200 finished readers would add 400 mappings.
+  EXPECT_LT(after, before + 40)
+      << "the daemon keeps finished connection threads: " << before
+      << " mappings before 200 connections, " << after << " after";
 }
 
 TEST(CampaignService, InvalidSpecAnsweredWithValidationDiagnostic) {
