@@ -375,8 +375,9 @@ int run_fault_campaigns(const eval::CampaignSpec& spec, bool assert_counters,
 /// `--spec-campaign`: Table 2 — mutate the Devil specifications themselves
 /// and count what the Devil compiler rejects. With `assert_counters` the
 /// exit code additionally verifies that the splice built every corpus
-/// mutant's token stream (none re-lexed) and, unless `--no-dedup`, that
-/// dedup skipped at least one check per spec; the counts go to stderr.
+/// mutant's token stream (none re-lexed), that every check re-parsed only
+/// the mutated declaration, and, unless `--no-dedup`, that dedup skipped at
+/// least one check per spec; the counts go to stderr.
 int run_spec_campaigns(const eval::CampaignSpec& spec, bool assert_counters) {
   std::printf("Running spec mutation campaigns (%u thread(s), 0 = all "
               "cores)...\n\n",
@@ -390,13 +391,22 @@ int run_spec_campaigns(const eval::CampaignSpec& spec, bool assert_counters) {
   if (!assert_counters) return 0;
   bool ok = true;
   for (const eval::SpecCampaignRow& row : rows) {
+    const size_t checks = row.mutants - row.deduped;
     std::fprintf(stderr,
-                 "%s: %zu checks, %zu deduped, %zu spliced, %zu re-lexed\n",
-                 row.name.c_str(), row.mutants - row.deduped, row.deduped,
-                 row.mutants - row.relexed, row.relexed);
+                 "%s: %zu checks, %zu deduped, %zu spliced, %zu re-lexed, "
+                 "%zu re-parsed\n",
+                 row.name.c_str(), checks, row.deduped,
+                 row.mutants - row.relexed, row.relexed, row.reparsed);
     if (row.relexed != 0) {
       std::fprintf(stderr, "FAIL: %s spec campaign re-lexed %zu mutants\n",
                    row.name.c_str(), row.relexed);
+      ok = false;
+    }
+    if (row.reparsed != checks) {
+      std::fprintf(stderr,
+                   "FAIL: %s spec campaign parsed the whole spec for %zu "
+                   "checks\n",
+                   row.name.c_str(), checks - row.reparsed);
       ok = false;
     }
     if (config.dedup && row.deduped == 0) {
@@ -693,7 +703,8 @@ int usage(std::FILE* to) {
       "                       CDevil detected strictly more than C, and the\n"
       "                       VM replayed every untriggered scenario)\n"
       "                       (with --spec-campaign: fail if any mutant\n"
-      "                       was re-lexed or, with dedup on, none deduped)\n"
+      "                       was re-lexed, any check parsed the whole\n"
+      "                       spec, or, with dedup on, none deduped)\n"
       "  --workers N          --serve/--dispatch: shard workers per job\n"
       "                       (daemon default 3; 0 = daemon default)\n"
       "  --scratch DIR        --serve: artifact/log directory (default: a\n"

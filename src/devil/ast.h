@@ -38,6 +38,7 @@ struct PortParam {
     }
     return false;
   }
+  bool operator==(const PortParam&) const = default;
 };
 
 /// A port expression used in a register declaration: `base @ 1`, or just
@@ -47,12 +48,14 @@ struct PortExpr {
   uint64_t offset = 0;
   bool has_offset = false;
   support::SourceLoc loc;
+  bool operator==(const PortExpr&) const = default;
 };
 
 /// One access binding of a register: `read base @ 0` / `write base @ 2`.
 struct PortBinding {
   Access access = Access::kReadWrite;
   PortExpr port;
+  bool operator==(const PortBinding&) const = default;
 };
 
 /// Pre-action attached to a register: `pre { index = 0 }`.
@@ -61,6 +64,7 @@ struct PreAction {
   std::string var;
   uint64_t value = 0;
   support::SourceLoc loc;
+  bool operator==(const PreAction&) const = default;
 };
 
 /// Bit-constraint mask, e.g. mask '1..00000'. Characters, MSB first:
@@ -75,6 +79,7 @@ struct Mask {
   [[nodiscard]] char bit(int i) const {
     return pattern[pattern.size() - 1 - static_cast<size_t>(i)];
   }
+  bool operator==(const Mask&) const = default;
 };
 
 /// register name = [read|write] port [, pre {..}] [, mask '..'] : bit[N];
@@ -95,6 +100,7 @@ struct RegisterDecl {
     if (r && w) return Access::kReadWrite;
     return r ? Access::kRead : Access::kWrite;
   }
+  bool operator==(const RegisterDecl&) const = default;
 };
 
 /// Reference to a contiguous bit range of a register:
@@ -105,6 +111,7 @@ struct RegFragment {
   int msb = 0;
   int lsb = 0;
   support::SourceLoc loc;
+  bool operator==(const RegFragment&) const = default;
 };
 
 /// Direction of an enumerated-type mapping item.
@@ -119,6 +126,7 @@ struct EnumItem {
   MappingDir dir = MappingDir::kBoth;
   std::string pattern;  // bit string, chars '0'/'1' only (checked in sema)
   support::SourceLoc loc;
+  bool operator==(const EnumItem&) const = default;
 };
 
 /// Devil variable types (paper §2.1 "Device variables").
@@ -136,6 +144,7 @@ struct TypeExpr {
   std::vector<EnumItem> items;       // kEnum
   std::vector<uint64_t> set_values;  // kIntSet (expanded, sorted, unique-checked in sema)
   support::SourceLoc loc;
+  bool operator==(const TypeExpr&) const = default;
 };
 
 /// variable name = frag [# frag]* [, volatile] [, write trigger] : type;
@@ -147,6 +156,7 @@ struct VariableDecl {
   std::vector<RegFragment> fragments;  // MSB-first concatenation order
   TypeExpr type;
   support::SourceLoc loc;
+  bool operator==(const VariableDecl&) const = default;
 };
 
 /// device name (param, ...) { registers and variables }
@@ -156,11 +166,13 @@ struct DeviceDecl {
   std::vector<RegisterDecl> registers;
   std::vector<VariableDecl> variables;
   support::SourceLoc loc;
+  bool operator==(const DeviceDecl&) const = default;
 };
 
 /// A parsed specification (exactly one device per file, as in the paper).
 struct Specification {
   DeviceDecl device;
+  bool operator==(const Specification&) const = default;
 };
 
 }  // namespace devil

@@ -34,6 +34,7 @@ bool Parser::expect(TokKind k, const char* what) {
 void Parser::fail() { throw ParseError{}; }
 
 std::optional<Specification> Parser::parse() {
+  spans_.clear();
   try {
     Specification spec;
     spec.device = parse_device();
@@ -60,34 +61,69 @@ DeviceDecl Parser::parse_device() {
 
   expect(TokKind::kLParen, "to open the port parameter list");
   if (!check(TokKind::kRParen)) {
-    dev.params.push_back(parse_port_param());
-    while (accept(TokKind::kComma)) dev.params.push_back(parse_port_param());
+    parse_port_item(dev);
+    while (accept(TokKind::kComma)) parse_port_item(dev);
   }
   expect(TokKind::kRParen, "to close the port parameter list");
 
   expect(TokKind::kLBrace, "to open the device body");
-  while (!check(TokKind::kRBrace) && !check(TokKind::kEof)) {
-    if (check(TokKind::kKwRegister)) {
-      dev.registers.push_back(parse_register());
-    } else if (check(TokKind::kKwVariable)) {
-      dev.variables.push_back(parse_variable(/*is_private=*/false));
-    } else if (check(TokKind::kKwPrivate)) {
-      advance();
-      if (!check(TokKind::kKwVariable)) {
-        diags_.error("DVL023", peek().range.begin,
-                     "'private' must be followed by 'variable'");
-        fail();
-      }
-      dev.variables.push_back(parse_variable(/*is_private=*/true));
+  while (!check(TokKind::kRBrace) && !check(TokKind::kEof)) parse_member(dev);
+  expect(TokKind::kRBrace, "to close the device body");
+  return dev;
+}
+
+bool Parser::reparse(const DeclSpan& span, DeviceDecl& out) {
+  pos_ = span.begin;
+  spans_.clear();
+  try {
+    if (span.kind == DeclSpan::Kind::kPort) {
+      parse_port_item(out);
     } else {
+      parse_member(out);
+    }
+  } catch (const ParseError&) {
+    return false;
+  }
+  return spans_.back().kind == span.kind && spans_.back().end == span.end;
+}
+
+// One port parameter, appended to `dev.params`, and its span.
+void Parser::parse_port_item(DeviceDecl& dev) {
+  DeclSpan span{DeclSpan::Kind::kPort, static_cast<uint32_t>(dev.params.size()),
+                static_cast<uint32_t>(pos_), 0};
+  dev.params.push_back(parse_port_param());
+  span.end = static_cast<uint32_t>(pos_);
+  spans_.push_back(span);
+}
+
+// One register or (private) variable declaration, appended to `dev`, and
+// its span.
+void Parser::parse_member(DeviceDecl& dev) {
+  DeclSpan span;
+  span.begin = static_cast<uint32_t>(pos_);
+  if (check(TokKind::kKwRegister)) {
+    span.kind = DeclSpan::Kind::kRegister;
+    span.index = static_cast<uint32_t>(dev.registers.size());
+    dev.registers.push_back(parse_register());
+  } else {
+    bool is_private = accept(TokKind::kKwPrivate);
+    if (is_private && !check(TokKind::kKwVariable)) {
+      diags_.error("DVL023", peek().range.begin,
+                   "'private' must be followed by 'variable'");
+      fail();
+    }
+    if (!check(TokKind::kKwVariable)) {
       diags_.error("DVL024", peek().range.begin,
                    std::string("expected 'register' or 'variable', found ") +
                        tok_kind_name(peek().kind));
       fail();
     }
+    span.kind = DeclSpan::Kind::kVariable;
+    span.index = static_cast<uint32_t>(dev.variables.size());
+    dev.variables.push_back(parse_variable(is_private));
   }
-  expect(TokKind::kRBrace, "to close the device body");
-  return dev;
+  span.end = static_cast<uint32_t>(pos_);
+  spans_.push_back(span);
 }
 
 // base : bit[8] port @ {0..3}

@@ -12,6 +12,18 @@
 
 namespace devil {
 
+/// Where one top-level declaration sits in the token stream: tokens
+/// [begin, end) parsed into element `index` of the device's `params`,
+/// `registers` or `variables`. A private variable's span starts at
+/// `private`; the commas between port parameters belong to no span.
+struct DeclSpan {
+  enum class Kind : uint8_t { kPort, kRegister, kVariable };
+  Kind kind = Kind::kPort;
+  uint32_t index = 0;
+  uint32_t begin = 0;
+  uint32_t end = 0;
+};
+
 class Parser {
  public:
   /// `tokens` ends with kEof and must outlive the parser.
@@ -25,6 +37,21 @@ class Parser {
   /// mutation engine, not a detected mutant.
   [[nodiscard]] std::optional<Specification> parse();
 
+  /// The top-level declarations `parse` read, in token order.
+  [[nodiscard]] const std::vector<DeclSpan>& decl_spans() const {
+    return spans_;
+  }
+
+  /// Parses the declaration at `span` again, from its first token of this
+  /// parser's stream, and appends it to `out` (which must be empty). The
+  /// stream may differ from the one `span` was recorded on, but only inside
+  /// [begin, end). True when the declaration parsed without error, as the
+  /// same kind, and ended at `end`. The parser is LL(1) and keeps no state
+  /// across declarations, so parsing the whole stream then gives the
+  /// recorded specification with that one declaration replaced by `out`'s.
+  /// Otherwise the whole stream has to be parsed to know.
+  [[nodiscard]] bool reparse(const DeclSpan& span, DeviceDecl& out);
+
  private:
   const Token& peek(int ahead = 0) const;
   const Token& advance();
@@ -34,6 +61,8 @@ class Parser {
   [[noreturn]] void fail();
 
   DeviceDecl parse_device();
+  void parse_port_item(DeviceDecl& dev);
+  void parse_member(DeviceDecl& dev);
   PortParam parse_port_param();
   RegisterDecl parse_register();
   VariableDecl parse_variable(bool is_private);
@@ -50,7 +79,7 @@ class Parser {
   std::span<const Token> toks_;
   support::DiagnosticEngine& diags_;
   size_t pos_ = 0;
-  bool ok_ = true;
+  std::vector<DeclSpan> spans_;
 };
 
 struct ParseError {};

@@ -1,7 +1,10 @@
 #include "devil/sema.h"
 
 #include <algorithm>
-#include <set>
+#include <functional>
+#include <span>
+#include <string_view>
+#include <tuple>
 
 namespace devil {
 
@@ -16,6 +19,124 @@ int bits_needed(uint64_t max_value) {
 std::string fmt(const char* pre, const std::string& name, const char* post) {
   return std::string(pre) + "'" + name + "'" + post;
 }
+
+constexpr int kNone = -1;
+
+/// Bit `i` (LSB = 0) of a register's effective mask (`RegInfo::mask`): its
+/// pattern, or all '.' without one. Bits beyond the pattern read as
+/// irrelevant (see `RegInfo::mask_bit`).
+char mask_bit(const RegisterDecl& r, int i) {
+  const std::string& p = r.mask.pattern;
+  auto ix = static_cast<size_t>(i);
+  return ix < p.size() ? p[p.size() - 1 - ix] : '.';
+}
+
+/// Inserts `v` into the sorted `set`; false when it is already there.
+template <class T>
+bool insert_sorted(std::vector<T>& set, const T& v) {
+  auto it = std::lower_bound(set.begin(), set.end(), v);
+  if (it != set.end() && *it == v) return false;
+  set.insert(it, v);
+  return true;
+}
+
+/// Calls `fn(v)` for every value equal to an earlier one, in order.
+template <class Fn>
+void for_each_repeat(const std::vector<uint64_t>& values, Fn fn) {
+  if (std::adjacent_find(values.begin(), values.end(),
+                         std::greater_equal<>()) == values.end()) {
+    return;  // strictly ascending, as ranges parse
+  }
+  std::vector<uint64_t> distinct(values);
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  std::vector<bool> seen(distinct.size());
+  for (uint64_t v : values) {
+    auto k = std::lower_bound(distinct.begin(), distinct.end(), v) -
+             distinct.begin();
+    if (seen[k]) fn(v);
+    seen[k] = true;
+  }
+}
+
+/// The names of one kind of declaration, each resolved to the index of its
+/// first declaration.
+class NameIndex {
+ public:
+  template <class Decl>
+  explicit NameIndex(const std::vector<Decl>& decls) {
+    entries_.reserve(decls.size());
+    for (size_t i = 0; i < decls.size(); ++i) {
+      entries_.emplace_back(decls[i].name, static_cast<int>(i));
+    }
+    std::sort(entries_.begin(), entries_.end());
+  }
+
+  /// The first declaration named `name`, or kNone.
+  [[nodiscard]] int find(std::string_view name) const {
+    auto it = std::lower_bound(entries_.begin(), entries_.end(),
+                               std::pair<std::string_view, int>(name, 0));
+    return it != entries_.end() && it->first == name ? it->second : kNone;
+  }
+
+ private:
+  std::vector<std::pair<std::string_view, int>> entries_;
+};
+
+/// One `Sema::check` over one device: every name resolved once, then the
+/// six rule groups. State is per declaration index and is meaningful only
+/// for the first declaration of a name; every use of a name resolves to
+/// that one, and later declarations are reported as duplicates.
+class Checker {
+ public:
+  Checker(const DeviceDecl& dev, support::DiagnosticEngine& diags);
+
+  void check_ports();
+  void check_registers();
+  void check_variables();
+  void check_pre_actions();
+  void check_overlap();
+  void check_no_omission();
+
+  /// The resolved model; call only when no rule reported an error.
+  [[nodiscard]] DeviceInfo device_info() const;
+
+ private:
+  /// A fragment resolved against the first register of its name: `reg` is
+  /// kNone for an unknown name, `in_range` when [lsb, msb] lies inside it.
+  struct Frag {
+    int reg = kNone;
+    int msb = 0;
+    int lsb = 0;
+    bool in_range = false;
+  };
+  struct RegState {
+    int first = kNone;  // first register of this name
+    Access access = Access::kReadWrite;
+    size_t bit_base = 0;  // first declarations: its bits in per-bit arrays
+  };
+  struct VarState {
+    int first = kNone;  // first variable of this name
+    int width_bits = 0;
+    Access access = Access::kReadWrite;
+    int type_id = 0;
+  };
+
+  [[nodiscard]] std::span<const Frag> frags_of(size_t var) const {
+    return std::span<const Frag>(frags_).subspan(
+        var_frag_[var], var_frag_[var + 1] - var_frag_[var]);
+  }
+  [[nodiscard]] bool masks_disjoint(int a, int b) const;
+
+  const DeviceDecl& dev_;
+  support::DiagnosticEngine& diags_;
+  NameIndex ports_, regs_, vars_;
+  std::vector<RegState> reg_;
+  std::vector<VarState> var_;
+  std::vector<Frag> frags_;       // every fragment, variable order
+  std::vector<size_t> var_frag_;  // per variable: its first fragment
+  size_t total_bits_ = 0;         // bits of all first registers
+};
 
 }  // namespace
 
@@ -39,22 +160,61 @@ int type_width_bits(const TypeExpr& ty) {
 }
 
 std::optional<DeviceInfo> Sema::check(const Specification& spec) {
-  DeviceInfo info;
-  info.decl = &spec.device;
   int before = diags_.error_count();
-  check_ports(spec.device, info);
-  check_registers(spec.device, info);
-  check_variables(spec.device, info);
-  check_pre_actions(spec.device, info);
-  check_overlap(spec.device, info);
-  check_no_omission(spec.device, info);
+  Checker checker(spec.device, diags_);
+  checker.check_ports();
+  checker.check_registers();
+  checker.check_variables();
+  checker.check_pre_actions();
+  checker.check_overlap();
+  checker.check_no_omission();
   if (diags_.error_count() > before) return std::nullopt;
-  return info;
+  return checker.device_info();
 }
 
-void Sema::check_ports(const DeviceDecl& dev, DeviceInfo& info) {
-  for (const auto& p : dev.params) {
-    if (info.ports.count(p.name)) {
+Checker::Checker(const DeviceDecl& dev, support::DiagnosticEngine& diags)
+    : dev_(dev),
+      diags_(diags),
+      ports_(dev.params),
+      regs_(dev.registers),
+      vars_(dev.variables) {
+  reg_.resize(dev.registers.size());
+  for (size_t i = 0; i < dev.registers.size(); ++i) {
+    const RegisterDecl& r = dev.registers[i];
+    RegState& rs = reg_[i];
+    rs.first = regs_.find(r.name);
+    rs.access = r.access();
+    if (rs.first == static_cast<int>(i)) {
+      rs.bit_base = total_bits_;
+      total_bits_ += static_cast<size_t>(std::max(r.size_bits, 0));
+    }
+  }
+
+  var_.resize(dev.variables.size());
+  var_frag_.reserve(dev.variables.size() + 1);
+  for (size_t i = 0; i < dev.variables.size(); ++i) {
+    const VariableDecl& v = dev.variables[i];
+    var_[i].first = vars_.find(v.name);
+    var_frag_.push_back(frags_.size());
+    for (const RegFragment& f : v.fragments) {
+      Frag fr;
+      fr.reg = regs_.find(f.reg);
+      if (fr.reg != kNone) {
+        int size = dev.registers[fr.reg].size_bits;
+        fr.msb = f.has_range ? f.msb : size - 1;
+        fr.lsb = f.has_range ? f.lsb : 0;
+        fr.in_range = fr.msb >= fr.lsb && fr.lsb >= 0 && fr.msb < size;
+      }
+      frags_.push_back(fr);
+    }
+  }
+  var_frag_.push_back(frags_.size());
+}
+
+void Checker::check_ports() {
+  for (size_t i = 0; i < dev_.params.size(); ++i) {
+    const PortParam& p = dev_.params[i];
+    if (ports_.find(p.name) != static_cast<int>(i)) {
       diags_.error("DVL100", p.loc,
                    fmt("duplicate port parameter ", p.name, ""));
       continue;
@@ -67,46 +227,38 @@ void Sema::check_ports(const DeviceDecl& dev, DeviceInfo& info) {
       diags_.error("DVL102", p.loc,
                    fmt("port ", p.name, " has an empty offset range"));
     }
-    std::set<uint64_t> seen_offsets;
-    for (uint64_t off : p.offsets) {
-      if (!seen_offsets.insert(off).second) {
-        diags_.error("DVL103", p.loc,
-                     "offset " + std::to_string(off) +
-                         " appears twice in the range of port '" + p.name +
-                         "'");
-      }
-    }
-    info.ports.emplace(p.name, &p);
+    for_each_repeat(p.offsets, [&](uint64_t off) {
+      diags_.error("DVL103", p.loc,
+                   "offset " + std::to_string(off) +
+                       " appears twice in the range of port '" + p.name + "'");
+    });
   }
 }
 
-void Sema::check_registers(const DeviceDecl& dev, DeviceInfo& info) {
-  for (const auto& r : dev.registers) {
-    if (info.registers.count(r.name)) {
+void Checker::check_registers() {
+  for (size_t i = 0; i < dev_.registers.size(); ++i) {
+    const RegisterDecl& r = dev_.registers[i];
+    if (reg_[i].first != static_cast<int>(i)) {
       diags_.error("DVL110", r.loc, fmt("duplicate register ", r.name, ""));
       continue;
     }
 
-    RegInfo ri;
-    ri.decl = &r;
-    ri.access = r.access();
-
     if (r.size_bits <= 0 || r.size_bits > 64) {
       diags_.error("DVL111", r.loc,
                    fmt("register ", r.name, " has invalid size"));
-      // Still record it with a clamped size so later checks can proceed.
+      // Later checks still run on the declared size.
     }
 
     bool has_read = false, has_write = false;
     for (const auto& b : r.bindings) {
-      auto pit = info.ports.find(b.port.base);
-      if (pit == info.ports.end()) {
+      int port = ports_.find(b.port.base);
+      if (port == kNone) {
         diags_.error("DVL112", b.port.loc,
                      fmt("register ", r.name, "") + " refers to unknown port '" +
                          b.port.base + "'");
         continue;
       }
-      const PortParam& pp = *pit->second;
+      const PortParam& pp = dev_.params[port];
       if (!pp.allows(b.port.offset)) {
         diags_.error("DVL113", b.port.loc,
                      "offset " + std::to_string(b.port.offset) + " of port '" +
@@ -143,70 +295,64 @@ void Sema::check_registers(const DeviceDecl& dev, DeviceInfo& info) {
                        " bits but the register is bit[" +
                        std::to_string(r.size_bits) + "]");
     }
-    ri.mask = r.mask.empty() ? std::string(static_cast<size_t>(
-                                               std::max(r.size_bits, 1)),
-                                           '.')
-                             : r.mask.pattern;
-
-    info.registers.emplace(r.name, std::move(ri));
   }
 }
 
-void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
+void Checker::check_variables() {
   int next_type_id = 1;
-  std::set<std::string> enum_names;  // symbolic names must be spec-unique
+  std::vector<std::string_view> enum_names;  // symbolic names are spec-unique
+  std::vector<std::string_view> read_pats, write_pats;
 
-  for (const auto& v : dev.variables) {
-    if (info.variables.count(v.name)) {
+  for (size_t i = 0; i < dev_.variables.size(); ++i) {
+    const VariableDecl& v = dev_.variables[i];
+    VarState& vs = var_[i];
+    if (vs.first != static_cast<int>(i)) {
       diags_.error("DVL120", v.loc, fmt("duplicate variable ", v.name, ""));
       continue;
     }
-
-    VarInfo vi;
-    vi.decl = &v;
-    vi.type_id = next_type_id++;
+    vs.type_id = next_type_id++;
 
     bool readable = true, writable = true;
     int total_width = 0;
-    for (const auto& f : v.fragments) {
-      auto rit = info.registers.find(f.reg);
-      if (rit == info.registers.end()) {
+    std::span<const Frag> frags = frags_of(i);
+    for (size_t k = 0; k < frags.size(); ++k) {
+      const RegFragment& f = v.fragments[k];
+      const Frag& fr = frags[k];
+      if (fr.reg == kNone) {
         diags_.error("DVL121", f.loc,
                      fmt("variable ", v.name, "") + " refers to unknown register '" +
                          f.reg + "'");
         continue;
       }
-      const RegInfo& ri = rit->second;
-      int size = ri.decl->size_bits;
-      int msb = f.has_range ? f.msb : size - 1;
-      int lsb = f.has_range ? f.lsb : 0;
-      if (msb < lsb || lsb < 0 || msb >= size) {
+      const RegisterDecl& reg = dev_.registers[fr.reg];
+      if (!fr.in_range) {
         diags_.error("DVL122", f.loc,
                      "bit range [" + std::to_string(f.msb) + ".." +
                          std::to_string(f.lsb) + "] of register '" + f.reg +
-                         "' is outside bit[" + std::to_string(size) + "]");
+                         "' is outside bit[" + std::to_string(reg.size_bits) +
+                         "]");
         continue;
       }
-      for (int b = lsb; b <= msb; ++b) {
-        if (ri.mask_bit(b) != '.') {
+      for (int b = fr.lsb; b <= fr.msb; ++b) {
+        if (mask_bit(reg, b) != '.') {
           diags_.error("DVL123", f.loc,
                        "variable '" + v.name + "' uses bit " +
                            std::to_string(b) + " of register '" + f.reg +
                            "', which the mask marks irrelevant ('" +
-                           std::string(1, ri.mask_bit(b)) + "')");
+                           std::string(1, mask_bit(reg, b)) + "')");
         }
       }
-      total_width += msb - lsb + 1;
-      readable = readable && can_read(ri.access);
-      writable = writable && can_write(ri.access);
+      total_width += fr.msb - fr.lsb + 1;
+      readable = readable && can_read(reg_[fr.reg].access);
+      writable = writable && can_write(reg_[fr.reg].access);
     }
-    vi.width_bits = total_width;
+    vs.width_bits = total_width;
     if (!readable && !writable) {
       diags_.error("DVL124", v.loc,
                    fmt("variable ", v.name,
                        " is neither readable nor writable through its registers"));
     }
-    vi.access = readable ? (writable ? Access::kReadWrite : Access::kRead)
+    vs.access = readable ? (writable ? Access::kReadWrite : Access::kRead)
                          : Access::kWrite;
 
     // --- type checks ---
@@ -218,23 +364,21 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
                    fmt("variable ", v.name, " has an invalid integer width"));
     }
     if (ty.kind == TypeKind::kIntSet) {
-      std::set<uint64_t> seen;
-      for (uint64_t val : ty.set_values) {
-        if (!seen.insert(val).second) {
-          diags_.error("DVL135", ty.loc,
-                       "duplicate element " + std::to_string(val) +
-                           " in integer-set type of '" + v.name + "'");
-        }
-      }
+      for_each_repeat(ty.set_values, [&](uint64_t val) {
+        diags_.error("DVL135", ty.loc,
+                     "duplicate element " + std::to_string(val) +
+                         " in integer-set type of '" + v.name + "'");
+      });
       if (ty.set_values.empty()) {
         diags_.error("DVL136", ty.loc,
                      fmt("integer-set type of ", v.name, " is empty"));
       }
     }
     if (ty.kind == TypeKind::kEnum) {
-      std::set<std::string> read_pats, write_pats;
+      read_pats.clear();
+      write_pats.clear();
       for (const auto& item : ty.items) {
-        if (!enum_names.insert(item.name).second) {
+        if (!insert_sorted(enum_names, std::string_view(item.name))) {
           diags_.error("DVL133", item.loc,
                        fmt("symbolic name ", item.name,
                            " is already defined in this specification"));
@@ -256,24 +400,24 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
         }
         bool rd = item.dir != MappingDir::kWrite;
         bool wr = item.dir != MappingDir::kRead;
-        if (rd && !read_pats.insert(item.pattern).second) {
+        if (rd && !insert_sorted(read_pats, std::string_view(item.pattern))) {
           diags_.error("DVL134", item.loc,
                        fmt("bit pattern of ", item.name,
                            " duplicates another read mapping"));
         }
-        if (wr && !write_pats.insert(item.pattern).second) {
+        if (wr && !insert_sorted(write_pats, std::string_view(item.pattern))) {
           diags_.error("DVL139", item.loc,
                        fmt("bit pattern of ", item.name,
                            " duplicates another write mapping"));
         }
         // A mapping direction must be compatible with the variable access
         // ("a type for reading ... must be used with a readable variable").
-        if (rd && !can_read(vi.access)) {
+        if (rd && !can_read(vs.access)) {
           diags_.error("DVL200", item.loc,
                        fmt("read mapping ", item.name,
                            " on a variable that is not readable"));
         }
-        if (wr && !can_write(vi.access)) {
+        if (wr && !can_write(vs.access)) {
           diags_.error("DVL201", item.loc,
                        fmt("write mapping ", item.name,
                            " on a variable that is not writable"));
@@ -282,7 +426,7 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
       // Exhaustiveness: when the variable is readable, every possible bit
       // pattern must have a read mapping (paper: "Read elements of a type
       // mapping must be exhaustive").
-      if (can_read(vi.access) && !read_pats.empty() && ty_width > 0 &&
+      if (can_read(vs.access) && !read_pats.empty() && ty_width > 0 &&
           ty_width <= 16) {
         uint64_t want = 1ULL << ty_width;
         if (read_pats.size() != want) {
@@ -295,7 +439,7 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
       // A write-only or read-write enum must have at least one write item to
       // be usable for writing; require it only when the variable cannot be
       // read at all (otherwise a read-only view is legitimate).
-      if (!can_read(vi.access) && write_pats.empty()) {
+      if (!can_read(vs.access) && write_pats.empty()) {
         diags_.error("DVL202", ty.loc,
                      fmt("variable ", v.name,
                          " is write-only but its type has no write mappings"));
@@ -319,35 +463,31 @@ void Sema::check_variables(const DeviceDecl& dev, DeviceInfo& info) {
         }
       }
     }
-
-    info.variables.emplace(v.name, std::move(vi));
   }
 }
 
-void Sema::check_pre_actions(const DeviceDecl& dev, DeviceInfo& info) {
-  for (const auto& r : dev.registers) {
+void Checker::check_pre_actions() {
+  for (const auto& r : dev_.registers) {
     for (const auto& pa : r.pre_actions) {
-      auto vit = info.variables.find(pa.var);
-      if (vit == info.variables.end()) {
+      int var = vars_.find(pa.var);
+      if (var == kNone) {
         diags_.error("DVL150", pa.loc,
                      fmt("pre-action assigns unknown variable ", pa.var, ""));
         continue;
       }
-      const VarInfo& vi = vit->second;
-      if (!can_write(vi.access)) {
+      const VarState& vs = var_[var];
+      if (!can_write(vs.access)) {
         diags_.error("DVL151", pa.loc,
                      fmt("pre-action assigns read-only variable ", pa.var, ""));
       }
       // Value must be representable in the variable's type.
-      const TypeExpr& ty = vi.decl->type;
+      const TypeExpr& ty = dev_.variables[var].type;
       bool in_range = true;
       switch (ty.kind) {
         case TypeKind::kInt:
         case TypeKind::kBool:
-          in_range = vi.width_bits >= 64 || pa.value < (1ULL << vi.width_bits);
-          break;
         case TypeKind::kSignedInt:
-          in_range = vi.width_bits >= 64 || pa.value < (1ULL << vi.width_bits);
+          in_range = vs.width_bits >= 64 || pa.value < (1ULL << vs.width_bits);
           break;
         case TypeKind::kIntSet:
           in_range = std::find(ty.set_values.begin(), ty.set_values.end(),
@@ -374,24 +514,58 @@ void Sema::check_pre_actions(const DeviceDecl& dev, DeviceInfo& info) {
   }
 }
 
-void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info) {
+// Disjoint if no bit is relevant ('.') in both masks. A register's mask is
+// its name's first declaration's; its size is its own.
+bool Checker::masks_disjoint(int a, int b) const {
+  const RegisterDecl& ra = dev_.registers[a];
+  const RegisterDecl& rb = dev_.registers[b];
+  const RegisterDecl& ma = dev_.registers[reg_[a].first];
+  const RegisterDecl& mb = dev_.registers[reg_[b].first];
+  auto mask_size = [](const RegisterDecl& r) {  // of the effective mask
+    return r.mask.empty() ? std::max(r.size_bits, 1)
+                          : static_cast<int>(r.mask.pattern.size());
+  };
+  if (ra.size_bits != rb.size_bits) return false;
+  if (mask_size(ma) != ra.size_bits || mask_size(mb) != rb.size_bits) {
+    return false;
+  }
+  for (int i = 0; i < ra.size_bits; ++i) {
+    if (mask_bit(ma, i) == '.' && mask_bit(mb, i) == '.') return false;
+  }
+  return true;
+}
+
+void Checker::check_overlap() {
   // "Each port must appear only once in the register definitions, except when
   //  registers are defined using disjoint pre-actions or masks. However, a
   //  single port may be used for reading by one register and writing to
-  //  another."
+  //  another." Uses are compared per (port name, offset), in that order,
+  //  and within one in the order the bindings declare them.
   struct Use {
-    const RegisterDecl* reg;
+    std::string_view port;
+    uint64_t offset;
+    size_t seq;
+    int reg;
     bool read;
   };
-  std::map<std::pair<std::string, uint64_t>, std::vector<Use>> uses;
-  for (const auto& r : dev.registers) {
+  std::vector<Use> uses;
+  for (size_t i = 0; i < dev_.registers.size(); ++i) {
+    const RegisterDecl& r = dev_.registers[i];
     for (const auto& b : r.bindings) {
-      if (!info.ports.count(b.port.base)) continue;  // already diagnosed
-      auto key = std::make_pair(b.port.base, b.port.offset);
-      if (can_read(b.access)) uses[key].push_back({&r, true});
-      if (can_write(b.access)) uses[key].push_back({&r, false});
+      if (ports_.find(b.port.base) == kNone) continue;  // already diagnosed
+      const int reg = static_cast<int>(i);
+      if (can_read(b.access)) {
+        uses.push_back({b.port.base, b.port.offset, uses.size(), reg, true});
+      }
+      if (can_write(b.access)) {
+        uses.push_back({b.port.base, b.port.offset, uses.size(), reg, false});
+      }
     }
   }
+  std::sort(uses.begin(), uses.end(), [](const Use& x, const Use& y) {
+    return std::tie(x.port, x.offset, x.seq) <
+           std::tie(y.port, y.offset, y.seq);
+  });
 
   auto pre_actions_disjoint = [](const RegisterDecl& a, const RegisterDecl& b) {
     // Disjoint if they set the same selector variable to different values.
@@ -402,34 +576,27 @@ void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info) {
     }
     return false;
   };
-  auto masks_disjoint = [&](const RegisterDecl& a, const RegisterDecl& b) {
-    // Disjoint if no bit is relevant ('.') in both masks.
-    auto ra = info.registers.find(a.name);
-    auto rb = info.registers.find(b.name);
-    if (ra == info.registers.end() || rb == info.registers.end()) return false;
-    if (a.size_bits != b.size_bits) return false;
-    if (static_cast<int>(ra->second.mask.size()) != a.size_bits ||
-        static_cast<int>(rb->second.mask.size()) != b.size_bits)
-      return false;
-    for (int i = 0; i < a.size_bits; ++i) {
-      if (ra->second.mask_bit(i) == '.' && rb->second.mask_bit(i) == '.')
-        return false;
-    }
-    return true;
-  };
 
-  for (const auto& [key, vec] : uses) {
-    for (size_t i = 0; i < vec.size(); ++i) {
-      for (size_t j = i + 1; j < vec.size(); ++j) {
-        if (vec[i].reg == vec[j].reg) continue;
-        if (vec[i].read != vec[j].read) continue;  // read vs write is fine
-        if (pre_actions_disjoint(*vec[i].reg, *vec[j].reg)) continue;
-        if (masks_disjoint(*vec[i].reg, *vec[j].reg)) continue;
-        diags_.error("DVL220", vec[j].reg->loc,
-                     "registers '" + vec[i].reg->name + "' and '" +
-                         vec[j].reg->name + "' both use port '" + key.first +
-                         "' @ " + std::to_string(key.second) + " for " +
-                         (vec[i].read ? "reading" : "writing") +
+  for (size_t lo = 0, hi = 0; lo < uses.size(); lo = hi) {
+    while (hi < uses.size() && uses[hi].port == uses[lo].port &&
+           uses[hi].offset == uses[lo].offset) {
+      ++hi;
+    }
+    for (size_t i = lo; i < hi; ++i) {
+      for (size_t j = i + 1; j < hi; ++j) {
+        const Use& x = uses[i];
+        const Use& y = uses[j];
+        if (x.reg == y.reg) continue;
+        if (x.read != y.read) continue;  // read vs write is fine
+        const RegisterDecl& rx = dev_.registers[x.reg];
+        const RegisterDecl& ry = dev_.registers[y.reg];
+        if (pre_actions_disjoint(rx, ry)) continue;
+        if (masks_disjoint(x.reg, y.reg)) continue;
+        diags_.error("DVL220", ry.loc,
+                     "registers '" + rx.name + "' and '" + ry.name +
+                         "' both use port '" + std::string(x.port) + "' @ " +
+                         std::to_string(x.offset) + " for " +
+                         (x.read ? "reading" : "writing") +
                          " without disjoint pre-actions or masks");
       }
     }
@@ -440,80 +607,70 @@ void Sema::check_overlap(const DeviceDecl& dev, DeviceInfo& info) {
   //  a list threaded through `claims`; a later variable is reported once per
   //  earlier claim by another name.
   struct Claim {
-    const std::string* owner;
-    int next;  // the bit's next claim in `claims`, -1 at the end
+    int owner;  // variable index
+    int next;   // the bit's next claim in `claims`, -1 at the end
   };
   struct BitClaims {
-    std::vector<int> first, last;  // per bit: indices into `claims`, or -1
+    int first = -1, last = -1;  // indices into `claims`
   };
   std::vector<Claim> claims;
-  std::map<std::string, BitClaims> bit_claims;
-  for (const auto& v : dev.variables) {
-    for (const auto& f : v.fragments) {
-      auto rit = info.registers.find(f.reg);
-      if (rit == info.registers.end()) continue;
-      int size = rit->second.decl->size_bits;
-      int msb = f.has_range ? f.msb : size - 1;
-      int lsb = f.has_range ? f.lsb : 0;
-      if (msb < lsb || lsb < 0 || msb >= size) continue;  // already diagnosed
-      BitClaims& reg = bit_claims[f.reg];
-      if (reg.first.empty()) {
-        reg.first.assign(static_cast<size_t>(size), -1);
-        reg.last.assign(static_cast<size_t>(size), -1);
-      }
-      for (int b = lsb; b <= msb; ++b) {
-        for (int c = reg.first[b]; c >= 0; c = claims[c].next) {
-          if (*claims[c].owner != v.name) {
+  std::vector<BitClaims> bit_claims(total_bits_);
+  for (size_t v = 0; v < dev_.variables.size(); ++v) {
+    const VariableDecl& var = dev_.variables[v];
+    std::span<const Frag> frags = frags_of(v);
+    for (size_t k = 0; k < frags.size(); ++k) {
+      const Frag& fr = frags[k];
+      if (fr.reg == kNone || !fr.in_range) continue;  // already diagnosed
+      const RegFragment& f = var.fragments[k];
+      BitClaims* reg = bit_claims.data() + reg_[fr.reg].bit_base;
+      for (int b = fr.lsb; b <= fr.msb; ++b) {
+        for (int c = reg[b].first; c >= 0; c = claims[c].next) {
+          const std::string& owner = dev_.variables[claims[c].owner].name;
+          if (owner != var.name) {
             diags_.error("DVL221", f.loc,
                          "bit " + std::to_string(b) + " of register '" + f.reg +
-                             "' is used by both '" + *claims[c].owner +
-                             "' and '" + v.name + "'");
+                             "' is used by both '" + owner + "' and '" +
+                             var.name + "'");
           }
         }
         int claim = static_cast<int>(claims.size());
-        claims.push_back({&v.name, -1});
-        if (reg.last[b] >= 0) {
-          claims[reg.last[b]].next = claim;
+        claims.push_back({static_cast<int>(v), -1});
+        if (reg[b].last >= 0) {
+          claims[reg[b].last].next = claim;
         } else {
-          reg.first[b] = claim;
+          reg[b].first = claim;
         }
-        reg.last[b] = claim;
+        reg[b].last = claim;
       }
     }
   }
 }
 
-void Sema::check_no_omission(const DeviceDecl& dev, DeviceInfo& info) {
-  // Every register must be used by some variable. `covered` has an entry for
-  // every register name a fragment uses, holding one flag per bit of the
-  // declared register (empty for unknown registers and bad ranges).
-  std::map<std::string, std::vector<bool>> covered;
-  for (const auto& v : dev.variables) {
-    for (const auto& f : v.fragments) {
-      std::vector<bool>& bits = covered[f.reg];
-      auto rit = info.registers.find(f.reg);
-      if (rit == info.registers.end()) continue;
-      int size = rit->second.decl->size_bits;
-      int msb = f.has_range ? f.msb : size - 1;
-      int lsb = f.has_range ? f.lsb : 0;
-      if (msb < lsb || lsb < 0 || msb >= size) continue;
-      if (bits.empty()) bits.resize(static_cast<size_t>(size));
-      std::fill(bits.begin() + lsb, bits.begin() + msb + 1, true);
-    }
+void Checker::check_no_omission() {
+  // Every register must be used by some variable, and each of its relevant
+  // bits covered. `used` and `covered` are per first declaration of a name;
+  // a register's mask is its name's first declaration's.
+  std::vector<uint8_t> used(dev_.registers.size(), 0);
+  std::vector<uint8_t> covered(total_bits_, 0);
+  for (const Frag& fr : frags_) {
+    if (fr.reg == kNone) continue;
+    used[fr.reg] = 1;
+    if (!fr.in_range) continue;
+    auto bits = covered.begin() + static_cast<ptrdiff_t>(reg_[fr.reg].bit_base);
+    std::fill(bits + fr.lsb, bits + fr.msb + 1, 1);
   }
-  for (const auto& r : dev.registers) {
-    auto cit = covered.find(r.name);
-    if (cit == covered.end()) {
+  for (size_t i = 0; i < dev_.registers.size(); ++i) {
+    const RegisterDecl& r = dev_.registers[i];
+    const int first = reg_[i].first;
+    if (!used[first]) {
       diags_.error("DVL230", r.loc,
                    fmt("register ", r.name, " is not used by any variable"));
       continue;
     }
-    auto rit = info.registers.find(r.name);
-    if (rit == info.registers.end()) continue;
-    const std::vector<bool>& bits = cit->second;
+    const RegisterDecl& decl = dev_.registers[first];
+    const uint8_t* bits = covered.data() + reg_[first].bit_base;
     for (int b = 0; b < r.size_bits; ++b) {
-      if (rit->second.mask_bit(b) == '.' &&
-          (static_cast<size_t>(b) >= bits.size() || !bits[b])) {
+      if (mask_bit(decl, b) == '.' && (b >= decl.size_bits || !bits[b])) {
         diags_.error("DVL231", r.loc,
                      "relevant bit " + std::to_string(b) + " of register '" +
                          r.name + "' is not covered by any variable");
@@ -523,25 +680,58 @@ void Sema::check_no_omission(const DeviceDecl& dev, DeviceInfo& info) {
 
   // Every port parameter, and every offset of its declared range, must be
   // used by some register.
-  std::map<std::string, std::set<uint64_t>> used_offsets;
-  for (const auto& r : dev.registers) {
-    for (const auto& b : r.bindings) used_offsets[b.port.base].insert(b.port.offset);
+  std::vector<std::pair<int, uint64_t>> port_uses;  // (first port, offset)
+  for (const auto& r : dev_.registers) {
+    for (const auto& b : r.bindings) {
+      int port = ports_.find(b.port.base);
+      if (port != kNone) port_uses.emplace_back(port, b.port.offset);
+    }
   }
-  for (const auto& p : dev.params) {
-    auto it = used_offsets.find(p.name);
-    if (it == used_offsets.end()) {
+  std::sort(port_uses.begin(), port_uses.end());
+  for (size_t i = 0; i < dev_.params.size(); ++i) {
+    const PortParam& p = dev_.params[i];
+    const int port = ports_.find(p.name);
+    auto lo = std::lower_bound(port_uses.begin(), port_uses.end(),
+                               std::pair<int, uint64_t>(port, 0));
+    auto hi = std::lower_bound(lo, port_uses.end(),
+                               std::pair<int, uint64_t>(port + 1, 0));
+    if (lo == hi) {
       diags_.error("DVL232", p.loc,
                    fmt("port parameter ", p.name, " is never used"));
       continue;
     }
     for (uint64_t off : p.offsets) {
-      if (!it->second.count(off)) {
+      if (!std::binary_search(lo, hi, std::pair<int, uint64_t>(port, off))) {
         diags_.error("DVL233", p.loc,
                      "offset " + std::to_string(off) + " of port '" + p.name +
                          "' is declared but never used");
       }
     }
   }
+}
+
+DeviceInfo Checker::device_info() const {
+  DeviceInfo info;
+  info.decl = &dev_;
+  for (const PortParam& p : dev_.params) info.ports.emplace(p.name, &p);
+  for (size_t i = 0; i < dev_.registers.size(); ++i) {
+    const RegisterDecl& r = dev_.registers[i];
+    RegInfo ri;
+    ri.decl = &r;
+    ri.access = reg_[i].access;
+    ri.mask = r.mask.empty() ? std::string(static_cast<size_t>(
+                                               std::max(r.size_bits, 1)),
+                                           '.')
+                             : r.mask.pattern;
+    info.registers.emplace(r.name, std::move(ri));
+  }
+  for (size_t i = 0; i < dev_.variables.size(); ++i) {
+    const VariableDecl& v = dev_.variables[i];
+    const VarState& vs = var_[i];
+    info.variables.emplace(v.name,
+                           VarInfo{&v, vs.width_bits, vs.access, vs.type_id});
+  }
+  return info;
 }
 
 }  // namespace devil

@@ -57,6 +57,12 @@ struct DeviceInfo {
 /// Width in bits needed by a Devil type (enum width = pattern length).
 [[nodiscard]] int type_width_bits(const TypeExpr& ty);
 
+/// Runs the rule groups in a fixed order (ports, registers, variables,
+/// pre-actions, overlap, omission), each over the declarations in source
+/// order, so diagnostics come out in a stable order. Names are resolved
+/// once to declaration indices (the first declaration of a name wins) and
+/// the per-declaration state lives in flat vectors; `DeviceInfo`'s maps are
+/// built only for a spec that passes.
 class Sema {
  public:
   explicit Sema(support::DiagnosticEngine& diags) : diags_(diags) {}
@@ -65,13 +71,6 @@ class Sema {
   [[nodiscard]] std::optional<DeviceInfo> check(const Specification& spec);
 
  private:
-  void check_ports(const DeviceDecl& dev, DeviceInfo& info);
-  void check_registers(const DeviceDecl& dev, DeviceInfo& info);
-  void check_variables(const DeviceDecl& dev, DeviceInfo& info);
-  void check_pre_actions(const DeviceDecl& dev, DeviceInfo& info);
-  void check_overlap(const DeviceDecl& dev, DeviceInfo& info);
-  void check_no_omission(const DeviceDecl& dev, DeviceInfo& info);
-
   support::DiagnosticEngine& diags_;
 };
 

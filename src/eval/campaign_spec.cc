@@ -1,6 +1,8 @@
 #include "eval/campaign_spec.h"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 
 #include "corpus/specs.h"
@@ -78,6 +80,27 @@ void fill_common(const CampaignSpec& spec,
   cfg->engine = spec.engine;
   cfg->dedup = spec.dedup;
   cfg->flight_recorder = spec.flight_recorder;
+}
+
+/// A corpus spec's debug stubs, compiled once per process. Keyed by the
+/// stub file name and the spec text, so a test-built CampaignDrivers with
+/// another text never shares an entry. Safe to call from any thread.
+const std::string& debug_stubs(const corpus::CampaignDrivers& drivers) {
+  static std::mutex mu;
+  static std::map<std::string, std::string> cache;  // file '\0' text
+  std::string key = std::string(drivers.spec_file) + '\0' + drivers.spec();
+  std::lock_guard<std::mutex> lock(mu);
+  auto it = cache.find(key);
+  if (it != cache.end()) return it->second;
+  auto compiled = devil::compile_spec(drivers.spec_file, drivers.spec(),
+                                      devil::CodegenMode::kDebug);
+  if (!compiled.ok()) {
+    throw std::runtime_error("corpus spec '" + std::string(drivers.spec_file) +
+                             "' failed to compile:\n" +
+                             compiled.diags.render());
+  }
+  return cache.emplace(std::move(key), std::move(compiled.stubs))
+      .first->second;
 }
 
 }  // namespace
@@ -219,15 +242,8 @@ DeviceCampaignConfigs driver_configs_for(
   out.c.driver = drivers.c_driver();
   fill_common(spec, drivers, &out.c);
 
-  auto compiled = devil::compile_spec(drivers.spec_file, drivers.spec(),
-                                      devil::CodegenMode::kDebug);
-  if (!compiled.ok()) {
-    throw std::runtime_error("corpus spec '" + std::string(drivers.spec_file) +
-                             "' failed to compile:\n" +
-                             compiled.diags.render());
-  }
   out.cdevil = DriverCampaignConfig{};
-  out.cdevil.stubs = compiled.stubs;
+  out.cdevil.stubs = debug_stubs(drivers);
   out.cdevil.driver = drivers.cdevil_driver();
   out.cdevil.is_cdevil = true;
   fill_common(spec, drivers, &out.cdevil);

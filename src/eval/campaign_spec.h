@@ -102,8 +102,9 @@ struct CampaignSpec {
 
 /// The C and CDevil campaign configs for one corpus device, derived from
 /// the spec; their config fingerprints (eval/shard.h) key shard merges and
-/// the result cache. Throws std::runtime_error carrying the Devil
-/// diagnostics when the corpus spec fails to compile.
+/// the result cache. The CDevil stubs are generated once per process and
+/// spec text. Throws std::runtime_error carrying the Devil diagnostics when
+/// the corpus spec fails to compile.
 struct DeviceCampaignConfigs {
   DriverCampaignConfig c;
   DriverCampaignConfig cdevil;
@@ -128,8 +129,9 @@ struct DeviceFaultConfigs {
 /// kind, then every selected campaign's config fingerprint (driver and
 /// fault kinds) or the spec corpus text plus the dedup knob (spec kind).
 /// Specs that differ only in threads or watchdog_ms fingerprint
-/// identically — the cache-replay guarantee. Compiles corpus Devil specs to
-/// derive configs; throws std::runtime_error when one fails.
+/// identically — the cache-replay guarantee. Derives the configs through
+/// `driver_configs_for`; throws std::runtime_error when a corpus Devil spec
+/// fails to compile.
 [[nodiscard]] std::string campaign_spec_fingerprint(const CampaignSpec& spec);
 
 /// One row of the shared flag table. `value_name` is nullptr for boolean

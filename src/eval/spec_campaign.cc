@@ -153,6 +153,14 @@ SpecSplicer::SpecSplicer(const corpus::SpecEntry& spec,
   if (errors) {
     throw std::logic_error("spec '" + spec.name + "' does not lex");
   }
+  support::DiagnosticEngine diags;
+  devil::Parser parser(clean_, diags);
+  std::optional<devil::Specification> parsed = parser.parse();
+  if (!parsed) {
+    throw std::logic_error("spec '" + spec.name + "' does not parse");
+  }
+  clean_spec_ = std::move(*parsed);
+  decls_ = parser.decl_spans();
   site_token_.reserve(sites.size());
   for (const mutation::Site& site : sites) {
     auto it = std::lower_bound(
@@ -203,12 +211,42 @@ std::string SpecSplicer::key(const MutantStream& s) const {
   return canonical_spec_key(clean_, s);
 }
 
-bool SpecSplicer::consistent(const MutantStream& s,
-                             std::vector<Token>& work) const {
+bool SpecSplicer::consistent(const MutantStream& s, Work& work,
+                             bool* reparsed) const {
+  if (reparsed) *reparsed = false;
   if (!s.spliced) return !s.lex_errors && devil::check_tokens(s.relexed).ok();
-  apply_splice(work, clean_, s, /*undo=*/false);
-  bool ok = devil::check_tokens(work).ok();
-  apply_splice(work, clean_, s, /*undo=*/true);
+  auto next = std::upper_bound(
+      decls_.begin(), decls_.end(), s.index,
+      [](size_t k, const devil::DeclSpan& d) { return k < d.begin; });
+  if (next != decls_.begin() && s.index < std::prev(next)->end) {
+    const devil::DeclSpan& span = *std::prev(next);
+    support::DiagnosticEngine diags;
+    devil::DeviceDecl fresh;
+    work.tokens[s.index] = s.token;
+    bool same_shape = devil::Parser(work.tokens, diags).reparse(span, fresh);
+    work.tokens[s.index] = clean_[s.index];
+    if (same_shape) {
+      devil::DeviceDecl& dev = work.spec.device;
+      auto swap_in = [&] {
+        using Kind = devil::DeclSpan::Kind;
+        if (span.kind == Kind::kPort) {
+          std::swap(dev.params[span.index], fresh.params[0]);
+        } else if (span.kind == Kind::kRegister) {
+          std::swap(dev.registers[span.index], fresh.registers[0]);
+        } else {
+          std::swap(dev.variables[span.index], fresh.variables[0]);
+        }
+      };
+      swap_in();
+      bool ok = devil::Sema(diags).check(work.spec).has_value();
+      swap_in();  // the clean declaration back
+      if (reparsed) *reparsed = true;
+      return ok;
+    }
+  }
+  apply_splice(work.tokens, clean_, s, /*undo=*/false);
+  bool ok = devil::check_tokens(work.tokens).ok();
+  apply_splice(work.tokens, clean_, s, /*undo=*/true);
   return ok;
 }
 
@@ -270,15 +308,18 @@ SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
   }
   constexpr size_t kBatch = 64;
   std::vector<uint8_t> detected(mutants.size(), 0);
+  std::vector<uint8_t> reparsed(mutants.size(), 0);
   support::parallel_for(
       (unique_ix.size() + kBatch - 1) / kBatch, config.threads, [&](size_t b) {
-        std::vector<Token> work = splicer.clean();
+        SpecSplicer::Work work = splicer.work();
         size_t end = std::min(unique_ix.size(), (b + 1) * kBatch);
         for (size_t u = b * kBatch; u < end; ++u) {
           size_t i = unique_ix[u];
           SpecSplicer::MutantStream s = splicer.splice(mutants[i]);
           relexed[i] = !s.spliced;
-          detected[i] = splicer.consistent(s, work) ? 0 : 1;
+          bool one_decl = false;
+          detected[i] = splicer.consistent(s, work, &one_decl) ? 0 : 1;
+          reparsed[i] = one_decl;
         }
       });
   for (size_t i = 0; i < mutants.size(); ++i) {
@@ -296,6 +337,8 @@ SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
   }
   row.relexed = static_cast<size_t>(
       std::count(relexed.begin(), relexed.end(), uint8_t{1}));
+  row.reparsed = static_cast<size_t>(
+      std::count(reparsed.begin(), reparsed.end(), uint8_t{1}));
   return row;
 }
 

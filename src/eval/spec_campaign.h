@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "corpus/specs.h"
+#include "devil/parser.h"
 #include "devil/token.h"
 #include "mutation/site.h"
 
@@ -25,6 +26,9 @@ struct SpecCampaignRow {
   /// Mutants whose whole mutated text was lexed because the splice declined
   /// (the rest were spliced). In memory only: no report or reference has it.
   size_t relexed = 0;
+  /// Checks that re-parsed only the mutated declaration (the rest parsed
+  /// the whole stream; see `SpecSplicer::consistent`). In memory only.
+  size_t reparsed = 0;
 };
 
 struct SpecCampaignConfig {
@@ -38,17 +42,17 @@ struct SpecCampaignConfig {
   bool dedup = true;
 };
 
-/// One specification lexed once, and every mutant's token stream derived
-/// from it. A mutant replaces exactly one token, so its stream is the clean
-/// stream with that token swapped for the lexed replacement and the offsets
-/// (and same-line columns) after it shifted. The splice is default-deny: it
-/// declines, and the whole mutated text is lexed instead, unless the
-/// replacement lexes alone to exactly one error-free token and cannot join
-/// a neighbour (word char next to word char, `.<=>` next to `.<=>`, or a
-/// `/` on either side of the site).
+/// One specification lexed and parsed once, and every mutant's token stream
+/// derived from it. A mutant replaces exactly one token, so its stream is
+/// the clean stream with that token swapped for the lexed replacement and
+/// the offsets (and same-line columns) after it shifted. The splice is
+/// default-deny: it declines, and the whole mutated text is lexed instead,
+/// unless the replacement lexes alone to exactly one error-free token and
+/// cannot join a neighbour (word char next to word char, `.<=>` next to
+/// `.<=>`, or a `/` on either side of the site).
 class SpecSplicer {
  public:
-  /// Precondition: `spec.text` lexes without errors (throws
+  /// Precondition: `spec.text` lexes and parses without errors (throws
   /// std::logic_error otherwise); `sites` were scanned from it. Both must
   /// outlive the splicer.
   SpecSplicer(const corpus::SpecEntry& spec,
@@ -77,20 +81,33 @@ class SpecSplicer {
   /// The canonical dedup key (`canonical_spec_key` in spec_campaign.cc).
   [[nodiscard]] std::string key(const MutantStream& s) const;
 
-  /// `check_spec(file, apply_mutant(...)).ok()`, without lexing a spliced
-  /// mutant. `work` must hold `clean()`; the splice is applied to it in
-  /// place and undone before returning, so one copy serves many mutants.
-  [[nodiscard]] bool consistent(const MutantStream& s,
-                                std::vector<devil::Token>& work) const;
+  /// The clean stream and AST, which `consistent` changes in place and
+  /// restores before it returns, so one copy serves many mutants.
+  struct Work {
+    std::vector<devil::Token> tokens;
+    devil::Specification spec;
+  };
+  [[nodiscard]] Work work() const { return {clean_, clean_spec_}; }
 
-  [[nodiscard]] const std::vector<devil::Token>& clean() const {
-    return clean_;
-  }
+  /// `check_spec(file, apply_mutant(...)).ok()`, without lexing a spliced
+  /// mutant, and for most without parsing the whole stream either: the one
+  /// declaration that holds the spliced token is parsed again and swapped
+  /// into `work.spec` for Sema (`devil::Parser::reparse`). That is exact
+  /// because the tokens outside the declaration are the clean ones and no
+  /// Sema rule reads a location, so the declaration's unshifted locations
+  /// cannot change the verdict. Default-deny: a token outside every
+  /// declaration, a re-parse error, or a declaration that ends at another
+  /// token parses the whole spliced stream instead. Sets `*reparsed` to
+  /// whether the re-parse decided.
+  [[nodiscard]] bool consistent(const MutantStream& s, Work& work,
+                                bool* reparsed = nullptr) const;
 
  private:
   const corpus::SpecEntry& spec_;
   const std::vector<mutation::Site>& sites_;
   std::vector<devil::Token> clean_;
+  devil::Specification clean_spec_;
+  std::vector<devil::DeclSpan> decls_;  // the clean parse's, in token order
   std::vector<size_t> site_token_;  // per site: its token's index, or npos
 };
 

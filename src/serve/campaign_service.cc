@@ -2,6 +2,8 @@
 
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <utility>
 
@@ -35,13 +37,14 @@ void CampaignService::start() {
 
 void CampaignService::stop() {
   if (!started_) return;
-  listener_.close_listener();  // accept_connection returns -1
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
   }
   queue_cv_.notify_all();
+  listener_.shutdown();  // the acceptor's accept fails and it sees stopping_
   if (acceptor_.joinable()) acceptor_.join();
+  listener_.close_listener();
   // The acceptor is down, so connections_ can no longer change.
   for (Connection& c : connections_) c.thread.join();
   connections_.clear();
@@ -49,16 +52,27 @@ void CampaignService::stop() {
   started_ = false;
 }
 
+bool CampaignService::stopping() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stopping_;
+}
+
 void CampaignService::accept_loop() {
   for (;;) {
     int fd = listener_.accept_connection();
-    if (fd < 0) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        ::close(fd);
+    if (fd < 0) {
+      const int err = errno;
+      if (stopping() || err == EBADF || err == EINVAL || err == ENOTSOCK) {
         return;
       }
+      // Out of descriptors (EMFILE, ENFILE), an aborted handshake, ...: the
+      // connection waits in the backlog until a retry can take it.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
+    }
+    if (stopping()) {
+      ::close(fd);
+      return;
     }
     // Reap the readers that have finished: each one still holds its stack
     // until it is joined.

@@ -7,12 +7,15 @@
 // Threading: one acceptor thread blocks in accept; each connection gets a
 // short-lived reader thread that parses the request, enqueues {request, fd}
 // and exits (a malformed or oversized request is answered with an error
-// response right there — the daemon never dies on bad input). The acceptor
-// joins finished readers before it starts the next one, so the daemon holds
-// a thread per open connection, not per connection ever accepted; one executor
-// thread drains the queue in order and owns writing every response. Serial
-// execution is deliberate: one campaign already saturates the machine with
-// its shard workers, so concurrency lives inside a job, not across jobs.
+// response right there — the daemon never dies on bad input). A failed
+// accept, say for lack of descriptors, is retried after ~10 ms; only stop()
+// ends the acceptor, by shutting the socket down, and it closes the socket
+// once the acceptor has joined. The acceptor joins finished readers before
+// it starts the next one, so the daemon holds a thread per open connection,
+// not per connection ever accepted; one executor thread drains the queue in
+// order and owns writing every response. Serial execution is deliberate: one
+// campaign already saturates the machine with its shard workers, so
+// concurrency lives inside a job, not across jobs.
 //
 // Caching: results are keyed by eval::campaign_spec_fingerprint — the same
 // config fingerprint the shard artifacts pin — so a cache hit is provably
@@ -90,6 +93,7 @@ class CampaignService {
     std::atomic<bool> done{false};
   };
 
+  [[nodiscard]] bool stopping();
   void accept_loop();
   void handle_connection(int fd);
   void execute_loop();

@@ -214,16 +214,16 @@ Listener Listener::bind_and_listen(const std::string& target) {
 int Listener::accept_connection() {
   for (;;) {
     int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd >= 0) return fd;
-    if (errno == EINTR) continue;
-    return -1;  // closed (or unrecoverable) — the accept loop exits
+    if (fd >= 0 || errno != EINTR) return fd;
   }
+}
+
+void Listener::shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 void Listener::close_listener() {
   if (fd_ >= 0) {
-    // shutdown() unblocks a concurrent accept(); close alone may not.
-    ::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
     fd_ = -1;
   }

@@ -57,11 +57,19 @@ class Listener {
   /// Binds and listens; throws WireError naming the endpoint on failure.
   [[nodiscard]] static Listener bind_and_listen(const std::string& target);
 
-  /// Blocks for one connection; returns -1 once the listener is closed.
+  /// Blocks for one connection. Returns -1 with `errno` set on failure:
+  /// EINVAL after `shutdown`, EBADF once closed, and transient errors such
+  /// as EMFILE, ENFILE or ECONNABORTED, after which accepting again can
+  /// succeed. EINTR is retried.
   [[nodiscard]] int accept_connection();
 
-  /// Closes the socket (unblocking accept_connection) and removes the unix
-  /// socket path. Idempotent.
+  /// Wakes a thread blocked in accept_connection (it fails with EINVAL)
+  /// without closing the socket or writing any member, so it is safe while
+  /// that thread runs.
+  void shutdown();
+
+  /// Closes the socket and removes the unix socket path. Idempotent. Not
+  /// safe while another thread is in accept_connection.
   void close_listener();
 
   /// The endpoint clients should dial: the actual port for TCP (resolving

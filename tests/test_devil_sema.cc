@@ -82,6 +82,25 @@ TEST(DevilSema, DVL110_DuplicateRegister) {
   EXPECT_TRUE(r.diags.has_code("DVL110"));
 }
 
+TEST(DevilSema, FirstDeclarationOfANameWins) {
+  // The second `r` is the duplicate: DVL110 points at it, and every use of
+  // the name sees the first, 8-bit register. So the 16-bit one is never
+  // checked against its 8-bit port (DVL115) or the int(8) variable (DVL130).
+  auto r = check(dev("register r = p @ 0 : bit[8];\n"
+                     "register r = p @ 0 : bit[16];\n"
+                     "variable v = r : int(8);"));
+  EXPECT_FALSE(r.ok());
+  int duplicates = 0;
+  for (const auto& d : r.diags.all()) {
+    if (d.code != "DVL110") continue;
+    ++duplicates;
+    EXPECT_EQ(d.loc.line, 3u) << r.diags.render();
+  }
+  EXPECT_EQ(duplicates, 1) << r.diags.render();
+  EXPECT_FALSE(r.diags.has_code("DVL115")) << r.diags.render();
+  EXPECT_FALSE(r.diags.has_code("DVL130")) << r.diags.render();
+}
+
 TEST(DevilSema, DVL112_UnknownPort) {
   auto r = check(dev("register r = q @ 0 : bit[8]; variable v = r : int(8);"));
   EXPECT_FALSE(r.ok());
@@ -454,20 +473,20 @@ TEST(DevilSema, RangeEndingAtUint64MaxStopsThere) {
 
 // ---- the whole corpus, pinned ----------------------------------------------
 
-// FNV-1a 64 over every corpus mutant's `check_spec(...).diags.render()`, each
-// followed by "1" or "0" for `ok()`, in corpus order. It pins every message,
-// location and the emission order of Sema's rules on the inputs Table 2
-// measures; a rewrite of a rule must leave it unchanged. The constant was
-// recorded with the per-bit-map Sema these rules replaced.
-TEST(DevilSema, CorpusMutantDiagnosticsArePinned) {
+/// FNV-1a 64, fed in pieces.
+struct Fnv1a64 {
   uint64_t h = 14695981039346656037ULL;
-  auto feed = [&h](std::string_view bytes) {
+  void feed(std::string_view bytes) {
     for (unsigned char c : bytes) {
       h ^= c;
       h *= 1099511628211ULL;
     }
-  };
-  size_t total = 0, accepted = 0;
+  }
+};
+
+/// Calls `fn(spec, mutated_text)` for every corpus mutant, in corpus order.
+template <class Fn>
+void for_each_corpus_mutant(Fn fn) {
   for (const corpus::SpecEntry& spec : corpus::all_specs()) {
     auto baseline = devil::check_spec(spec.file, spec.text);
     ASSERT_TRUE(baseline.ok()) << spec.name;
@@ -481,17 +500,50 @@ TEST(DevilSema, CorpusMutantDiagnosticsArePinned) {
     }
     auto sites = mutation::scan_devil_sites(spec.text, names);
     for (const auto& m : mutation::generate_devil_mutants(sites, names)) {
-      auto r = devil::check_spec(spec.file,
-                                 mutation::apply_mutant(spec.text, sites, m));
-      feed(r.diags.render());
-      feed(r.ok() ? "1" : "0");
-      ++total;
-      accepted += r.ok();
+      fn(spec, mutation::apply_mutant(spec.text, sites, m));
     }
   }
+}
+
+// FNV-1a 64 over every corpus mutant's `check_spec(...).diags.render()`, each
+// followed by "1" or "0" for `ok()`, in corpus order. It pins every message,
+// location and the emission order of Sema's rules on the inputs Table 2
+// measures; a rewrite of a rule must leave it unchanged. The constant was
+// recorded with the per-bit-map Sema these rules replaced.
+TEST(DevilSema, CorpusMutantDiagnosticsArePinned) {
+  Fnv1a64 h;
+  size_t total = 0, accepted = 0;
+  for_each_corpus_mutant(
+      [&](const corpus::SpecEntry& spec, const std::string& text) {
+        auto r = devil::check_spec(spec.file, text);
+        h.feed(r.diags.render());
+        h.feed(r.ok() ? "1" : "0");
+        ++total;
+        accepted += r.ok();
+      });
   EXPECT_EQ(total, 16604u);
   EXPECT_EQ(accepted, 728u);
-  EXPECT_EQ(h, 0x7a481c4fd6612527ULL);
+  EXPECT_EQ(h.h, 0x7a481c4fd6612527ULL);
+}
+
+// FNV-1a 64 over what every accepted corpus mutant compiles to:
+// `describe_device` and the debug stubs, in corpus order. It pins the
+// `DeviceInfo` Sema builds (access, masks, widths, type ids) on the inputs
+// Table 2 measures. The constant was recorded with the name-keyed Sema.
+TEST(DevilSema, CorpusMutantDeviceInfoIsPinned) {
+  Fnv1a64 h;
+  size_t accepted = 0;
+  for_each_corpus_mutant(
+      [&](const corpus::SpecEntry& spec, const std::string& text) {
+        auto r = devil::check_spec(spec.file, text);
+        if (!r.ok()) return;
+        h.feed(devil::describe_device(*r.info));
+        h.feed(devil::generate_stubs(*r.info, devil::CodegenMode::kDebug,
+                                     spec.file));
+        ++accepted;
+      });
+  EXPECT_EQ(accepted, 728u);
+  EXPECT_EQ(h.h, 0x56b7f7ef5f0d124dULL);
 }
 
 }  // namespace

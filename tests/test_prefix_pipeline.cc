@@ -423,7 +423,8 @@ int main_entry() { return f()" +
 // ---------------------------------------------------------------------------
 // Spec campaign: the exact Table 2 rows at 1 and 4 threads. Skipping
 // canonical duplicates must not change any row, and duplicates must be
-// counted. Every corpus mutant's stream comes from the token splice.
+// counted. Every corpus mutant's stream comes from the token splice, and
+// every check re-parses only the mutated declaration.
 // ---------------------------------------------------------------------------
 
 struct Table2Counts {
@@ -445,6 +446,7 @@ void expect_table2_row(const eval::SpecCampaignRow& row, size_t i,
   EXPECT_EQ(row.detected, kTable2[i].detected) << label;
   EXPECT_EQ(row.deduped, kTable2[i].deduped) << label;
   EXPECT_EQ(row.relexed, 0u) << label;
+  EXPECT_EQ(row.reparsed, row.mutants - row.deduped) << label;
 }
 
 TEST(SpecCampaignDedup, RowsUnchangedAndNonzero) {

@@ -12,14 +12,23 @@
 //  - concurrent clients each getting their own correct answer;
 //  - malformed and oversized requests answered with an error response while
 //    the daemon keeps serving, and every finished connection's reader
-//    thread joined while it does.
+//    thread joined while it does;
+//  - a connection that arrives while the process is out of descriptors
+//    answered once descriptors are free again.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -624,7 +633,11 @@ TEST(CampaignService, FinishedConnectionsReleaseTheirThreads) {
     ASSERT_TRUE(answered);
     EXPECT_FALSE(serve::parse_campaign_response(payload).ok);
   };
-  send_malformed();  // the first reader's stack is mapped from here on
+  // Warm up with as many connections as are measured: the first reader's
+  // stack stays mapped from here on, and a runtime that keeps state of
+  // recently finished threads (ThreadSanitizer maps it for the last 64) has
+  // reached its steady state.
+  for (int i = 0; i < 200; ++i) send_malformed();
   const size_t before = mapping_count();
   for (int i = 0; i < 200; ++i) send_malformed();
   const size_t after = mapping_count();
@@ -642,6 +655,96 @@ TEST(CampaignService, InvalidSpecAnsweredWithValidationDiagnostic) {
   EXPECT_FALSE(resp.ok);
   EXPECT_NE(resp.error.find("unknown device 'floppy'"), std::string::npos)
       << resp.error;
+}
+
+/// Lowers this process's soft descriptor limit and takes every free
+/// descriptor below it; `release` (or the destructor) frees them and
+/// restores the limit.
+struct DescriptorExhaustion {
+  rlimit saved{};
+  std::vector<int> held;
+
+  DescriptorExhaustion() {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    int seed = ::open("/dev/null", O_RDONLY);
+    EXPECT_GE(seed, 0);
+    held.push_back(seed);
+    rlimit low = saved;
+    low.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 128);
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+    for (;;) {
+      int fd = ::dup(seed);
+      if (fd < 0) {
+        EXPECT_EQ(errno, EMFILE);
+        break;
+      }
+      held.push_back(fd);
+    }
+  }
+  ~DescriptorExhaustion() { release(); }
+  DescriptorExhaustion(const DescriptorExhaustion&) = delete;
+  DescriptorExhaustion& operator=(const DescriptorExhaustion&) = delete;
+
+  void free_one() {
+    ::close(held.back());
+    held.pop_back();
+  }
+  void release() {
+    for (int fd : held) ::close(fd);
+    held.clear();
+    ::setrlimit(RLIMIT_NOFILE, &saved);
+  }
+};
+
+/// A unix stream socket, not yet connected.
+int unix_socket() { return ::socket(AF_UNIX, SOCK_STREAM, 0); }
+
+/// Connects `fd` to the unix socket at `path`.
+bool connect_unix(int fd, const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", path.c_str());
+  return ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
+}
+
+// An idle acceptor blocks in accept() holding a reserved descriptor, so the
+// first connection is accepted even with none left; the acceptor's next
+// accept() then fails with EMFILE. A connection that arrives after that must
+// still be answered once descriptors are free again.
+TEST(CampaignService, AcceptSurvivesDescriptorExhaustion) {
+  LiveService live("emfile");
+  int idle = -1, probe = -1;
+  {
+    DescriptorExhaustion exhausted;
+    ASSERT_GT(exhausted.held.size(), 2u) << "no descriptors to free";
+    exhausted.free_one();
+    exhausted.free_one();
+    probe = unix_socket();
+    ASSERT_GE(probe, 0);
+    // Takes the acceptor's reserved descriptor and sends nothing, so its
+    // reader holds it; the acceptor's next accept() fails with EMFILE.
+    idle = serve::connect_endpoint(live.service.endpoint());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_TRUE(connect_unix(probe, live.service.endpoint()));
+    serve::write_frame(probe, "{\"junk\":true}");
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  timeval timeout{3, 0};
+  ASSERT_EQ(
+      ::setsockopt(probe, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout),
+      0);
+  std::string payload;
+  bool answered = false;
+  try {
+    answered = serve::read_frame(probe, 1 << 20, &payload);
+  } catch (const serve::WireError& e) {
+    ADD_FAILURE() << "no answer within 3 s once descriptors were free: "
+                  << e.what();
+  }
+  ::close(probe);
+  ::close(idle);
+  ASSERT_TRUE(answered);
+  EXPECT_FALSE(serve::parse_campaign_response(payload).ok);
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 // into the clean stream. That stream must be exactly what lexing the
 // mutated text yields — every token's kind, spelling, value and both ends'
 // offset, line and column — and the dedup key must relate two mutants iff
-// their full streams are equal (the relation a full-stream key gives). Every
-// mutant of all five corpus specs is checked, plus handcrafted replacements
-// the splice must decline (and then give the same result by re-lexing).
+// their full streams are equal (the relation a full-stream key gives). The
+// verdict, which re-parses only the declaration holding the spliced token,
+// must be `check_spec`'s. Every mutant of all five corpus specs is checked,
+// plus handcrafted replacements the splice must decline (and then give the
+// same result by re-lexing) and spliced mutants the re-parse must decline
+// (and then give the same result by parsing the whole stream).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -172,19 +175,26 @@ TEST_P(SpecSplice, KeysShareIffFullStreamsEqual) {
   EXPECT_GT(shared, 0u);
 }
 
-TEST_P(SpecSplice, CheckMatchesCheckSpecOnSampledMutants) {
+TEST_P(SpecSplice, CheckMatchesCheckSpecOnEveryMutant) {
   SpecSplicer splicer(spec(), sites_);
-  std::vector<Token> work = splicer.clean();
-  for (size_t i = 0; i < mutants_.size(); i += 7) {
+  SpecSplicer::Work work = splicer.work();
+  size_t reparsed = 0;
+  for (size_t i = 0; i < mutants_.size(); ++i) {
     SpecSplicer::MutantStream s = splicer.splice(mutants_[i]);
     bool ok = devil::check_spec(
                   spec().file,
                   mutation::apply_mutant(spec().text, sites_, mutants_[i]))
                   .ok();
-    EXPECT_EQ(splicer.consistent(s, work), ok) << label(i);
+    bool one_decl = false;
+    EXPECT_EQ(splicer.consistent(s, work, &one_decl), ok) << label(i);
+    reparsed += one_decl;
   }
+  // Every corpus mutant is decided by re-parsing its one declaration.
+  EXPECT_EQ(reparsed, mutants_.size());
   // The working copy comes back clean after every check.
-  expect_same_stream(work, splicer.clean(), spec().name + " work stream");
+  SpecSplicer::Work clean = splicer.work();
+  expect_same_stream(work.tokens, clean.tokens, spec().name + " work stream");
+  EXPECT_TRUE(work.spec == clean.spec) << spec().name << " work AST";
 }
 
 // ---------------------------------------------------------------------------
@@ -194,7 +204,7 @@ TEST_P(SpecSplice, CheckMatchesCheckSpecOnSampledMutants) {
 
 class SpecSpliceDecline : public ::testing::Test {
  protected:
-  const corpus::SpecEntry& spec() const { return corpus::all_specs()[0]; }
+  const corpus::SpecEntry& spec() const { return spec_; }
 
   /// A site over `len` bytes at `pos` of the first `context` in the spec.
   size_t add_site(const std::string& context, size_t pos, size_t len) {
@@ -220,13 +230,33 @@ class SpecSpliceDecline : public ::testing::Test {
     Lexed full = lex_text(spec(), text);
     EXPECT_EQ(s.lex_errors, full.errors) << m.replacement;
     expect_same_stream(splicer.tokens(s), full.tokens, m.replacement);
-    std::vector<Token> work = splicer.clean();
+    SpecSplicer::Work work = splicer.work();
     EXPECT_EQ(splicer.consistent(s, work),
               devil::check_spec(spec().file, text).ok())
         << m.replacement;
     return s;
   }
 
+  /// Checks that `m` is spliced, but checked by parsing the whole spliced
+  /// stream (the re-parse declined) with `check_spec`'s verdict, and that
+  /// the working copy comes back clean.
+  void expect_full_parse(const mutation::Mutant& m) {
+    SpecSplicer splicer(spec(), sites_);
+    SpecSplicer::MutantStream s = splicer.splice(m);
+    ASSERT_TRUE(s.spliced) << m.replacement;
+    std::string text = mutation::apply_mutant(spec().text, sites_, m);
+    SpecSplicer::Work work = splicer.work();
+    bool reparsed = true;
+    EXPECT_EQ(splicer.consistent(s, work, &reparsed),
+              devil::check_spec(spec().file, text).ok())
+        << m.replacement;
+    EXPECT_FALSE(reparsed) << m.replacement;
+    SpecSplicer::Work clean = splicer.work();
+    expect_same_stream(work.tokens, clean.tokens, "work stream");
+    EXPECT_TRUE(work.spec == clean.spec) << m.replacement;
+  }
+
+  corpus::SpecEntry spec_ = corpus::all_specs()[0];
   std::vector<mutation::Site> sites_;
 };
 
@@ -269,6 +299,35 @@ TEST_F(SpecSpliceDecline, DeclinedStreamSharesTheSplicedKey) {
   EXPECT_NE(splicer.key(spliced), splicer.key(splicer.splice({site, "17"})));
   // A replacement equal to the original keys as the clean stream.
   EXPECT_EQ(splicer.key(splicer.splice({site, "8"})), "");
+}
+
+// ---------------------------------------------------------------------------
+// Spliced mutants the re-parse must decline. Each parses the whole spliced
+// stream and so gives `check_spec`'s verdict.
+// ---------------------------------------------------------------------------
+
+TEST_F(SpecSpliceDecline, SpliceOutsideEveryDeclaration) {
+  // The device name belongs to no declaration.
+  expect_full_parse({add_site("logitech_busmouse", 0, 17), "mouse"});
+  // Nor does the comma between two port parameters.
+  spec_ = corpus::all_specs()[1];
+  ASSERT_NE(spec_.text.find("{0..0},"), std::string::npos);
+  expect_full_parse({add_site("{0..0},", 6, 1), ";"});
+}
+
+TEST_F(SpecSpliceDecline, ReplacementBreaksTheDeclaration) {
+  expect_full_parse({add_site("base @ 1", 7, 1), ";"});
+  expect_full_parse({add_site("register sig_reg", 0, 8), "variable"});
+}
+
+TEST_F(SpecSpliceDecline, DeclarationEndsAtAnotherToken) {
+  // `,` -> `}` in a port's offset set closes the port parameter early.
+  spec_.text =
+      "device d (p : bit[8] port @ {0, 2})\n{\n"
+      "  register r = p @ 0 : bit[8];\n  register s = p @ 2 : bit[8];\n"
+      "  variable v = r : int(8);\n  variable w = s : int(8);\n}\n";
+  ASSERT_TRUE(devil::check_spec(spec_.file, spec_.text).ok());
+  expect_full_parse({add_site("{0, 2}", 2, 1), "}"});
 }
 
 }  // namespace
