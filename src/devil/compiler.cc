@@ -9,18 +9,6 @@ namespace devil {
 
 namespace {
 
-/// Parse + Sema into `result`; true when the spec is consistent.
-bool check_into(CompileResult& result, std::span<const Token> tokens) {
-  Parser parser(tokens, result.diags);
-  auto spec = parser.parse();
-  if (!spec) return false;
-  result.spec = std::make_unique<Specification>(std::move(*spec));
-
-  Sema sema(result.diags);
-  result.info = sema.check(*result.spec);
-  return result.info.has_value();
-}
-
 CompileResult run(const std::string& name, const std::string& text,
                   std::optional<CodegenMode> mode) {
   CompileResult result;
@@ -28,7 +16,12 @@ CompileResult run(const std::string& name, const std::string& text,
   Lexer lexer(buf, result.diags);
   auto tokens = lexer.lex_all();
   if (result.diags.has_errors()) return result;
-  if (check_into(result, tokens) && mode) {
+  Parser parser(tokens, result.diags);
+  auto spec = parser.parse();
+  if (!spec) return result;
+  result.spec = std::make_unique<Specification>(std::move(*spec));
+  result.info = Sema(result.diags).check(*result.spec);
+  if (result.info && mode) {
     result.stubs = generate_stubs(*result.info, *mode, name);
   }
   return result;
@@ -43,12 +36,6 @@ CompileResult compile_spec(const std::string& name, const std::string& text,
 
 CompileResult check_spec(const std::string& name, const std::string& text) {
   return run(name, text, std::nullopt);
-}
-
-CompileResult check_tokens(std::span<const Token> tokens) {
-  CompileResult result;
-  check_into(result, tokens);
-  return result;
 }
 
 std::string describe_device(const DeviceInfo& info) {

@@ -3,13 +3,11 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 
 #include "devil/ast.h"
 #include "devil/codegen.h"
 #include "devil/sema.h"
-#include "devil/token.h"
 #include "support/diagnostics.h"
 
 namespace devil {
@@ -31,15 +29,10 @@ struct CompileResult {
                                          const std::string& text,
                                          CodegenMode mode);
 
-/// Checks only (Table 2 campaign does not need codegen): lexes `text`, then
-/// runs `check_tokens` on the stream unless the lexer reported errors.
+/// Checks only, with every diagnostic: lexes `text`, then parses it and
+/// runs `Sema::check` unless the lexer reported errors. Generates no stubs.
 [[nodiscard]] CompileResult check_spec(const std::string& name,
                                        const std::string& text);
-
-/// The second half of `check_spec`: parse and Sema over an already lexed,
-/// error-free token stream (ending with kEof). The Table 2 campaign lexes
-/// each spec once and feeds every mutant's stream through here.
-[[nodiscard]] CompileResult check_tokens(std::span<const Token> tokens);
 
 /// One-line inventory of a checked device (ports/registers/variables), used
 /// by the figure benches and examples.

@@ -83,22 +83,20 @@ class NameIndex {
   std::vector<std::pair<std::string_view, int>> entries_;
 };
 
-/// One `Sema::check` over one device: every name resolved once, then the
-/// six rule groups. State is per declaration index and is meaningful only
-/// for the first declaration of a name; every use of a name resolves to
-/// that one, and later declarations are reported as duplicates.
+/// One `Sema` run over one device: every name resolved once, then the six
+/// rule groups. State is per declaration index and is meaningful only for
+/// the first declaration of a name; every use of a name resolves to that
+/// one, and later declarations are reported as duplicates.
 class Checker {
  public:
-  Checker(const DeviceDecl& dev, support::DiagnosticEngine& diags);
+  /// `diags` receives every diagnostic; null asks for the verdict alone.
+  Checker(const DeviceDecl& dev, support::DiagnosticEngine* diags);
 
-  void check_ports();
-  void check_registers();
-  void check_variables();
-  void check_pre_actions();
-  void check_overlap();
-  void check_no_omission();
+  /// Runs the rule groups in order and returns whether none failed. With no
+  /// sink it returns after the first group that fails.
+  bool run();
 
-  /// The resolved model; call only when no rule reported an error.
+  /// The resolved model; call only when `run` returned true.
   [[nodiscard]] DeviceInfo device_info() const;
 
  private:
@@ -122,6 +120,21 @@ class Checker {
     int type_id = 0;
   };
 
+  void check_ports();
+  void check_registers();
+  void check_variables();
+  void check_pre_actions();
+  void check_overlap();
+  void check_no_omission();
+
+  /// Fails the check. `message()` builds the text, and runs only when
+  /// there is a sink.
+  template <class Message>
+  void error(const char* code, support::SourceLoc loc, Message message) {
+    failed_ = true;
+    if (diags_) diags_->error(code, loc, message());
+  }
+
   [[nodiscard]] std::span<const Frag> frags_of(size_t var) const {
     return std::span<const Frag>(frags_).subspan(
         var_frag_[var], var_frag_[var + 1] - var_frag_[var]);
@@ -129,7 +142,8 @@ class Checker {
   [[nodiscard]] bool masks_disjoint(int a, int b) const;
 
   const DeviceDecl& dev_;
-  support::DiagnosticEngine& diags_;
+  support::DiagnosticEngine* diags_;
+  bool failed_ = false;
   NameIndex ports_, regs_, vars_;
   std::vector<RegState> reg_;
   std::vector<VarState> var_;
@@ -160,19 +174,16 @@ int type_width_bits(const TypeExpr& ty) {
 }
 
 std::optional<DeviceInfo> Sema::check(const Specification& spec) {
-  int before = diags_.error_count();
-  Checker checker(spec.device, diags_);
-  checker.check_ports();
-  checker.check_registers();
-  checker.check_variables();
-  checker.check_pre_actions();
-  checker.check_overlap();
-  checker.check_no_omission();
-  if (diags_.error_count() > before) return std::nullopt;
+  Checker checker(spec.device, &diags_);
+  if (!checker.run()) return std::nullopt;
   return checker.device_info();
 }
 
-Checker::Checker(const DeviceDecl& dev, support::DiagnosticEngine& diags)
+bool Sema::accepts(const Specification& spec) {
+  return Checker(spec.device, nullptr).run();
+}
+
+Checker::Checker(const DeviceDecl& dev, support::DiagnosticEngine* diags)
     : dev_(dev),
       diags_(diags),
       ports_(dev.params),
@@ -211,26 +222,40 @@ Checker::Checker(const DeviceDecl& dev, support::DiagnosticEngine& diags)
   var_frag_.push_back(frags_.size());
 }
 
+bool Checker::run() {
+  for (void (Checker::*group)() :
+       {&Checker::check_ports, &Checker::check_registers,
+        &Checker::check_variables, &Checker::check_pre_actions,
+        &Checker::check_overlap, &Checker::check_no_omission}) {
+    (this->*group)();
+    if (failed_ && !diags_) return false;
+  }
+  return !failed_;
+}
+
 void Checker::check_ports() {
   for (size_t i = 0; i < dev_.params.size(); ++i) {
     const PortParam& p = dev_.params[i];
     if (ports_.find(p.name) != static_cast<int>(i)) {
-      diags_.error("DVL100", p.loc,
-                   fmt("duplicate port parameter ", p.name, ""));
+      error("DVL100", p.loc,
+            [&] { return fmt("duplicate port parameter ", p.name, ""); });
       continue;
     }
     if (p.width_bits != 8 && p.width_bits != 16 && p.width_bits != 32) {
-      diags_.error("DVL101", p.loc,
-                   fmt("port ", p.name, " has invalid width (must be 8, 16 or 32)"));
+      error("DVL101", p.loc, [&] {
+        return fmt("port ", p.name, " has invalid width (must be 8, 16 or 32)");
+      });
     }
     if (p.has_empty_range || p.offsets.empty()) {
-      diags_.error("DVL102", p.loc,
-                   fmt("port ", p.name, " has an empty offset range"));
+      error("DVL102", p.loc, [&] {
+        return fmt("port ", p.name, " has an empty offset range");
+      });
     }
     for_each_repeat(p.offsets, [&](uint64_t off) {
-      diags_.error("DVL103", p.loc,
-                   "offset " + std::to_string(off) +
-                       " appears twice in the range of port '" + p.name + "'");
+      error("DVL103", p.loc, [&] {
+        return "offset " + std::to_string(off) +
+               " appears twice in the range of port '" + p.name + "'";
+      });
     });
   }
 }
@@ -239,13 +264,14 @@ void Checker::check_registers() {
   for (size_t i = 0; i < dev_.registers.size(); ++i) {
     const RegisterDecl& r = dev_.registers[i];
     if (reg_[i].first != static_cast<int>(i)) {
-      diags_.error("DVL110", r.loc, fmt("duplicate register ", r.name, ""));
+      error("DVL110", r.loc,
+            [&] { return fmt("duplicate register ", r.name, ""); });
       continue;
     }
 
     if (r.size_bits <= 0 || r.size_bits > 64) {
-      diags_.error("DVL111", r.loc,
-                   fmt("register ", r.name, " has invalid size"));
+      error("DVL111", r.loc,
+            [&] { return fmt("register ", r.name, " has invalid size"); });
       // Later checks still run on the declared size.
     }
 
@@ -253,35 +279,39 @@ void Checker::check_registers() {
     for (const auto& b : r.bindings) {
       int port = ports_.find(b.port.base);
       if (port == kNone) {
-        diags_.error("DVL112", b.port.loc,
-                     fmt("register ", r.name, "") + " refers to unknown port '" +
-                         b.port.base + "'");
+        error("DVL112", b.port.loc, [&] {
+          return fmt("register ", r.name, "") + " refers to unknown port '" +
+                 b.port.base + "'";
+        });
         continue;
       }
       const PortParam& pp = dev_.params[port];
       if (!pp.allows(b.port.offset)) {
-        diags_.error("DVL113", b.port.loc,
-                     "offset " + std::to_string(b.port.offset) + " of port '" +
-                         pp.name + "' is outside its declared offset set");
+        error("DVL113", b.port.loc, [&] {
+          return "offset " + std::to_string(b.port.offset) + " of port '" +
+                 pp.name + "' is outside its declared offset set";
+        });
       }
       if (r.size_bits != pp.width_bits) {
-        diags_.error("DVL115", r.loc,
-                     "register '" + r.name + "' is bit[" +
-                         std::to_string(r.size_bits) + "] but port '" +
-                         pp.name + "' is bit[" +
-                         std::to_string(pp.width_bits) + "]");
+        error("DVL115", r.loc, [&] {
+          return "register '" + r.name + "' is bit[" +
+                 std::to_string(r.size_bits) + "] but port '" + pp.name +
+                 "' is bit[" + std::to_string(pp.width_bits) + "]";
+        });
       }
       if (can_read(b.access)) {
         if (has_read) {
-          diags_.error("DVL116", b.port.loc,
-                       fmt("register ", r.name, " has two read bindings"));
+          error("DVL116", b.port.loc, [&] {
+            return fmt("register ", r.name, " has two read bindings");
+          });
         }
         has_read = true;
       }
       if (can_write(b.access)) {
         if (has_write) {
-          diags_.error("DVL117", b.port.loc,
-                       fmt("register ", r.name, " has two write bindings"));
+          error("DVL117", b.port.loc, [&] {
+            return fmt("register ", r.name, " has two write bindings");
+          });
         }
         has_write = true;
       }
@@ -289,11 +319,12 @@ void Checker::check_registers() {
 
     if (!r.mask.empty() &&
         static_cast<int>(r.mask.pattern.size()) != r.size_bits) {
-      diags_.error("DVL114", r.mask.loc,
-                   "mask of register '" + r.name + "' has " +
-                       std::to_string(r.mask.pattern.size()) +
-                       " bits but the register is bit[" +
-                       std::to_string(r.size_bits) + "]");
+      error("DVL114", r.mask.loc, [&] {
+        return "mask of register '" + r.name + "' has " +
+               std::to_string(r.mask.pattern.size()) +
+               " bits but the register is bit[" +
+               std::to_string(r.size_bits) + "]";
+      });
     }
   }
 }
@@ -307,7 +338,8 @@ void Checker::check_variables() {
     const VariableDecl& v = dev_.variables[i];
     VarState& vs = var_[i];
     if (vs.first != static_cast<int>(i)) {
-      diags_.error("DVL120", v.loc, fmt("duplicate variable ", v.name, ""));
+      error("DVL120", v.loc,
+            [&] { return fmt("duplicate variable ", v.name, ""); });
       continue;
     }
     vs.type_id = next_type_id++;
@@ -319,27 +351,29 @@ void Checker::check_variables() {
       const RegFragment& f = v.fragments[k];
       const Frag& fr = frags[k];
       if (fr.reg == kNone) {
-        diags_.error("DVL121", f.loc,
-                     fmt("variable ", v.name, "") + " refers to unknown register '" +
-                         f.reg + "'");
+        error("DVL121", f.loc, [&] {
+          return fmt("variable ", v.name, "") +
+                 " refers to unknown register '" + f.reg + "'";
+        });
         continue;
       }
       const RegisterDecl& reg = dev_.registers[fr.reg];
       if (!fr.in_range) {
-        diags_.error("DVL122", f.loc,
-                     "bit range [" + std::to_string(f.msb) + ".." +
-                         std::to_string(f.lsb) + "] of register '" + f.reg +
-                         "' is outside bit[" + std::to_string(reg.size_bits) +
-                         "]");
+        error("DVL122", f.loc, [&] {
+          return "bit range [" + std::to_string(f.msb) + ".." +
+                 std::to_string(f.lsb) + "] of register '" + f.reg +
+                 "' is outside bit[" + std::to_string(reg.size_bits) + "]";
+        });
         continue;
       }
       for (int b = fr.lsb; b <= fr.msb; ++b) {
         if (mask_bit(reg, b) != '.') {
-          diags_.error("DVL123", f.loc,
-                       "variable '" + v.name + "' uses bit " +
-                           std::to_string(b) + " of register '" + f.reg +
-                           "', which the mask marks irrelevant ('" +
-                           std::string(1, mask_bit(reg, b)) + "')");
+          error("DVL123", f.loc, [&] {
+            return "variable '" + v.name + "' uses bit " + std::to_string(b) +
+                   " of register '" + f.reg +
+                   "', which the mask marks irrelevant ('" +
+                   std::string(1, mask_bit(reg, b)) + "')";
+          });
         }
       }
       total_width += fr.msb - fr.lsb + 1;
@@ -348,9 +382,10 @@ void Checker::check_variables() {
     }
     vs.width_bits = total_width;
     if (!readable && !writable) {
-      diags_.error("DVL124", v.loc,
-                   fmt("variable ", v.name,
-                       " is neither readable nor writable through its registers"));
+      error("DVL124", v.loc, [&] {
+        return fmt("variable ", v.name,
+                   " is neither readable nor writable through its registers");
+      });
     }
     vs.access = readable ? (writable ? Access::kReadWrite : Access::kRead)
                          : Access::kWrite;
@@ -360,18 +395,22 @@ void Checker::check_variables() {
     int ty_width = type_width_bits(ty);
     if ((ty.kind == TypeKind::kInt || ty.kind == TypeKind::kSignedInt) &&
         (ty.width_bits <= 0 || ty.width_bits > 64)) {
-      diags_.error("DVL137", ty.loc,
-                   fmt("variable ", v.name, " has an invalid integer width"));
+      error("DVL137", ty.loc, [&] {
+        return fmt("variable ", v.name, " has an invalid integer width");
+      });
     }
     if (ty.kind == TypeKind::kIntSet) {
       for_each_repeat(ty.set_values, [&](uint64_t val) {
-        diags_.error("DVL135", ty.loc,
-                     "duplicate element " + std::to_string(val) +
-                         " in integer-set type of '" + v.name + "'");
+        error("DVL135", ty.loc, [&] {
+          return "duplicate element " + std::to_string(val) +
+                 " in integer-set type of '" + v.name + "'";
+        });
       });
+      // Unreachable from text: the parser rejects `int{}` with DVL038.
       if (ty.set_values.empty()) {
-        diags_.error("DVL136", ty.loc,
-                     fmt("integer-set type of ", v.name, " is empty"));
+        error("DVL136", ty.loc, [&] {
+          return fmt("integer-set type of ", v.name, " is empty");
+        });
       }
     }
     if (ty.kind == TypeKind::kEnum) {
@@ -379,48 +418,55 @@ void Checker::check_variables() {
       write_pats.clear();
       for (const auto& item : ty.items) {
         if (!insert_sorted(enum_names, std::string_view(item.name))) {
-          diags_.error("DVL133", item.loc,
-                       fmt("symbolic name ", item.name,
-                           " is already defined in this specification"));
+          error("DVL133", item.loc, [&] {
+            return fmt("symbolic name ", item.name,
+                       " is already defined in this specification");
+          });
         }
         for (char c : item.pattern) {
           if (c != '0' && c != '1') {
-            diags_.error("DVL132", item.loc,
-                         fmt("bit pattern of ", item.name,
-                             " may contain only '0' and '1'"));
+            error("DVL132", item.loc, [&] {
+              return fmt("bit pattern of ", item.name,
+                         " may contain only '0' and '1'");
+            });
             break;
           }
         }
         if (static_cast<int>(item.pattern.size()) != ty_width) {
-          diags_.error("DVL131", item.loc,
-                       "bit pattern of '" + item.name + "' has " +
-                           std::to_string(item.pattern.size()) +
-                           " bits; other patterns in the type have " +
-                           std::to_string(ty_width));
+          error("DVL131", item.loc, [&] {
+            return "bit pattern of '" + item.name + "' has " +
+                   std::to_string(item.pattern.size()) +
+                   " bits; other patterns in the type have " +
+                   std::to_string(ty_width);
+          });
         }
         bool rd = item.dir != MappingDir::kWrite;
         bool wr = item.dir != MappingDir::kRead;
         if (rd && !insert_sorted(read_pats, std::string_view(item.pattern))) {
-          diags_.error("DVL134", item.loc,
-                       fmt("bit pattern of ", item.name,
-                           " duplicates another read mapping"));
+          error("DVL134", item.loc, [&] {
+            return fmt("bit pattern of ", item.name,
+                       " duplicates another read mapping");
+          });
         }
         if (wr && !insert_sorted(write_pats, std::string_view(item.pattern))) {
-          diags_.error("DVL139", item.loc,
-                       fmt("bit pattern of ", item.name,
-                           " duplicates another write mapping"));
+          error("DVL139", item.loc, [&] {
+            return fmt("bit pattern of ", item.name,
+                       " duplicates another write mapping");
+          });
         }
         // A mapping direction must be compatible with the variable access
         // ("a type for reading ... must be used with a readable variable").
         if (rd && !can_read(vs.access)) {
-          diags_.error("DVL200", item.loc,
-                       fmt("read mapping ", item.name,
-                           " on a variable that is not readable"));
+          error("DVL200", item.loc, [&] {
+            return fmt("read mapping ", item.name,
+                       " on a variable that is not readable");
+          });
         }
         if (wr && !can_write(vs.access)) {
-          diags_.error("DVL201", item.loc,
-                       fmt("write mapping ", item.name,
-                           " on a variable that is not writable"));
+          error("DVL201", item.loc, [&] {
+            return fmt("write mapping ", item.name,
+                       " on a variable that is not writable");
+          });
         }
       }
       // Exhaustiveness: when the variable is readable, every possible bit
@@ -430,36 +476,39 @@ void Checker::check_variables() {
           ty_width <= 16) {
         uint64_t want = 1ULL << ty_width;
         if (read_pats.size() != want) {
-          diags_.error("DVL210", ty.loc,
-                       "read mappings of variable '" + v.name + "' cover " +
-                           std::to_string(read_pats.size()) + " of " +
-                           std::to_string(want) + " possible patterns");
+          error("DVL210", ty.loc, [&] {
+            return "read mappings of variable '" + v.name + "' cover " +
+                   std::to_string(read_pats.size()) + " of " +
+                   std::to_string(want) + " possible patterns";
+          });
         }
       }
       // A write-only or read-write enum must have at least one write item to
       // be usable for writing; require it only when the variable cannot be
       // read at all (otherwise a read-only view is legitimate).
       if (!can_read(vs.access) && write_pats.empty()) {
-        diags_.error("DVL202", ty.loc,
-                     fmt("variable ", v.name,
-                         " is write-only but its type has no write mappings"));
+        error("DVL202", ty.loc, [&] {
+          return fmt("variable ", v.name,
+                     " is write-only but its type has no write mappings");
+        });
       }
     }
 
     if (total_width != ty_width) {
-      diags_.error("DVL130", v.loc,
-                   "variable '" + v.name + "' concatenates " +
-                       std::to_string(total_width) +
-                       " register bits but its type needs " +
-                       std::to_string(ty_width));
+      error("DVL130", v.loc, [&] {
+        return "variable '" + v.name + "' concatenates " +
+               std::to_string(total_width) +
+               " register bits but its type needs " + std::to_string(ty_width);
+      });
     }
     if (ty.kind == TypeKind::kIntSet && total_width > 0 && total_width <= 63) {
       for (uint64_t val : ty.set_values) {
         if (val >= (1ULL << total_width)) {
-          diags_.error("DVL138", ty.loc,
-                       "set element " + std::to_string(val) + " of variable '" +
-                           v.name + "' does not fit in " +
-                           std::to_string(total_width) + " bits");
+          error("DVL138", ty.loc, [&] {
+            return "set element " + std::to_string(val) + " of variable '" +
+                   v.name + "' does not fit in " +
+                   std::to_string(total_width) + " bits";
+          });
         }
       }
     }
@@ -471,14 +520,16 @@ void Checker::check_pre_actions() {
     for (const auto& pa : r.pre_actions) {
       int var = vars_.find(pa.var);
       if (var == kNone) {
-        diags_.error("DVL150", pa.loc,
-                     fmt("pre-action assigns unknown variable ", pa.var, ""));
+        error("DVL150", pa.loc, [&] {
+          return fmt("pre-action assigns unknown variable ", pa.var, "");
+        });
         continue;
       }
       const VarState& vs = var_[var];
       if (!can_write(vs.access)) {
-        diags_.error("DVL151", pa.loc,
-                     fmt("pre-action assigns read-only variable ", pa.var, ""));
+        error("DVL151", pa.loc, [&] {
+          return fmt("pre-action assigns read-only variable ", pa.var, "");
+        });
       }
       // Value must be representable in the variable's type.
       const TypeExpr& ty = dev_.variables[var].type;
@@ -506,9 +557,10 @@ void Checker::check_pre_actions() {
           break;
       }
       if (!in_range) {
-        diags_.error("DVL152", pa.loc,
-                     "pre-action value " + std::to_string(pa.value) +
-                         " is outside the type of variable '" + pa.var + "'");
+        error("DVL152", pa.loc, [&] {
+          return "pre-action value " + std::to_string(pa.value) +
+                 " is outside the type of variable '" + pa.var + "'";
+        });
       }
     }
   }
@@ -592,12 +644,13 @@ void Checker::check_overlap() {
         const RegisterDecl& ry = dev_.registers[y.reg];
         if (pre_actions_disjoint(rx, ry)) continue;
         if (masks_disjoint(x.reg, y.reg)) continue;
-        diags_.error("DVL220", ry.loc,
-                     "registers '" + rx.name + "' and '" + ry.name +
-                         "' both use port '" + std::string(x.port) + "' @ " +
-                         std::to_string(x.offset) + " for " +
-                         (x.read ? "reading" : "writing") +
-                         " without disjoint pre-actions or masks");
+        error("DVL220", ry.loc, [&] {
+          return "registers '" + rx.name + "' and '" + ry.name +
+                 "' both use port '" + std::string(x.port) + "' @ " +
+                 std::to_string(x.offset) + " for " +
+                 (x.read ? "reading" : "writing") +
+                 " without disjoint pre-actions or masks";
+        });
       }
     }
   }
@@ -627,10 +680,11 @@ void Checker::check_overlap() {
         for (int c = reg[b].first; c >= 0; c = claims[c].next) {
           const std::string& owner = dev_.variables[claims[c].owner].name;
           if (owner != var.name) {
-            diags_.error("DVL221", f.loc,
-                         "bit " + std::to_string(b) + " of register '" + f.reg +
-                             "' is used by both '" + owner + "' and '" +
-                             var.name + "'");
+            error("DVL221", f.loc, [&] {
+              return "bit " + std::to_string(b) + " of register '" + f.reg +
+                     "' is used by both '" + owner + "' and '" + var.name +
+                     "'";
+            });
           }
         }
         int claim = static_cast<int>(claims.size());
@@ -663,17 +717,19 @@ void Checker::check_no_omission() {
     const RegisterDecl& r = dev_.registers[i];
     const int first = reg_[i].first;
     if (!used[first]) {
-      diags_.error("DVL230", r.loc,
-                   fmt("register ", r.name, " is not used by any variable"));
+      error("DVL230", r.loc, [&] {
+        return fmt("register ", r.name, " is not used by any variable");
+      });
       continue;
     }
     const RegisterDecl& decl = dev_.registers[first];
     const uint8_t* bits = covered.data() + reg_[first].bit_base;
     for (int b = 0; b < r.size_bits; ++b) {
       if (mask_bit(decl, b) == '.' && (b >= decl.size_bits || !bits[b])) {
-        diags_.error("DVL231", r.loc,
-                     "relevant bit " + std::to_string(b) + " of register '" +
-                         r.name + "' is not covered by any variable");
+        error("DVL231", r.loc, [&] {
+          return "relevant bit " + std::to_string(b) + " of register '" +
+                 r.name + "' is not covered by any variable";
+        });
       }
     }
   }
@@ -696,15 +752,17 @@ void Checker::check_no_omission() {
     auto hi = std::lower_bound(lo, port_uses.end(),
                                std::pair<int, uint64_t>(port + 1, 0));
     if (lo == hi) {
-      diags_.error("DVL232", p.loc,
-                   fmt("port parameter ", p.name, " is never used"));
+      error("DVL232", p.loc, [&] {
+        return fmt("port parameter ", p.name, " is never used");
+      });
       continue;
     }
     for (uint64_t off : p.offsets) {
       if (!std::binary_search(lo, hi, std::pair<int, uint64_t>(port, off))) {
-        diags_.error("DVL233", p.loc,
-                     "offset " + std::to_string(off) + " of port '" + p.name +
-                         "' is declared but never used");
+        error("DVL233", p.loc, [&] {
+          return "offset " + std::to_string(off) + " of port '" + p.name +
+                 "' is declared but never used";
+        });
       }
     }
   }

@@ -4,8 +4,12 @@
 //  - intra-layer: type correctness, size checks, uniqueness;
 //  - inter-layer: access-attribute consistency, read-mapping exhaustiveness,
 //    the no-omission constraints, and the no-overlap constraints.
-// Every rule has a stable diagnostic code so the mutation campaign can
-// attribute detections to specific checks.
+// Every rule has a stable diagnostic code. `Sema::check` reports every
+// diagnostic and builds the resolved model; `compile_spec` and
+// `check_spec` call it (spec_lint, stub generation, each campaign's clean
+// spec). `Sema::accepts` gives only the verdict, from the same rules: the
+// Table 2 campaign asks it about every spec mutant
+// (`eval::SpecSplicer::consistent`).
 #pragma once
 
 #include <cstdint>
@@ -69,6 +73,11 @@ class Sema {
 
   /// Runs all checks. Returns the resolved model if there were no errors.
   [[nodiscard]] std::optional<DeviceInfo> check(const Specification& spec);
+
+  /// Whether `check` would accept `spec`, from the same rules. No message
+  /// is built and no model either, and it returns after the first rule
+  /// group that fails.
+  [[nodiscard]] static bool accepts(const Specification& spec);
 
  private:
   support::DiagnosticEngine& diags_;

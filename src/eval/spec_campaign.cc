@@ -38,6 +38,14 @@ std::vector<Token> lex(const std::string& file, const std::string& text,
   return tokens;
 }
 
+/// Parse and Sema's verdict over a lexed, error-free stream.
+bool parses_and_accepts(std::span<const Token> tokens) {
+  support::DiagnosticEngine diags;
+  std::optional<devil::Specification> spec =
+      devil::Parser(tokens, diags).parse();
+  return spec && devil::Sema::accepts(*spec);
+}
+
 bool is_word(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
@@ -214,7 +222,7 @@ std::string SpecSplicer::key(const MutantStream& s) const {
 bool SpecSplicer::consistent(const MutantStream& s, Work& work,
                              bool* reparsed) const {
   if (reparsed) *reparsed = false;
-  if (!s.spliced) return !s.lex_errors && devil::check_tokens(s.relexed).ok();
+  if (!s.spliced) return !s.lex_errors && parses_and_accepts(s.relexed);
   auto next = std::upper_bound(
       decls_.begin(), decls_.end(), s.index,
       [](size_t k, const devil::DeclSpan& d) { return k < d.begin; });
@@ -238,14 +246,14 @@ bool SpecSplicer::consistent(const MutantStream& s, Work& work,
         }
       };
       swap_in();
-      bool ok = devil::Sema(diags).check(work.spec).has_value();
+      bool ok = devil::Sema::accepts(work.spec);
       swap_in();  // the clean declaration back
       if (reparsed) *reparsed = true;
       return ok;
     }
   }
   apply_splice(work.tokens, clean_, s, /*undo=*/false);
-  bool ok = devil::check_tokens(work.tokens).ok();
+  bool ok = parses_and_accepts(work.tokens);
   apply_splice(work.tokens, clean_, s, /*undo=*/true);
   return ok;
 }
@@ -270,20 +278,25 @@ SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
   row.mutants = mutants.size();
   SpecSplicer splicer(spec, sites);
 
+  // Every mutant is spliced once, in parallel (per-index writes only), and
+  // the check pass reads the kept stream. Only spliced streams are kept: a
+  // declined one holds the whole re-lexed spec, so its check splices again.
+  std::vector<SpecSplicer::MutantStream> streams(mutants.size());
+  std::vector<uint8_t> relexed(mutants.size(), 0);
+  std::vector<std::string> keys(config.dedup ? mutants.size() : 0);
+  support::parallel_for(mutants.size(), config.threads, [&](size_t i) {
+    SpecSplicer::MutantStream s = splicer.splice(mutants[i]);
+    relexed[i] = !s.spliced;
+    if (config.dedup) keys[i] = splicer.key(s);
+    if (s.spliced) streams[i] = std::move(s);
+  });
+
   // Canonical dedup. Unlike the driver campaign's, which only labels
   // records, this one skips work: a splice keys in O(1), so every duplicate
-  // saves its check for free. Keys are computed in parallel (per-index
-  // writes only); the first-seen mapping is built sequentially afterwards,
-  // so it is deterministic at any thread count.
-  std::vector<uint8_t> relexed(mutants.size(), 0);
+  // saves its check for free. The first-seen mapping is built sequentially
+  // from the keys, so it is deterministic at any thread count.
   std::vector<size_t> dup_of(mutants.size(), kNone);
-  if (config.dedup && !mutants.empty()) {
-    std::vector<std::string> keys(mutants.size());
-    support::parallel_for(mutants.size(), config.threads, [&](size_t i) {
-      SpecSplicer::MutantStream s = splicer.splice(mutants[i]);
-      relexed[i] = !s.spliced;
-      keys[i] = splicer.key(s);
-    });
+  if (config.dedup) {
     std::unordered_map<std::string, size_t> first_seen;
     first_seen.reserve(mutants.size());
     for (size_t i = 0; i < mutants.size(); ++i) {
@@ -315,8 +328,8 @@ SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
         size_t end = std::min(unique_ix.size(), (b + 1) * kBatch);
         for (size_t u = b * kBatch; u < end; ++u) {
           size_t i = unique_ix[u];
-          SpecSplicer::MutantStream s = splicer.splice(mutants[i]);
-          relexed[i] = !s.spliced;
+          SpecSplicer::MutantStream s = std::move(streams[i]);
+          if (relexed[i]) s = splicer.splice(mutants[i]);
           bool one_decl = false;
           detected[i] = splicer.consistent(s, work, &one_decl) ? 0 : 1;
           reparsed[i] = one_decl;

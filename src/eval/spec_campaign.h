@@ -92,13 +92,14 @@ class SpecSplicer {
   /// `check_spec(file, apply_mutant(...)).ok()`, without lexing a spliced
   /// mutant, and for most without parsing the whole stream either: the one
   /// declaration that holds the spliced token is parsed again and swapped
-  /// into `work.spec` for Sema (`devil::Parser::reparse`). That is exact
-  /// because the tokens outside the declaration are the clean ones and no
-  /// Sema rule reads a location, so the declaration's unshifted locations
-  /// cannot change the verdict. Default-deny: a token outside every
-  /// declaration, a re-parse error, or a declaration that ends at another
-  /// token parses the whole spliced stream instead. Sets `*reparsed` to
-  /// whether the re-parse decided.
+  /// into `work.spec` (`devil::Parser::reparse`). That is exact because the
+  /// tokens outside the declaration are the clean ones and no Sema rule
+  /// reads a location, so the declaration's unshifted locations cannot
+  /// change the verdict. Default-deny: a token outside every declaration, a
+  /// re-parse error, or a declaration that ends at another token parses the
+  /// whole spliced stream instead. Either way Sema gives only its verdict
+  /// (`devil::Sema::accepts`). Sets `*reparsed` to whether the re-parse
+  /// decided.
   [[nodiscard]] bool consistent(const MutantStream& s, Work& work,
                                 bool* reparsed = nullptr) const;
 

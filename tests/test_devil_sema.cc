@@ -1,6 +1,7 @@
 // Unit tests for the Devil semantic checker — one test per consistency rule
 // (paper §2.2). Each negative test asserts the *specific* rule code fires,
-// so a mutant killed by the wrong check would show up here.
+// so a mutant killed by the wrong check would show up here. Every spec that
+// parses is also given to `Sema::accepts`, whose verdict must be `check`'s.
 #include <gtest/gtest.h>
 
 #include <string_view>
@@ -12,7 +13,12 @@
 namespace {
 
 devil::CompileResult check(const std::string& body_or_spec) {
-  return devil::check_spec("test.dil", body_or_spec);
+  auto r = devil::check_spec("test.dil", body_or_spec);
+  if (r.spec) {
+    EXPECT_EQ(devil::Sema::accepts(*r.spec), r.ok())
+        << body_or_spec << "\n" << r.diags.render();
+  }
+  return r;
 }
 
 /// Wraps register/variable declarations in a single-port device.
@@ -134,6 +140,14 @@ TEST(DevilSema, DVL116_TwoReadBindings) {
   EXPECT_TRUE(r.diags.has_code("DVL116"));
 }
 
+TEST(DevilSema, DVL117_TwoWriteBindings) {
+  auto r = check(dev("register r = write p @ 0, write p @ 1 : bit[8];"
+                     "variable v = r : int(8);",
+                     "p : bit[8] port @ {0..1}"));
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.diags.has_code("DVL117")) << r.diags.render();
+}
+
 // ---- intra-layer: variables -----------------------------------------------------
 
 TEST(DevilSema, DVL120_DuplicateVariable) {
@@ -162,6 +176,15 @@ TEST(DevilSema, DVL123_VariableOnIrrelevantBit) {
                      "variable w = r[6..0] : int(7);"));
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.diags.has_code("DVL123"));
+}
+
+TEST(DevilSema, DVL124_VariableNeitherReadableNorWritable) {
+  auto r = check(dev("register a = read p @ 0 : bit[8];"
+                     "register b = write p @ 1 : bit[8];"
+                     "variable v = a # b : int(16);",
+                     "p : bit[8] port @ {0..1}"));
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.diags.has_code("DVL124")) << r.diags.render();
 }
 
 TEST(DevilSema, DVL130_WidthMismatchWithType) {
@@ -214,12 +237,36 @@ TEST(DevilSema, DVL135_DuplicateSetElement) {
   EXPECT_TRUE(r.diags.has_code("DVL135"));
 }
 
+// Sema's DVL136 (empty integer set) cannot be reached from text: the
+// parser rejects `int{}` with DVL038 first, so no AST reaches Sema.
+TEST(DevilSema, DVL136_EmptyIntegerSetIsAParseError) {
+  auto r = check(dev("register r = p @ 0 : bit[8]; variable v = r : int{};"));
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.spec, nullptr);
+  EXPECT_TRUE(r.diags.has_code("DVL038")) << r.diags.render();
+  EXPECT_FALSE(r.diags.has_code("DVL136"));
+}
+
+TEST(DevilSema, DVL137_InvalidIntegerWidth) {
+  auto r = check(dev("register r = p @ 0 : bit[8]; variable v = r : int(0);"));
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.diags.has_code("DVL137")) << r.diags.render();
+}
+
 TEST(DevilSema, DVL138_SetElementTooWide) {
   auto r = check(dev("register r = p @ 0, mask '******..' : bit[8];"
                      "variable v = r[1..0] : int{0,2,3,5};"));
   EXPECT_FALSE(r.ok());
   // 5 needs 3 bits; the widths also mismatch — the targeted code must fire.
   EXPECT_TRUE(r.diags.has_code("DVL138") || r.diags.has_code("DVL130"));
+}
+
+TEST(DevilSema, DVL139_DuplicateWritePattern) {
+  auto r = check(dev("register r = p @ 0, mask '*******.' : bit[8];"
+                     "variable v = r[0] : { A <=> '0', B <= '1', C => '1',"
+                     " D => '1' };"));
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.diags.has_code("DVL139")) << r.diags.render();
 }
 
 // ---- inter-layer: access consistency -----------------------------------------------
@@ -509,19 +556,26 @@ void for_each_corpus_mutant(Fn fn) {
 // followed by "1" or "0" for `ok()`, in corpus order. It pins every message,
 // location and the emission order of Sema's rules on the inputs Table 2
 // measures; a rewrite of a rule must leave it unchanged. The constant was
-// recorded with the per-bit-map Sema these rules replaced.
+// recorded with the per-bit-map Sema these rules replaced. Every mutant
+// parses, and `Sema::accepts` must give each one `check`'s verdict.
 TEST(DevilSema, CorpusMutantDiagnosticsArePinned) {
   Fnv1a64 h;
-  size_t total = 0, accepted = 0;
+  size_t total = 0, accepted = 0, verdicts = 0;
   for_each_corpus_mutant(
       [&](const corpus::SpecEntry& spec, const std::string& text) {
         auto r = devil::check_spec(spec.file, text);
         h.feed(r.diags.render());
         h.feed(r.ok() ? "1" : "0");
+        if (r.spec) {
+          EXPECT_EQ(devil::Sema::accepts(*r.spec), r.ok())
+              << spec.name << " mutant " << total;
+          ++verdicts;
+        }
         ++total;
         accepted += r.ok();
       });
   EXPECT_EQ(total, 16604u);
+  EXPECT_EQ(verdicts, total);
   EXPECT_EQ(accepted, 728u);
   EXPECT_EQ(h.h, 0x7a481c4fd6612527ULL);
 }
