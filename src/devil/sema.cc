@@ -406,7 +406,6 @@ void Checker::check_variables() {
                  " in integer-set type of '" + v.name + "'";
         });
       });
-      // Unreachable from text: the parser rejects `int{}` with DVL038.
       if (ty.set_values.empty()) {
         error("DVL136", ty.loc, [&] {
           return fmt("integer-set type of ", v.name, " is empty");

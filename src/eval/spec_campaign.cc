@@ -279,8 +279,7 @@ SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
   SpecSplicer splicer(spec, sites);
 
   // Every mutant is spliced once, in parallel (per-index writes only), and
-  // the check pass reads the kept stream. Only spliced streams are kept: a
-  // declined one holds the whole re-lexed spec, so its check splices again.
+  // the check pass reads the kept stream.
   std::vector<SpecSplicer::MutantStream> streams(mutants.size());
   std::vector<uint8_t> relexed(mutants.size(), 0);
   std::vector<std::string> keys(config.dedup ? mutants.size() : 0);
@@ -288,7 +287,7 @@ SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
     SpecSplicer::MutantStream s = splicer.splice(mutants[i]);
     relexed[i] = !s.spliced;
     if (config.dedup) keys[i] = splicer.key(s);
-    if (s.spliced) streams[i] = std::move(s);
+    streams[i] = std::move(s);
   });
 
   // Canonical dedup. Unlike the driver campaign's, which only labels
@@ -328,10 +327,8 @@ SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
         size_t end = std::min(unique_ix.size(), (b + 1) * kBatch);
         for (size_t u = b * kBatch; u < end; ++u) {
           size_t i = unique_ix[u];
-          SpecSplicer::MutantStream s = std::move(streams[i]);
-          if (relexed[i]) s = splicer.splice(mutants[i]);
           bool one_decl = false;
-          detected[i] = splicer.consistent(s, work, &one_decl) ? 0 : 1;
+          detected[i] = splicer.consistent(streams[i], work, &one_decl) ? 0 : 1;
           reparsed[i] = one_decl;
         }
       });

@@ -237,14 +237,13 @@ TEST(DevilSema, DVL135_DuplicateSetElement) {
   EXPECT_TRUE(r.diags.has_code("DVL135"));
 }
 
-// Sema's DVL136 (empty integer set) cannot be reached from text: the
-// parser rejects `int{}` with DVL038 first, so no AST reaches Sema.
-TEST(DevilSema, DVL136_EmptyIntegerSetIsAParseError) {
-  auto r = check(dev("register r = p @ 0 : bit[8]; variable v = r : int{};"));
+TEST(DevilSema, DVL136_EmptyIntegerSet) {
+  // `int{}` is a parse error (DVL038), but a reversed range parses to an
+  // empty set, which only Sema rejects.
+  auto r = check(dev("register r = p @ 0, mask '*******.' : bit[8];"
+                     "variable v = r[0] : int{1..0};"));
   EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.spec, nullptr);
-  EXPECT_TRUE(r.diags.has_code("DVL038")) << r.diags.render();
-  EXPECT_FALSE(r.diags.has_code("DVL136"));
+  EXPECT_TRUE(r.diags.has_code("DVL136")) << r.diags.render();
 }
 
 TEST(DevilSema, DVL137_InvalidIntegerWidth) {
