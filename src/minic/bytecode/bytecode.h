@@ -1,7 +1,8 @@
 // Register bytecode for MiniC: the campaign execution engine.
 //
 // `compile_unit` lowers a typechecked `minic::Unit` into flat per-function
-// instruction vectors; `Vm` (vm.h) executes them with a dense dispatch loop.
+// instruction vectors; `Vm` (vm.h) executes them with a threaded dispatch
+// loop.
 // The contract with the tree walker (interp.cc) is exact observational
 // equivalence: identical RunOutcome — fault kind *and* message, return
 // value, step count, executed-line bitmap, printk log — for any typechecked
@@ -30,145 +31,188 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "minic/ast.h"
 
 namespace minic::bytecode {
 
+// The opcode list, in enum order: one X(name) per opcode. The Op enum,
+// op_name and the VM's jump table (vm.cc) are all expanded from it, so none
+// of them can fall out of order with the others.
+//
 // Charging discipline per opcode is given in the comment: C = charges one
 // step, CC = charges two (fused, same line), C+n = charges 1 plus a dynamic
 // burn, M = marks the line executed, F = free (no charge, no mark).
+#define MINIC_BYTECODE_OPCODES(X)                                           \
+  /* --- statement accounting -------------------------------------- */    \
+  X(Step)           /* C    : statement entry without coverage */          \
+                    /*        (block, loops) */                            \
+  X(StepMark)       /* C M  : statement entry with coverage */             \
+  X(StepStepMark)   /* CC M : fused kStep(line) + kStepMark(imm line) */   \
+  X(StepJump)       /* C    : fused kStep + unconditional jump (empty */   \
+                    /*        loop body) */                                \
+  X(Mark)           /* F M  : coverage only (global initialisers, case */  \
+                    /*        labels) */                                   \
+  /* --- control flow ------------------------------------------------ */   \
+  X(Jump)           /* F    : pc = imm */                                  \
+  X(JumpIfZero)     /* F    : if R[a].i == 0 jump imm */                   \
+  X(JumpIfNotZero)  /* F    : if R[a].i != 0 jump imm */                   \
+  X(JumpIfEqual)    /* F    : if R[a].i == R[b].i jump imm (generic */     \
+                    /*        case label) */                               \
+  X(CaseTest)       /* C M  : R[b].i = (R[a].i == imm); constant case */   \
+                    /*        label */                                     \
+  X(CondJumpZero)   /* C    : ?: node charge; if R[a].i == 0 jump imm */   \
+  X(AndJump)        /* C    : && node; if R[b].i == 0 { R[a].i = 0; */     \
+                    /*        jump imm } */                                \
+  X(OrJump)         /* C    : || node; if R[b].i != 0 { R[a].i = 1; */     \
+                    /*        jump imm } */                                \
+  X(BoolNorm)       /* F    : R[a].i = R[b].i != 0 */                      \
+  /* --- loads / moves ----------------------------------------------- */   \
+  X(LoadConst)      /* C : R[a].i = imm */                                 \
+  X(LoadStr)        /* C : R[a].s = strings[imm] */                        \
+  X(MoveInt)        /* C : R[a].i = R[b].i (ident rvalue, unary +, wide */ \
+                    /*     cast) */                                        \
+  X(MoveStr)        /* C : R[a].s = R[b].s */                              \
+  X(MoveStruct)     /* C : R[a].fields = R[b].fields */                    \
+  X(CopyInt)        /* F : R[a].i = R[b].i (assignment-expression */       \
+                    /*     result) */                                      \
+  X(CopyStr)        /* F */                                                \
+  X(CopyStruct)     /* F */                                                \
+  X(LoadGlobalInt)  /* C : R[a].i = G[b].i */                              \
+  X(LoadGlobalStr)  /* C */                                                \
+  X(LoadGlobalStruct) /* C */                                              \
+  X(LoadElemLocal)  /* C : R[a].i = R[b].arr[R[c].i]; imm = site name */   \
+                    /*     (faults) */                                     \
+  X(LoadElemGlobal) /* C : R[a].i = G[b].arr[R[c].i] */                    \
+  X(GetFieldInt)    /* C : R[a].i = R[b].fields[c].i (0 when absent) */    \
+  X(GetFieldStr)    /* C */                                                \
+  X(GetFieldStruct) /* C */                                                \
+  X(TakeStored)     /* F : R[a].i = last value committed by a store */     \
+                    /*     opcode */                                       \
+  /* --- arithmetic (a = dst, b/c = operands; all C) ----------------- */   \
+  X(Neg) X(BitNot) X(LogNot)                                               \
+  X(Add) X(Sub) X(Mul) X(Div) X(Mod)                                       \
+  X(BitAnd) X(BitOr) X(BitXor) X(Shl) X(Shr)                               \
+  X(CmpEq) X(CmpNe) X(CmpLt) X(CmpGt) X(CmpLe) X(CmpGe)                    \
+  X(BinImm)         /* CC : R[a].i = R[b].i <w-op> imm (fused const */     \
+                    /*      operand) */                                    \
+  X(Coerce)         /* C  : R[a].i = coerce(R[b].i, w) (integer cast) */   \
+  /* Compare+branch superinstructions: a condition's top binary node */    \
+  /* fused with the statement's jump-if-zero. The node's charge (and its */ \
+  /* free flag) is preserved; the result register is dead (the branch */   \
+  /* was its only consumer), so it is not written. */                      \
+  X(BinJump)        /* C  : if (R[b].i <w-op> R[c].i == 0) pc = imm */     \
+  X(BinImmJump)     /* CC : if (R[b].i <w-op> c == 0) pc = imm (c: u16 */  \
+                    /*      lit) */                                        \
+  X(DilEqIntJump)   /* C  : if (R[b].i != R[c].i) pc = imm */              \
+  X(DilEqStructJump) /* C : struct dil_eq (type-tag assertion applies); */ \
+                    /*      if values differ pc = imm */                   \
+  /* Poll-loop superinstructions (all operand nodes on one line): */       \
+  X(InConstAnd)     /* CCCC : R[a].i = io_in(port, w) & mask; imm packs */ \
+                    /*        port | mask<<32; the I/O happens after the */ \
+                    /*        third charge, exactly as the walker */       \
+                    /*        interleaves */                               \
+  X(PollInAnd)      /* C M + CCCC : kStepMark fused with kInConstAnd, */   \
+                    /*        one dispatch for a `while (inb(P) & M)` */   \
+                    /*        iteration */                                 \
+  X(StoreSlotBinImm) /* CCCC : R[a].i = coerce(R[b].i <w-op> imm, c), */   \
+                    /*        the `n = n + 1` statement body in one */     \
+                    /*        dispatch */                                  \
+  /* --- stores (the kAssign node's charge lives on the store) ------- */   \
+  X(StoreLocalInt)  /* C : R[a].i = coerce(R[b].i, w) */                   \
+  X(StoreLocalStr)  /* C */                                                \
+  X(StoreLocalStruct) /* C */                                              \
+  X(StoreGlobalInt) /* C : G[a].i = coerce(R[b].i, w) */                   \
+  X(StoreGlobalStr) /* C */                                                \
+  X(StoreGlobalStruct) /* C */                                             \
+  X(OpStoreLocal)   /* C  : R[a].i = coerce(R[a].i <c-op> R[b].i, w) */    \
+  X(OpStoreGlobal)  /* C */                                                \
+  X(OpStoreLocalImm) /* CC : R[a].i = coerce(R[a].i <c-op> imm, w) */      \
+                    /*      (fused) */                                     \
+  X(OpStoreGlobalImm) /* CC */                                             \
+  X(StoreElemLocal) /* C : R[a].arr[R[b].i] = coerce(R[c].i, w); */        \
+                    /*     imm = name */                                   \
+  X(StoreElemGlobal) /* C */                                               \
+  X(OpStoreElemLocal) /* C : compound form; imm packs name/op (see */      \
+                    /*     PackedElemOp) */                                \
+  X(OpStoreElemGlobal) /* C */                                             \
+  X(StoreFieldLocalInt) /* C : R[a].fields[b] = coerce(R[c].i, w) */       \
+  X(StoreFieldGlobalInt) /* C */                                           \
+  X(StoreFieldLocalStr) /* C */                                            \
+  X(StoreFieldGlobalStr) /* C */                                           \
+  X(StoreFieldLocalStruct) /* C */                                         \
+  X(StoreFieldGlobalStruct) /* C */                                        \
+  X(OpStoreFieldLocal) /* C : field compound; c-op, w coercion */          \
+  X(OpStoreFieldGlobal) /* C */                                            \
+  /* free store variants (declaration / global initialisers: the charge */ \
+  /* was already taken by the kStepMark / the initialiser expression) */   \
+  X(StoreLocalIntF) X(StoreLocalStrF) X(StoreLocalStructF)                 \
+  X(StoreGlobalIntF) X(StoreGlobalStrF) X(StoreGlobalStructF)              \
+  X(StoreGFieldIntF) /* F : G[a].fields[b] = coerce(R[c].i, w) (brace */   \
+                    /*     inits) */                                       \
+  X(StoreGFieldStrF)                                                       \
+  X(StoreGFieldStructF)                                                    \
+  /* --- declarations ------------------------------------------------ */   \
+  X(DeclIntZ)       /* C M : R[a].i = 0 */                                 \
+  X(DeclStrZ)       /* C M : R[a].s.clear() */                             \
+  X(DeclStructZ)    /* C M : R[a].fields = struct_defaults[imm] */         \
+  X(DeclArr)        /* C M : R[a].arr.assign(imm, 0) */                    \
+  X(InitGlobalArr)  /* F   : G[a].arr.assign(imm, 0) */                    \
+  /* --- calls ------------------------------------------------------- */   \
+  X(Call)           /* C : R[a] = fns[b](R[c..c+imm-1]) */                 \
+  X(Ret)            /* F : return R[a] to the caller's dst register */     \
+  X(RetZero)        /* F : return integer 0 (fall-off-the-end / */         \
+                    /*     `return;`) */                                   \
+  /* Call+ret superinstructions: a kCall whose callee's whole body */      \
+  /* matches a one-line leaf template executes without pushing a frame. */ \
+  /* Field layout is identical to kCall (b = callee index); the dispatch */ \
+  /* replays the callee's charges/marks from its code, so exhaustion */    \
+  /* lines and step totals cannot differ from a real call. See */          \
+  /* `classify_leaf` in compiler.cc. */                                    \
+  X(CallRetParam)   /* `{ return p; }`: CCC M, result = coerce(arg) */     \
+  X(CallRetConst)   /* `{ return K; }`: CCC M, result = K */               \
+  X(CallOutConst)   /* `{ out*(K1,K2); }`: CCCCC M, one io_out */          \
+  /* --- builtins (each C = the call node's charge) ------------------ */   \
+  X(In)             /* C  : R[a].i = io_in(R[b].i, w) */                   \
+  X(InConst)        /* CC : R[a].i = io_in(imm, w) (fused constant */      \
+                    /*      port) */                                       \
+  X(Out)            /* C  : io_out(R[b].i, R[a].i & width_mask, w) */      \
+  X(Panic)          /* C  : throw panic/Devil assertion with R[a].s */     \
+  X(Printk)         /* C  : log R[a].s */                                  \
+  X(Strcmp)         /* C  : R[a].i = R[b].s.compare(R[c].s) */             \
+  X(Udelay)         /* C+n: burn clamp(R[a].i, 0, 10000) extra steps */    \
+  X(DilEqInt)       /* C  : R[a].i = R[b].i == R[c].i */                   \
+  X(DilEqStruct)    /* C  : debug-mode dil_eq with type-tag assertion */   \
+  X(DilValInt)      /* C  : R[a].i = R[b].i */                             \
+  X(DilValStruct)   /* C  : R[a].i = R[b].fields[2].i (0 when absent) */   \
+  X(RequestIrq)     /* C  : bind handler fn named R[b].s to line R[a].i */ \
+  X(Unreachable)    /* C  : throw Fault{kInternal, strings[imm]} */
+
 enum class Op : uint8_t {
-  // --- statement accounting -----------------------------------------------
-  kStep,          // C    : statement entry without coverage (block, loops)
-  kStepMark,      // C M  : statement entry with coverage
-  kStepStepMark,  // CC M : fused kStep(line) + kStepMark(imm line)
-  kStepJump,      // C    : fused kStep + unconditional jump (empty loop body)
-  kMark,          // F M  : coverage only (global initialisers, case labels)
-  // --- control flow --------------------------------------------------------
-  kJump,          // F    : pc = imm
-  kJumpIfZero,    // F    : if R[a].i == 0 jump imm
-  kJumpIfNotZero, // F    : if R[a].i != 0 jump imm
-  kJumpIfEqual,   // F    : if R[a].i == R[b].i jump imm (generic case label)
-  kCaseTest,      // C M  : R[b].i = (R[a].i == imm); constant case label
-  kCondJumpZero,  // C    : ?: node charge; if R[a].i == 0 jump imm
-  kAndJump,       // C    : && node; if R[b].i == 0 { R[a].i = 0; jump imm }
-  kOrJump,        // C    : || node; if R[b].i != 0 { R[a].i = 1; jump imm }
-  kBoolNorm,      // F    : R[a].i = R[b].i != 0
-  // --- loads / moves -------------------------------------------------------
-  kLoadConst,       // C : R[a].i = imm
-  kLoadStr,         // C : R[a].s = strings[imm]
-  kMoveInt,         // C : R[a].i = R[b].i  (ident rvalue, unary +, wide cast)
-  kMoveStr,         // C : R[a].s = R[b].s
-  kMoveStruct,      // C : R[a].fields = R[b].fields
-  kCopyInt,         // F : R[a].i = R[b].i  (assignment-expression result)
-  kCopyStr,         // F
-  kCopyStruct,      // F
-  kLoadGlobalInt,   // C : R[a].i = G[b].i
-  kLoadGlobalStr,   // C
-  kLoadGlobalStruct,// C
-  kLoadElemLocal,   // C : R[a].i = R[b].arr[R[c].i]; imm = site name (faults)
-  kLoadElemGlobal,  // C : R[a].i = G[b].arr[R[c].i]
-  kGetFieldInt,     // C : R[a].i = R[b].fields[c].i (0 when absent)
-  kGetFieldStr,     // C
-  kGetFieldStruct,  // C
-  kTakeStored,      // F : R[a].i = last value committed by a store opcode
-  // --- arithmetic (a = dst, b/c = operands; all C) -------------------------
-  kNeg, kBitNot, kLogNot,
-  kAdd, kSub, kMul, kDiv, kMod,
-  kBitAnd, kBitOr, kBitXor, kShl, kShr,
-  kCmpEq, kCmpNe, kCmpLt, kCmpGt, kCmpLe, kCmpGe,
-  kBinImm,          // CC : R[a].i = R[b].i <w-op> imm (fused const operand)
-  kCoerce,          // C  : R[a].i = coerce(R[b].i, w)  (integer cast)
-  // Compare+branch superinstructions: a condition's top binary node fused
-  // with the statement's jump-if-zero. The node's charge (and its free
-  // flag) is preserved; the result register is dead — the branch was its
-  // only consumer — so it is not written.
-  kBinJump,         // C  : if (R[b].i <w-op> R[c].i == 0) pc = imm
-  kBinImmJump,      // CC : if (R[b].i <w-op> c == 0) pc = imm (c: u16 lit)
-  kDilEqIntJump,    // C  : if (R[b].i != R[c].i) pc = imm
-  kDilEqStructJump, // C  : struct dil_eq (type-tag assertion applies);
-                    //      if values differ pc = imm
-  // Poll-loop superinstructions (all operand nodes on one line):
-  kInConstAnd,      // CCCC : R[a].i = io_in(port, w) & mask; imm packs
-                    //        port | mask<<32; the I/O happens after the
-                    //        third charge, exactly as the walker interleaves
-  kPollInAnd,       // C M + CCCC : kStepMark fused with kInConstAnd — one
-                    //        dispatch for a `while (inb(P) & M)` iteration
-  kStoreSlotBinImm, // CCCC : R[a].i = coerce(R[b].i <w-op> imm, c) — the
-                    //        `n = n + 1` statement body in one dispatch
-  // --- stores (the kAssign node's charge lives on the store) ---------------
-  kStoreLocalInt,   // C : R[a].i = coerce(R[b].i, w)
-  kStoreLocalStr,   // C
-  kStoreLocalStruct,// C
-  kStoreGlobalInt,  // C : G[a].i = coerce(R[b].i, w)
-  kStoreGlobalStr,  // C
-  kStoreGlobalStruct,// C
-  kOpStoreLocal,    // C  : R[a].i = coerce(R[a].i <c-op> R[b].i, w)
-  kOpStoreGlobal,   // C
-  kOpStoreLocalImm, // CC : R[a].i = coerce(R[a].i <c-op> imm, w) (fused)
-  kOpStoreGlobalImm,// CC
-  kStoreElemLocal,  // C : R[a].arr[R[b].i] = coerce(R[c].i, w); imm = name
-  kStoreElemGlobal, // C
-  kOpStoreElemLocal, // C : compound form; imm packs name/op (see PackedElemOp)
-  kOpStoreElemGlobal,// C
-  kStoreFieldLocalInt,   // C : R[a].fields[b] = coerce(R[c].i, w)
-  kStoreFieldGlobalInt,  // C
-  kStoreFieldLocalStr,   // C
-  kStoreFieldGlobalStr,  // C
-  kStoreFieldLocalStruct,// C
-  kStoreFieldGlobalStruct,// C
-  kOpStoreFieldLocal,    // C : field compound; c-op, w coercion
-  kOpStoreFieldGlobal,   // C
-  // free store variants (declaration / global initialisers: the charge was
-  // already taken by the kStepMark / the initialiser expression)
-  kStoreLocalIntF, kStoreLocalStrF, kStoreLocalStructF,
-  kStoreGlobalIntF, kStoreGlobalStrF, kStoreGlobalStructF,
-  kStoreGFieldIntF,  // F : G[a].fields[b] = coerce(R[c].i, w) (brace inits)
-  kStoreGFieldStrF,
-  kStoreGFieldStructF,
-  // --- declarations --------------------------------------------------------
-  kDeclIntZ,        // C M : R[a].i = 0
-  kDeclStrZ,        // C M : R[a].s.clear()
-  kDeclStructZ,     // C M : R[a].fields = struct_defaults[imm]
-  kDeclArr,         // C M : R[a].arr.assign(imm, 0)
-  kInitGlobalArr,   // F   : G[a].arr.assign(imm, 0)
-  // --- calls ---------------------------------------------------------------
-  kCall,            // C : R[a] = fns[b](R[c..c+imm-1])
-  kRet,             // F : return R[a] to the caller's dst register
-  kRetZero,         // F : return integer 0 (fall-off-the-end / `return;`)
-  // Call+ret superinstructions: a kCall whose callee's whole body matches a
-  // one-line leaf template executes without pushing a frame. Field layout is
-  // identical to kCall (b = callee index); the dispatch replays the callee's
-  // charges/marks from its code, so exhaustion lines and step totals cannot
-  // differ from a real call. See `classify_leaf` in compiler.cc.
-  kCallRetParam,    // call to `{ return p; }`  : CCC M, result = coerce(arg)
-  kCallRetConst,    // call to `{ return K; }`  : CCC M, result = K
-  kCallOutConst,    // call to `{ out*(K1,K2); }`: CCCCC M, one io_out
-  // --- builtins (each C = the call node's charge) --------------------------
-  kIn,              // C  : R[a].i = io_in(R[b].i, w)
-  kInConst,         // CC : R[a].i = io_in(imm, w) (fused constant port)
-  kOut,             // C  : io_out(R[b].i, R[a].i & width_mask, w)
-  kPanic,           // C  : throw panic/Devil assertion with R[a].s
-  kPrintk,          // C  : log R[a].s
-  kStrcmp,          // C  : R[a].i = R[b].s.compare(R[c].s)
-  kUdelay,          // C+n: burn clamp(R[a].i, 0, 10000) extra steps
-  kDilEqInt,        // C  : R[a].i = R[b].i == R[c].i
-  kDilEqStruct,     // C  : debug-mode dil_eq with type-tag assertion
-  kDilValInt,       // C  : R[a].i = R[b].i
-  kDilValStruct,    // C  : R[a].i = R[b].fields[2].i (0 when absent)
-  kRequestIrq,      // C  : bind handler fn named R[b].s to line R[a].i
-  kUnreachable,     // C  : throw Fault{kInternal, strings[imm]}
+#define MINIC_BYTECODE_OP_ENUM(name) k##name,
+  MINIC_BYTECODE_OPCODES(MINIC_BYTECODE_OP_ENUM)
+#undef MINIC_BYTECODE_OP_ENUM
 };
 
 /// Number of opcodes; the per-opcode execution profile is indexed by
 /// `static_cast<size_t>(Op)`.
-inline constexpr size_t kOpCount = static_cast<size_t>(Op::kUnreachable) + 1;
+#define MINIC_BYTECODE_OP_ONE(name) +1
+inline constexpr size_t kOpCount =
+    0 MINIC_BYTECODE_OPCODES(MINIC_BYTECODE_OP_ONE);
+#undef MINIC_BYTECODE_OP_ONE
 
 /// Stable mnemonic for an opcode (the enumerator name without the `k`),
 /// used as the key in exported opcode profiles.
-[[nodiscard]] const char* op_name(Op op);
+[[nodiscard]] inline const char* op_name(Op op) {
+  static constexpr const char* kNames[] = {
+#define MINIC_BYTECODE_OP_NAME(name) #name,
+      MINIC_BYTECODE_OPCODES(MINIC_BYTECODE_OP_NAME)
+#undef MINIC_BYTECODE_OP_NAME
+  };
+  return kNames[static_cast<size_t>(op)];
+}
 
 /// Per-opcode dispatch counts of one VM run. Deterministic for a given
 /// module + entry + budget (the dispatch sequence is), so a baseline boot's
@@ -233,8 +277,8 @@ struct PackedElemOp {
 /// Runtime value: one register / global / struct field. The integer hot
 /// path touches only `i`; the string / struct / array payloads exist for
 /// the Devil debug stubs and driver buffers. Registers are persistent
-/// storage (pooled frames), so writing an int never constructs or frees
-/// anything.
+/// storage (frames reused in place), so writing an int never constructs or
+/// frees anything.
 struct VmValue {
   int64_t i = 0;
   std::string s;
@@ -242,6 +286,13 @@ struct VmValue {
   std::vector<int64_t> arr;
 
   friend bool operator==(const VmValue&, const VmValue&) = default;
+  /// Member-wise: exchanges the payloads' buffers with no temporary.
+  friend void swap(VmValue& a, VmValue& b) noexcept {
+    std::swap(a.i, b.i);
+    a.s.swap(b.s);
+    a.fields.swap(b.fields);
+    a.arr.swap(b.arr);
+  }
 };
 
 struct ParamSpec {

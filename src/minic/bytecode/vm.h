@@ -84,8 +84,11 @@ class Vm {
     EnvState env;
   };
 
+  /// Runs `fn` to its return on a fresh frame and returns the integer
+  /// result (the only part of a returned value the entry's and the
+  /// handlers' callers read).
   template <bool kProfile>
-  VmValue exec(const CompiledFunction& fn, bool counts_depth,
+  int64_t exec(const CompiledFunction& fn, bool counts_depth,
                RunOutcome& out);
   template <bool kProfile>
   void run_body(const std::string& entry, RunOutcome& out);
@@ -103,9 +106,11 @@ class Vm {
   [[nodiscard]] bool repeats_tortoise(const CompiledFunction* fn, size_t pc,
                                       const RunOutcome& out);
   void skip_cycles();
-  void push_frame(const CompiledFunction& fn, const VmValue* caller_regs,
-                  uint32_t argbase);
-  void pop_frame();
+  /// Makes the next frame live for `fn` (reusing the register vector
+  /// already at that depth), binds its parameters from the caller's
+  /// registers at `argbase`, and returns its registers.
+  VmValue* push_frame(const CompiledFunction& fn, const VmValue* caller_regs,
+                      uint32_t argbase);
 
   const Module& mod_;
   IoEnvironment& io_;
@@ -115,10 +120,16 @@ class Vm {
   /// The value committed by the most recent store opcode; kTakeStored
   /// materialises it when an assignment is consumed as an expression.
   int64_t stored_ = 0;
-  /// One flat register vector per activation; retired vectors are pooled so
-  /// a warm call allocates nothing (mirrors the walker's frame pool).
+  /// One flat register vector per call depth. The stack only grows: the
+  /// first `live_frames_` vectors belong to live activations, and a call
+  /// reuses the vector at its depth in place, so a warm call allocates
+  /// nothing. A reused vector keeps its previous occupant's payloads (and a
+  /// returning callee's result register holds its caller's old
+  /// destination); the lowering writes every register before reading it,
+  /// and push_frame zeroes the slots' integers as the walker's fresh frame
+  /// does.
   std::vector<std::vector<VmValue>> frames_;
-  std::vector<std::vector<VmValue>> frame_pool_;
+  size_t live_frames_ = 0;
   std::vector<Activation> calls_;
   std::vector<VmValue> globals_;
   OpcodeProfile* profile_ = nullptr;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <unordered_map>
 
 namespace minic {
@@ -176,6 +177,20 @@ class Scanner {
     }
   }
 
+  /// The value of an integer literal's digits. A literal wider than 64
+  /// bits is reported (and lexes as 0), so lexing goes on.
+  uint64_t literal_value(const std::string& digits, int base,
+                         support::SourceLoc loc) {
+    uint64_t value = 0;
+    if (std::from_chars(digits.data(), digits.data() + digits.size(), value,
+                        base)
+            .ec == std::errc::result_out_of_range) {
+      diags_.error("MC017", loc, "integer literal does not fit in 64 bits");
+      return 0;
+    }
+    return value;
+  }
+
   Token next_raw() {
     support::SourceLoc begin = loc_;
     char c = peek();
@@ -208,16 +223,16 @@ class Scanner {
           text += "0";
         }
         t.int_base = 16;
-        t.int_value = std::stoull(text.substr(2), nullptr, 16);
+        t.int_value = literal_value(text.substr(2), 16, begin);
       } else if (c == '0' && std::isdigit(static_cast<unsigned char>(peek(1)))) {
         while (peek() >= '0' && peek() <= '7') text += advance();
         t.int_base = 8;
-        t.int_value = std::stoull(text, nullptr, 8);
+        t.int_value = literal_value(text, 8, begin);
       } else {
         while (std::isdigit(static_cast<unsigned char>(peek())))
           text += advance();
         t.int_base = 10;
-        t.int_value = std::stoull(text, nullptr, 10);
+        t.int_value = literal_value(text, 10, begin);
       }
       // Integer suffixes (u, U, l, L) are accepted and ignored, as in the
       // kernel sources the paper mutates.

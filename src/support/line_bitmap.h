@@ -14,9 +14,11 @@ namespace support {
 
 class LineBitmap {
  public:
+  /// The word OR stays inline in the interpreters' dispatch loops; growing
+  /// happens once per new highest word and is kept out of line.
   void set(uint32_t line) {
-    size_t word = line >> 6;
-    if (word >= words_.size()) words_.resize(word + 1, 0);
+    const size_t word = line >> 6;
+    if (word >= words_.size()) [[unlikely]] grow(word);
     words_[word] |= uint64_t{1} << (line & 63);
   }
 
@@ -55,6 +57,10 @@ class LineBitmap {
   }
 
  private:
+  [[gnu::cold, gnu::noinline]] void grow(size_t word) {
+    words_.resize(word + 1, 0);
+  }
+
   std::vector<uint64_t> words_;
 };
 

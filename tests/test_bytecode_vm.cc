@@ -8,6 +8,7 @@
 
 #include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "corpus/drivers.h"
@@ -18,6 +19,7 @@
 #include "eval/device_bindings.h"
 #include "eval/driver_campaign.h"
 #include "eval/report.h"
+#include "hw/device_pool.h"
 #include "hw/ide_disk.h"
 #include "hw/io_bus.h"
 #include "hw/misc_devices.h"
@@ -78,10 +80,14 @@ void diff_on_ide(const std::string& name, const minic::Unit& unit,
       << label;
 }
 
-void diff_source(const std::string& src, const std::string& entry,
-                 uint64_t budget, const std::string& label) {
+/// Compiles `src`, runs it on both engines against identical FakeIo
+/// streams, compares everything and returns the VM's outcome.
+minic::RunOutcome run_both_engines(const std::string& src,
+                                   const std::string& entry, uint64_t budget,
+                                   const std::string& label) {
   auto prog = minic::compile("t.c", src);
-  ASSERT_TRUE(prog.ok()) << label << "\n" << prog.diags.render();
+  EXPECT_TRUE(prog.ok()) << label << "\n" << prog.diags.render();
+  if (!prog.ok()) return {};
   FakeIo io_w, io_v;
   io_w.values[0x1f7] = io_v.values[0x1f7] = 0x50;
   auto walker = minic::run_unit(*prog.unit, io_w, entry, budget,
@@ -90,6 +96,12 @@ void diff_source(const std::string& src, const std::string& entry,
                             minic::ExecEngine::kBytecodeVm);
   expect_same_outcome(walker, vm, label);
   EXPECT_EQ(io_w.writes, io_v.writes) << label;
+  return vm;
+}
+
+void diff_source(const std::string& src, const std::string& entry,
+                 uint64_t budget, const std::string& label) {
+  (void)run_both_engines(src, entry, budget, label);
 }
 
 // ---------------------------------------------------------------------------
@@ -419,6 +431,428 @@ TEST(BytecodeVmDiff, SampledCDevilMutants) {
                                   devil::CodegenMode::kDebug);
   ASSERT_TRUE(spec.ok());
   diff_mutants(spec.stubs, corpus::cdevil_ide_driver(), true, 37, "cdevil");
+}
+
+// ---------------------------------------------------------------------------
+// Opcode profiles. Profiling must not change a boot, and the clean IDE
+// boots' per-opcode dispatch counts are pinned here (the same counts the
+// campaigns' `baseline_opcodes` carry), so a dispatch loop that counts an
+// instruction twice, skips one or routes it to the wrong handler fails in
+// ctest, not only at the benchmark's reference gate.
+// ---------------------------------------------------------------------------
+
+using OpCounts = std::map<std::string, uint64_t>;
+
+OpCounts nonzero_counts(const minic::bytecode::OpcodeProfile& profile) {
+  OpCounts out;
+  for (size_t i = 0; i < minic::bytecode::kOpCount; ++i) {
+    if (profile.counts[i] != 0) {
+      out[minic::bytecode::op_name(static_cast<minic::bytecode::Op>(i))] =
+          profile.counts[i];
+    }
+  }
+  return out;
+}
+
+const OpCounts& pinned_ide_c_profile() {
+  static const OpCounts counts = {
+      {"Step", 815}, {"StepMark", 830}, {"StepStepMark", 774},
+      {"StepJump", 8}, {"Jump", 771}, {"JumpIfZero", 14}, {"OrJump", 1},
+      {"BoolNorm", 1}, {"LoadConst", 53}, {"MoveInt", 1564},
+      {"LoadGlobalInt", 3}, {"LoadElemGlobal", 8}, {"Add", 2}, {"BitOr", 5},
+      {"Shl", 3}, {"CmpGe", 1}, {"BinImm", 25}, {"BinJump", 9},
+      {"BinImmJump", 783}, {"PollInAnd", 13}, {"StoreLocalInt", 14},
+      {"StoreGlobalInt", 1}, {"OpStoreLocalImm", 768},
+      {"StoreElemGlobal", 768}, {"DeclIntZ", 10}, {"InitGlobalArr", 2},
+      {"Call", 12}, {"Ret", 8}, {"RetZero", 6}, {"CallOutConst", 1},
+      {"InConst", 776}, {"Out", 14},
+  };
+  return counts;
+}
+
+const OpCounts& pinned_ide_cdevil_profile() {
+  static const OpCounts counts = {
+      {"Step", 8848}, {"StepMark", 8948}, {"StepStepMark", 796},
+      {"StepJump", 8}, {"Mark", 41}, {"Jump", 775}, {"JumpIfZero", 5},
+      {"JumpIfNotZero", 4}, {"CaseTest", 4}, {"OrJump", 5}, {"BoolNorm", 5},
+      {"LoadConst", 3321}, {"LoadStr", 844}, {"MoveInt", 4851},
+      {"MoveStruct", 813}, {"LoadGlobalInt", 838}, {"LoadGlobalStruct", 37},
+      {"LoadElemGlobal", 8}, {"GetFieldInt", 10}, {"Add", 2}, {"BitAnd", 799},
+      {"BitOr", 818}, {"Shl", 3}, {"Shr", 799}, {"CmpGe", 1}, {"BinImm", 976},
+      {"Coerce", 14}, {"BinJump", 9}, {"BinImmJump", 776},
+      {"DilEqStructJump", 31}, {"StoreLocalInt", 3248},
+      {"StoreGlobalInt", 19}, {"OpStoreLocalImm", 768},
+      {"StoreElemGlobal", 768}, {"StoreFieldLocalInt", 1606},
+      {"StoreFieldLocalStr", 803}, {"StoreGFieldIntF", 82},
+      {"StoreGFieldStrF", 41}, {"DeclIntZ", 2433}, {"DeclStructZ", 803},
+      {"InitGlobalArr", 2}, {"Call", 2454}, {"Ret", 2413}, {"RetZero", 43},
+      {"In", 803}, {"Out", 16}, {"DilValStruct", 768},
+  };
+  return counts;
+}
+
+TEST(BytecodeVmProfile, CorpusBootsAreUnchangedByProfilingAndIdeIsPinned) {
+  std::vector<corpus::CampaignDrivers> all = corpus::campaign_drivers();
+  for (const auto& d : corpus::irq_campaign_drivers()) all.push_back(d);
+  const eval::CampaignSpec spec;
+  size_t pinned = 0;
+  for (const auto& drivers : all) {
+    const eval::DeviceCampaignConfigs configs =
+        eval::driver_configs_for(spec, drivers);
+    for (const eval::DriverCampaignConfig* cfg : {&configs.c, &configs.cdevil}) {
+      const std::string label = std::string(drivers.device) +
+                                (cfg->is_cdevil ? " CDevil" : " C");
+      // The campaigns' own baseline path: the stub prefix, the driver
+      // compiled after it, one boot rig per boot.
+      auto prefix = minic::prepare_prefix(
+          cfg->unit_name, cfg->stubs.empty() ? "" : cfg->stubs + "\n");
+      ASSERT_TRUE(prefix.ok()) << label;
+      auto prog = minic::compile_with_prefix(prefix, cfg->driver);
+      ASSERT_TRUE(prog.ok()) << label << "\n" << prog.diags.render();
+      const std::string& entry =
+          cfg->entry.empty() ? cfg->device.entry : cfg->entry;
+      hw::DevicePool pool;
+      pool.set_factory(cfg->device.make_device);
+      auto boot = [&](minic::bytecode::OpcodeProfile* profile) {
+        eval::BootRig rig(pool, cfg->device);
+        return minic::run_unit(*prog.unit, rig.bus(), entry,
+                               cfg->step_budget,
+                               minic::ExecEngine::kBytecodeVm, profile);
+      };
+      minic::bytecode::OpcodeProfile profile;
+      const minic::RunOutcome plain = boot(nullptr);
+      const minic::RunOutcome profiled = boot(&profile);
+      expect_same_outcome(plain, profiled, label);
+      EXPECT_EQ(plain.fault, minic::FaultKind::kNone)
+          << label << ": " << plain.fault_message;
+      EXPECT_GT(profile.total(), 0u) << label;
+      if (std::string(drivers.device) == "ide") {
+        const OpCounts& want = cfg->is_cdevil ? pinned_ide_cdevil_profile()
+                                              : pinned_ide_c_profile();
+        EXPECT_EQ(nonzero_counts(profile), want) << label;
+        EXPECT_EQ(profile.total(), cfg->is_cdevil ? 51'459u : 8'063u)
+            << label;
+        EXPECT_EQ(plain.steps_used, cfg->is_cdevil ? 44'977u : 9'650u)
+            << label;
+        ++pinned;
+      }
+    }
+  }
+  EXPECT_EQ(pinned, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// The call protocol: frames are reused in place (one register vector per
+// call depth), a kRet swaps the callee's result into the caller's
+// destination and leaves the destination's old payload in the dead callee
+// register, and a kRetZero clears the destination in place. Each program
+// routes payloads of one kind through registers that last held another.
+// ---------------------------------------------------------------------------
+
+TEST(BytecodeVmCallProtocol, StructAndStringReturnsIntoReusedRegisters) {
+  const std::string src = R"(
+struct box { cstring name; int tag; int val; };
+struct pair { int a; int b; };
+
+box mk_box(int v) {
+  box b;
+  b.name = "box";
+  b.tag = v & 3;
+  b.val = v * 5;
+  return b;
+}
+pair mk_pair(int a) {
+  pair p;
+  p.a = a;
+  p.b = a + 7;
+  return p;
+}
+cstring name_of(int i) {
+  if (i & 1) { return "odd"; }
+  return "even";
+}
+int weigh(box b, pair p, cstring s) {
+  printk(s);
+  printk(b.name);
+  return b.val + b.tag * p.a + p.b + strcmp(s, "odd");
+}
+
+int f() {
+  int i;
+  int acc;
+  box b;
+  pair p;
+  cstring s;
+  acc = 0;
+  for (i = 0; i < 5; i++) {
+    s = name_of(i);
+    b = mk_box(i + acc);
+    p = mk_pair(b.val);
+    acc = acc + weigh(b, p, s);
+    acc = acc + mk_box(acc & 15).val + mk_pair(i).b;
+    printk(name_of(acc));
+    acc = acc + weigh(mk_box(i), mk_pair(acc & 7), name_of(i + 1));
+    b = mk_box(p.b);
+    s = name_of(b.val);
+    acc = acc + b.tag + strcmp(s, name_of(i));
+  }
+  return acc;
+}
+)";
+  for (uint64_t budget : {100'000u, 150u, 400u, 777u}) {
+    diff_source(src, "f", budget, "struct/string returns budget=" +
+                                      std::to_string(budget));
+  }
+}
+
+TEST(BytecodeVmCallProtocol, RetZeroClearsADestinationThatHeldAStruct) {
+  // A function that falls off its end returns through kRetZero: an int
+  // result reads 0 and a struct result reads as an empty struct, even when
+  // the destination register last held a live struct.
+  const std::string src = R"(
+struct box { cstring name; int tag; int val; };
+
+box mk_box(int v) {
+  box b;
+  b.name = "box";
+  b.tag = 1;
+  b.val = v;
+  return b;
+}
+box maybe_box(int v) {
+  if (v > 1000) { return mk_box(v); }
+}
+int maybe_int(int v) {
+  if (v > 1000) { return v; }
+}
+void touch(int v) {
+  if (v > 1000) { printk("big"); }
+}
+
+int f() {
+  int i;
+  int acc;
+  box b;
+  acc = 0;
+  for (i = 0; i < 4; i++) {
+    b = mk_box(i + 40);
+    acc = acc + b.val;
+    b = maybe_box(i);
+    acc = acc + b.val + b.tag;
+    acc = acc + mk_box(i + 9).val + maybe_box(i).val;
+    acc = acc + mk_box(acc).tag + maybe_int(i) + maybe_box(acc).tag;
+    touch(mk_box(i).val);
+    acc = acc * 3 + maybe_int(acc & 1);
+  }
+  return acc;
+}
+)";
+  // Each fallen-off result reads as zero (worked out by hand), so a
+  // destination left holding its old struct or integer shows here too.
+  const auto vm = run_both_engines(src, "f", 100'000, "ret-zero into struct");
+  ASSERT_EQ(vm.fault, minic::FaultKind::kNone) << vm.fault_message;
+  EXPECT_EQ(vm.return_value, 6111);
+}
+
+TEST(BytecodeVmCallProtocol, DeepCallsUnwindAndReenterWithOtherFrameShapes) {
+  // Two recursions climb to the same depths with different register and
+  // slot counts (and parameter kinds); a third one re-enters after both
+  // unwound. Locals must read as freshly declared at every depth.
+  const std::string src = R"(
+struct pair { int a; int b; };
+
+int wide(int n, int x) {
+  int a; int b; int c; int d; int e;
+  pair p;
+  a = n; b = a * 2; c = b + x; d = c ^ a; e = d & 0xff;
+  p.a = e; p.b = n;
+  if (n == 0) { return e + p.a; }
+  return wide(n - 1, e + 1) + p.b - (a + b + c + d);
+}
+int narrow(int n) {
+  if (n == 0) { return 1; }
+  return narrow(n - 1) + n;
+}
+pair carry(pair p, int n) {
+  pair q;
+  cstring s;
+  s = "carry";
+  q.a = p.a + n;
+  q.b = p.b + strcmp(s, "carrz");
+  if (n == 0) { return q; }
+  return carry(q, n - 1);
+}
+int sum(int n) {
+  int i; int t;
+  t = 0;
+  for (i = 0; i < n; i++) { t = t + i; }
+  if (n == 0) { return t; }
+  return t + sum(n - 1);
+}
+
+int f() {
+  int acc;
+  pair p;
+  acc = wide(60, 3);
+  acc = acc + narrow(90);
+  p.a = 1;
+  p.b = 2;
+  p = carry(p, 100);
+  acc = acc + p.a * 1000 + p.b;
+  acc = acc + wide(20, acc & 7) + sum(30) + narrow(5);
+  p = carry(p, 3);
+  return acc + p.a + p.b;
+}
+)";
+  diff_source(src, "f", 1'000'000, "deep re-entry");
+  diff_source(src, "f", 5'000, "deep re-entry, budget fault mid-climb");
+}
+
+TEST(BytecodeVmCallProtocol, StructParameterRecursionOverflowsIdentically) {
+  // Struct parameters copied at every level until the depth limit: the
+  // stack-overflow fault and its message must match the walker's.
+  const auto over = run_both_engines(R"(
+struct box { cstring name; int tag; int val; };
+int rec(box b, int n) {
+  box c;
+  c = b;
+  c.val = c.val + n;
+  c.name = "deeper";
+  return rec(c, n + 1) + c.tag;
+}
+int f() {
+  box b;
+  b.name = "top";
+  b.tag = 2;
+  b.val = 1;
+  return rec(b, 0);
+}
+)",
+                                     "f", 1'000'000, "struct overflow");
+  EXPECT_EQ(over.fault, minic::FaultKind::kStackOverflow);
+  EXPECT_EQ(over.fault_message, "call depth exceeded in rec");
+  // A struct-returning recursion that reaches exactly the limit (f and
+  // 127 frames of rec) returns.
+  const auto at_limit = run_both_engines(R"(
+struct box { cstring name; int tag; int val; };
+box rec(box b, int n) {
+  box c;
+  c = b;
+  c.val = n;
+  if (n == 127) { return c; }
+  return rec(c, n + 1);
+}
+int f() {
+  box b;
+  b.tag = 1;
+  return rec(b, 1).val;
+}
+)",
+                                         "f", 1'000'000, "struct at the limit");
+  EXPECT_EQ(at_limit.fault, minic::FaultKind::kNone)
+      << at_limit.fault_message;
+  EXPECT_EQ(at_limit.return_value, 127);
+}
+
+/// IoEnvironment that raises IRQ line 3 after every `every`-th port write
+/// and keeps it pending until the engine takes it.
+class WriteIrqIo : public minic::IoEnvironment {
+ public:
+  explicit WriteIrqIo(int every) : every_(every) {}
+  uint32_t io_in(uint32_t port, int width) override {
+    (void)width;
+    return port & 0xff;
+  }
+  void io_out(uint32_t port, uint32_t value, int width) override {
+    writes.emplace_back(port, value, width);
+    if (++outs_ % every_ == 0) pending_ = true;
+  }
+  int irq_pending() override { return pending_ ? 3 : -1; }
+  void irq_begin(bool handled) override {
+    pending_ = false;
+    delivered.push_back(handled);
+  }
+  std::vector<std::tuple<uint32_t, uint32_t, int>> writes;
+  std::vector<bool> delivered;
+
+ private:
+  int every_;
+  int outs_ = 0;
+  bool pending_ = false;
+};
+
+TEST(BytecodeVmCallProtocol, IrqHandlerCallsRunAboveAnInterruptedCall) {
+  // The interrupt lands on a port write inside a nested call; the handler
+  // makes calls of its own (struct and string returns, recursion) on the
+  // frames above the interrupted ones, which must be intact when it
+  // returns.
+  const std::string src = R"(
+struct box { cstring name; int tag; int val; };
+int g_irqs;
+int g_sum;
+
+box mk_box(int v) {
+  box b;
+  b.name = "irq";
+  b.tag = 4;
+  b.val = v;
+  return b;
+}
+int depth(int n) {
+  if (n == 0) { return 0; }
+  return depth(n - 1) + 1;
+}
+cstring label(int v) {
+  if (v & 1) { return "odd"; }
+  return "even";
+}
+void on_irq() {
+  box b;
+  g_irqs = g_irqs + 1;
+  b = mk_box(g_irqs * 11);
+  g_sum = g_sum + b.val + depth(g_irqs + 2) + mk_box(b.tag).val;
+  printk(label(g_sum));
+}
+int work(int n, int x) {
+  box b;
+  int local;
+  b = mk_box(x);
+  local = n * 3;
+  outb(n, 0x80);
+  if (n > 0) {
+    local = local + work(n - 1, x + b.val);
+  }
+  outb(local & 0xff, 0x81);
+  return local + b.val + b.tag;
+}
+int f() {
+  int acc;
+  request_irq(3, "on_irq");
+  acc = work(6, 1);
+  acc = acc + work(3, acc & 15);
+  return acc * 100 + g_irqs * 10 + g_sum;
+}
+)";
+  auto prog = minic::compile("t.c", src);
+  ASSERT_TRUE(prog.ok()) << prog.diags.render();
+  for (int every : {1, 2, 3, 5}) {
+    for (uint64_t budget : {1'000'000u, 300u}) {
+      const std::string label = "irq every " + std::to_string(every) +
+                                " budget " + std::to_string(budget);
+      WriteIrqIo io_w(every), io_v(every);
+      auto walker = minic::run_unit(*prog.unit, io_w, "f", budget,
+                                    minic::ExecEngine::kTreeWalker);
+      auto vm = minic::run_unit(*prog.unit, io_v, "f", budget,
+                                minic::ExecEngine::kBytecodeVm);
+      expect_same_outcome(walker, vm, label);
+      EXPECT_EQ(io_w.writes, io_v.writes) << label;
+      EXPECT_EQ(io_w.delivered, io_v.delivered) << label;
+      if (budget == 1'000'000u) {
+        EXPECT_EQ(vm.fault, minic::FaultKind::kNone) << vm.fault_message;
+        EXPECT_FALSE(io_v.delivered.empty()) << label;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

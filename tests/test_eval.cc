@@ -10,6 +10,8 @@
 #include "eval/driver_campaign.h"
 #include "eval/report.h"
 #include "eval/spec_campaign.h"
+#include "minic/program.h"
+#include "mutation/c_mutator.h"
 
 namespace {
 
@@ -199,6 +201,50 @@ int ide_boot() { return MAGIC + 1; }
   EXPECT_EQ(res.tally.mutants_of(Outcome::kDeadCode), 0u);
   // Changing the value changes the fingerprint: damaged boot.
   EXPECT_GT(res.tally.mutants_of(Outcome::kDamagedBoot), 0u);
+}
+
+TEST(DriverCampaign, WideLiteralMutantsAreCompileTimeRejections) {
+  // Table 1's digit insertion turns a 16-hex-digit literal into a 17-digit
+  // one that no 64-bit integer holds: the lexer's MC017, recorded as a
+  // compile-time rejection on both engines, never a campaign abort.
+  const std::string driver = R"(
+int ide_boot() {
+  return (
+  /* MUT_BEGIN */
+  0xfffffffffffffff7
+  /* MUT_END */
+  & 3) + 1;
+}
+)";
+  mutation::CScanOptions scan;
+  scan.classes = mutation::classes_for_c_driver(driver);
+  const auto sites = mutation::scan_c_sites(driver, scan);
+  const auto mutants = mutation::generate_c_mutants(sites, scan.classes);
+  ASSERT_EQ(sites.size(), 1u);
+  for (auto engine :
+       {minic::ExecEngine::kBytecodeVm, minic::ExecEngine::kTreeWalker}) {
+    SCOPED_TRACE(minic::exec_engine_name(engine));
+    auto cfg = tiny(driver);
+    cfg.engine = engine;
+    eval::DriverCampaignResult res;
+    ASSERT_NO_THROW(res = eval::run_driver_campaign(cfg));
+    ASSERT_EQ(res.records.size(), mutants.size());
+    size_t wide = 0;
+    for (const auto& rec : res.records) {
+      const std::string& text = mutants[rec.mutant_index].replacement;
+      if (text.size() != 2 + 17 || text[2] == '0') continue;  // 17 digits
+      ++wide;
+      EXPECT_EQ(rec.outcome, Outcome::kCompileTime) << text;
+      EXPECT_NE(rec.detail.find("MC017"), std::string::npos)
+          << text << ": " << rec.detail;
+    }
+    // Insertions into "fffffffffffffff7" spell 256 distinct 17-digit
+    // bodies; the one with a leading '0' still fits.
+    EXPECT_EQ(wide, 255u);
+    EXPECT_GT(res.tally.mutants_of(Outcome::kBoot) +
+                  res.tally.mutants_of(Outcome::kDamagedBoot),
+              0u);
+  }
 }
 
 TEST(DriverCampaign, SamplingIsDeterministicAndScales) {

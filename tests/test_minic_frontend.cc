@@ -3,6 +3,7 @@
 
 #include "minic/lexer.h"
 #include "minic/parser.h"
+#include "minic/program.h"
 
 namespace {
 
@@ -42,6 +43,60 @@ TEST(MiniCLexer, IntegerBases) {
   EXPECT_EQ(out.tokens[1].int_base, 8);
   EXPECT_EQ(out.tokens[2].int_value, 16u);
   EXPECT_EQ(out.tokens[2].int_base, 16);
+}
+
+// A literal wider than 64 bits is MC017 at the literal, and lexing goes on
+// (the next token still lexes), never a std::out_of_range from the front end.
+void expect_literal_too_wide(const std::string& literal) {
+  SCOPED_TRACE(literal);
+  support::DiagnosticEngine diags;
+  auto out = lex("int x = " + literal + "; int y = 7;", diags);
+  ASSERT_TRUE(diags.has_code("MC017")) << diags.render();
+  EXPECT_EQ(diags.error_count(), 1) << diags.render();
+  EXPECT_EQ(diags.all().front().loc.line, 1u);
+  EXPECT_EQ(diags.all().front().loc.column, 9u);
+  bool seven = false;
+  for (const auto& t : out.tokens) {
+    if (t.kind == Tok::kIntLit && t.int_value == 7) seven = true;
+  }
+  EXPECT_TRUE(seven) << "lexing stopped at the wide literal";
+}
+
+TEST(MiniCLexer, WideDecimalLiteralIsDiagnosed) {
+  expect_literal_too_wide("99999999999999999999");
+  // The widest decimal that fits still lexes.
+  auto out = lex_ok("18446744073709551615");
+  EXPECT_EQ(out.tokens[0].int_value, ~uint64_t{0});
+}
+
+TEST(MiniCLexer, WideHexLiteralIsDiagnosed) {
+  expect_literal_too_wide("0x123456789abcdef01");
+  expect_literal_too_wide("0x10000000000000000u");
+  auto out = lex_ok("0xffffffffffffffff");
+  EXPECT_EQ(out.tokens[0].int_value, ~uint64_t{0});
+}
+
+TEST(MiniCLexer, WideOctalLiteralIsDiagnosed) {
+  expect_literal_too_wide("0123456701234567012345670");  // 25 digits
+  auto out = lex_ok("01777777777777777777777");
+  EXPECT_EQ(out.tokens[0].int_value, ~uint64_t{0});
+}
+
+TEST(MiniCLexer, WideLiteralInMacroIsDiagnosedAtItsDefinition) {
+  support::DiagnosticEngine diags;
+  lex("#define W 0x10000000000000000\nint x = W;", diags);
+  ASSERT_TRUE(diags.has_code("MC017")) << diags.render();
+  EXPECT_EQ(diags.all().front().loc.line, 1u);
+  // Through the whole front end: a diagnostic, not an exception.
+  minic::Program prog;
+  ASSERT_NO_THROW(prog = minic::compile(
+                      "t.c", "int f() { return 99999999999999999999; }"));
+  EXPECT_FALSE(prog.ok());
+  EXPECT_TRUE(prog.diags.has_code("MC017")) << prog.diags.render();
+  ASSERT_NO_THROW(prog = minic::compile(
+                      "t.c", "#define W 0x10000000000000000\n"
+                             "int f() { return W; }"));
+  EXPECT_TRUE(prog.diags.has_code("MC017")) << prog.diags.render();
 }
 
 TEST(MiniCLexer, IntegerSuffixesIgnored) {
