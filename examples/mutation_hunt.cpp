@@ -376,8 +376,10 @@ int run_fault_campaigns(const eval::CampaignSpec& spec, bool assert_counters,
 /// and count what the Devil compiler rejects. With `assert_counters` the
 /// exit code additionally verifies that the splice built every corpus
 /// mutant's token stream (none re-lexed), that every check re-parsed only
-/// the mutated declaration, and, unless `--no-dedup`, that dedup skipped at
-/// least one check per spec; the counts go to stderr.
+/// the mutated declaration, that the changed-declaration pass let no check
+/// through that the whole-spec check then rejected (a rule dependency the
+/// pass misses), and, unless `--no-dedup`, that dedup skipped at least one
+/// check per spec; the counts go to stderr.
 int run_spec_campaigns(const eval::CampaignSpec& spec, bool assert_counters) {
   std::printf("Running spec mutation campaigns (%u thread(s), 0 = all "
               "cores)...\n\n",
@@ -394,9 +396,11 @@ int run_spec_campaigns(const eval::CampaignSpec& spec, bool assert_counters) {
     const size_t checks = row.mutants - row.deduped;
     std::fprintf(stderr,
                  "%s: %zu checks, %zu deduped, %zu spliced, %zu re-lexed, "
-                 "%zu re-parsed\n",
+                 "%zu re-parsed, %zu rejected by the changed-declaration "
+                 "pass\n",
                  row.name.c_str(), checks, row.deduped,
-                 row.mutants - row.relexed, row.relexed, row.reparsed);
+                 row.mutants - row.relexed, row.relexed, row.reparsed,
+                 row.pass_rejected);
     if (row.relexed != 0) {
       std::fprintf(stderr, "FAIL: %s spec campaign re-lexed %zu mutants\n",
                    row.name.c_str(), row.relexed);
@@ -407,6 +411,14 @@ int run_spec_campaigns(const eval::CampaignSpec& spec, bool assert_counters) {
                    "FAIL: %s spec campaign parsed the whole spec for %zu "
                    "checks\n",
                    row.name.c_str(), checks - row.reparsed);
+      ok = false;
+    }
+    if (row.pass_missed != 0) {
+      std::fprintf(stderr,
+                   "FAIL: %s spec campaign: the whole-spec check rejected "
+                   "%zu re-parsed checks that the changed-declaration pass "
+                   "let through (a missing rule dependency)\n",
+                   row.name.c_str(), row.pass_missed);
       ok = false;
     }
     if (config.dedup && row.deduped == 0) {
@@ -704,7 +716,9 @@ int usage(std::FILE* to) {
       "                       VM replayed every untriggered scenario)\n"
       "                       (with --spec-campaign: fail if any mutant\n"
       "                       was re-lexed, any check parsed the whole\n"
-      "                       spec, or, with dedup on, none deduped)\n"
+      "                       spec, the whole-spec check rejected one the\n"
+      "                       changed-declaration pass let through, or,\n"
+      "                       with dedup on, none deduped)\n"
       "  --workers N          --serve/--dispatch: shard workers per job\n"
       "                       (daemon default 3; 0 = daemon default)\n"
       "  --scratch DIR        --serve: artifact/log directory (default: a\n"

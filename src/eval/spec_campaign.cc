@@ -168,6 +168,7 @@ SpecSplicer::SpecSplicer(const corpus::SpecEntry& spec,
     throw std::logic_error("spec '" + spec.name + "' does not parse");
   }
   clean_spec_ = std::move(*parsed);
+  index_ = devil::CleanIndex(clean_spec_);
   decls_ = parser.decl_spans();
   site_token_.reserve(sites.size());
   for (const mutation::Site& site : sites) {
@@ -220,8 +221,8 @@ std::string SpecSplicer::key(const MutantStream& s) const {
 }
 
 bool SpecSplicer::consistent(const MutantStream& s, Work& work,
-                             bool* reparsed) const {
-  if (reparsed) *reparsed = false;
+                             Path* path) const {
+  if (path) *path = Path::kWholeStream;
   if (!s.spliced) return !s.lex_errors && parses_and_accepts(s.relexed);
   auto next = std::upper_bound(
       decls_.begin(), decls_.end(), s.index,
@@ -246,9 +247,11 @@ bool SpecSplicer::consistent(const MutantStream& s, Work& work,
         }
       };
       swap_in();
-      bool ok = devil::Sema::accepts(work.spec);
+      bool rejected =
+          devil::Sema::rejects_change(index_, work.spec, span, work.scratch);
+      bool ok = !rejected && devil::Sema::accepts(work.spec);
       swap_in();  // the clean declaration back
-      if (reparsed) *reparsed = true;
+      if (path) *path = rejected ? Path::kPassRejected : Path::kReparsed;
       return ok;
     }
   }
@@ -319,19 +322,23 @@ SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
     if (dup_of[i] == kNone) unique_ix.push_back(i);
   }
   constexpr size_t kBatch = 64;
+  using Path = SpecSplicer::Path;
   std::vector<uint8_t> detected(mutants.size(), 0);
-  std::vector<uint8_t> reparsed(mutants.size(), 0);
+  std::vector<Path> paths(mutants.size(), Path::kWholeStream);
   support::parallel_for(
       (unique_ix.size() + kBatch - 1) / kBatch, config.threads, [&](size_t b) {
         SpecSplicer::Work work = splicer.work();
         size_t end = std::min(unique_ix.size(), (b + 1) * kBatch);
         for (size_t u = b * kBatch; u < end; ++u) {
           size_t i = unique_ix[u];
-          bool one_decl = false;
-          detected[i] = splicer.consistent(streams[i], work, &one_decl) ? 0 : 1;
-          reparsed[i] = one_decl;
+          detected[i] = splicer.consistent(streams[i], work, &paths[i]) ? 0 : 1;
         }
       });
+  for (size_t i : unique_ix) {
+    row.reparsed += paths[i] != Path::kWholeStream;
+    row.pass_rejected += paths[i] == Path::kPassRejected;
+    row.pass_missed += paths[i] == Path::kReparsed && detected[i];
+  }
   for (size_t i = 0; i < mutants.size(); ++i) {
     if (dup_of[i] != kNone) detected[i] = detected[dup_of[i]];
   }
@@ -347,8 +354,6 @@ SpecCampaignRow run_spec_campaign(const corpus::SpecEntry& spec,
   }
   row.relexed = static_cast<size_t>(
       std::count(relexed.begin(), relexed.end(), uint8_t{1}));
-  row.reparsed = static_cast<size_t>(
-      std::count(reparsed.begin(), reparsed.end(), uint8_t{1}));
   return row;
 }
 

@@ -7,6 +7,7 @@
 
 #include "corpus/specs.h"
 #include "devil/parser.h"
+#include "devil/sema.h"
 #include "devil/token.h"
 #include "mutation/site.h"
 
@@ -29,6 +30,14 @@ struct SpecCampaignRow {
   /// Checks that re-parsed only the mutated declaration (the rest parsed
   /// the whole stream; see `SpecSplicer::consistent`). In memory only.
   size_t reparsed = 0;
+  /// Re-parsed checks that the changed-declaration pass rejected
+  /// (`devil::Sema::rejects_change`); the rest went to the whole-spec
+  /// check. In memory only.
+  size_t pass_rejected = 0;
+  /// Re-parsed checks that the pass let through and the whole-spec check
+  /// then rejected: a rule dependency the pass does not follow. In memory
+  /// only; 0 on the corpus.
+  size_t pass_missed = 0;
 };
 
 struct SpecCampaignConfig {
@@ -57,6 +66,9 @@ class SpecSplicer {
   /// outlive the splicer.
   SpecSplicer(const corpus::SpecEntry& spec,
               const std::vector<mutation::Site>& sites);
+  // The clean index points into the clean AST, so the splicer stays put.
+  SpecSplicer(const SpecSplicer&) = delete;
+  SpecSplicer& operator=(const SpecSplicer&) = delete;
 
   /// A mutant's token stream, relative to the clean one.
   struct MutantStream {
@@ -82,12 +94,21 @@ class SpecSplicer {
   [[nodiscard]] std::string key(const MutantStream& s) const;
 
   /// The clean stream and AST, which `consistent` changes in place and
-  /// restores before it returns, so one copy serves many mutants.
+  /// restores before it returns, so one copy serves many mutants, and the
+  /// changed-declaration pass's working storage. One per thread.
   struct Work {
     std::vector<devil::Token> tokens;
     devil::Specification spec;
+    devil::CheckScratch scratch;
   };
-  [[nodiscard]] Work work() const { return {clean_, clean_spec_}; }
+  [[nodiscard]] Work work() const { return {clean_, clean_spec_, {}}; }
+
+  /// How `consistent` reached its verdict.
+  enum class Path : uint8_t {
+    kWholeStream,   // parsed the whole stream, then the whole-spec check
+    kReparsed,      // re-parsed one declaration, then the whole-spec check
+    kPassRejected,  // re-parsed one declaration, and the pass rejected it
+  };
 
   /// `check_spec(file, apply_mutant(...)).ok()`, without lexing a spliced
   /// mutant, and for most without parsing the whole stream either: the one
@@ -97,17 +118,21 @@ class SpecSplicer {
   /// reads a location, so the declaration's unshifted locations cannot
   /// change the verdict. Default-deny: a token outside every declaration, a
   /// re-parse error, or a declaration that ends at another token parses the
-  /// whole spliced stream instead. Either way Sema gives only its verdict
-  /// (`devil::Sema::accepts`). Sets `*reparsed` to whether the re-parse
-  /// decided.
+  /// whole spliced stream instead. A re-parsed mutant first meets the
+  /// reject-only pass over the rule instances that read its declaration
+  /// (`devil::Sema::rejects_change`, through the clean index); when that
+  /// rejects nothing, and on every other path, the whole-spec check
+  /// decides (`devil::Sema::accepts`), so only it ever accepts. Sets
+  /// `*path` to the path taken.
   [[nodiscard]] bool consistent(const MutantStream& s, Work& work,
-                                bool* reparsed = nullptr) const;
+                                Path* path = nullptr) const;
 
  private:
   const corpus::SpecEntry& spec_;
   const std::vector<mutation::Site>& sites_;
   std::vector<devil::Token> clean_;
   devil::Specification clean_spec_;
+  devil::CleanIndex index_;             // of clean_spec_
   std::vector<devil::DeclSpan> decls_;  // the clean parse's, in token order
   std::vector<size_t> site_token_;  // per site: its token's index, or npos
 };

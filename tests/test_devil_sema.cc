@@ -2,8 +2,11 @@
 // (paper §2.2). Each negative test asserts the *specific* rule code fires,
 // so a mutant killed by the wrong check would show up here. Every spec that
 // parses is also given to `Sema::accepts`, whose verdict must be `check`'s.
+// `DevilSemaPass.*` checks the changed-declaration pass
+// (`Sema::rejects_change`), one case per dependency edge it follows.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string_view>
 
 #include "corpus/specs.h"
@@ -515,6 +518,209 @@ TEST(DevilSema, RangeEndingAtUint64MaxStopsThere) {
   ASSERT_TRUE(r.ok()) << r.diags.render();
   EXPECT_EQ(r.spec->device.params[0].offsets,
             (std::vector<uint64_t>{UINT64_MAX - 1, UINT64_MAX}));
+}
+
+// ---- the changed-declaration pass -------------------------------------------
+//
+// `Sema::rejects_change` runs only the rule instances that read one changed
+// declaration. Each case below is a clean spec and the same spec with one
+// declaration changed (its name kept) so that exactly one dependency edge
+// carries the failure; `codes` is what spec_lint reports for the changed
+// text. The pass must reject it, and so must the whole-spec check.
+
+/// `clean` with `before` (which must lie in declaration `changed`) replaced
+/// by `after`: whether the pass rejects it, once `check_spec` reported
+/// exactly `codes` for the text and `accepts` rejected the clean AST with
+/// the changed declaration swapped in (as the campaign builds it).
+bool pass_rejects(const std::string& clean, const std::string& before,
+                  const std::string& after, devil::DeclSpan changed,
+                  const std::set<std::string>& codes) {
+  auto c = check(clean);
+  EXPECT_TRUE(c.ok()) << c.diags.render();
+  std::string text = clean;
+  size_t at = text.find(before);
+  EXPECT_NE(at, std::string::npos) << before;
+  if (!c.ok() || at == std::string::npos) return false;
+  text.replace(at, before.size(), after);
+  auto m = check(text);
+  EXPECT_TRUE(m.spec) << m.diags.render();
+  if (!m.spec) return false;
+  std::set<std::string> got;
+  for (const auto& d : m.diags.all()) got.insert(d.code);
+  EXPECT_EQ(got, codes) << m.diags.render();
+
+  devil::Specification spliced = *c.spec;
+  devil::DeviceDecl& to = spliced.device;
+  const devil::DeviceDecl& from = m.spec->device;
+  switch (changed.kind) {
+    case devil::DeclSpan::Kind::kPort:
+      to.params[changed.index] = from.params[changed.index];
+      break;
+    case devil::DeclSpan::Kind::kRegister:
+      to.registers[changed.index] = from.registers[changed.index];
+      break;
+    case devil::DeclSpan::Kind::kVariable:
+      to.variables[changed.index] = from.variables[changed.index];
+      break;
+  }
+  EXPECT_FALSE(devil::Sema::accepts(spliced));
+  devil::CleanIndex index(*c.spec);
+  devil::CheckScratch scratch;
+  return devil::Sema::rejects_change(index, spliced, changed, scratch);
+}
+
+constexpr auto kPort = devil::DeclSpan::Kind::kPort;
+constexpr auto kRegister = devil::DeclSpan::Kind::kRegister;
+constexpr auto kVariable = devil::DeclSpan::Kind::kVariable;
+
+/// Two 8-bit registers at offsets 0 and 1 of one port.
+const std::string kTwoOffsets = dev(
+    "register a = p @ 0 : bit[8]; register b = p @ 1 : bit[8];"
+    "variable va = a : int(8); variable vb = b : int(8);",
+    "p : bit[8] port @ {0..1}");
+
+TEST(DevilSemaPass, PortOffsetsShrinkUnderABinding) {
+  EXPECT_TRUE(pass_rejects(kTwoOffsets, "{0..1}", "{0..0}", {kPort, 0},
+                           {"DVL113"}));
+}
+
+TEST(DevilSemaPass, PortWidthChanges) {
+  EXPECT_TRUE(pass_rejects(kTwoOffsets, "p : bit[8]", "p : bit[16]",
+                           {kPort, 0}, {"DVL115"}));
+}
+
+TEST(DevilSemaPass, PortGainsAnUnusedOffset) {
+  EXPECT_TRUE(pass_rejects(kTwoOffsets, "{0..1}", "{0..2}", {kPort, 0},
+                           {"DVL233"}));
+}
+
+TEST(DevilSemaPass, RegisterShrinksUnderAFragment) {
+  // The register moves to the 8-bit port in the same change (bit[8] on the
+  // 16-bit port would fail DVL115 on its own); `hi` keeps r[15..8].
+  EXPECT_TRUE(pass_rejects(
+      dev("register r = read q @ 0 : bit[16];"
+          "register w = write q @ 0 : bit[16];"
+          "register t = write p @ 0 : bit[8];"
+          "variable hi = r[15..8] : int(8); variable lo = r[7..0] : int(8);"
+          "variable wv = w : int(16); variable tv = t : int(8);",
+          "p : bit[8] port @ {0..0}, q : bit[16] port @ {0..0}"),
+      "register r = read q @ 0 : bit[16]", "register r = read p @ 0 : bit[8]",
+      {kRegister, 0}, {"DVL122", "DVL130"}));
+}
+
+TEST(DevilSemaPass, RegisterMaskHidesAVariableBit) {
+  EXPECT_TRUE(pass_rejects(dev("register r = p @ 0, mask '0.......' : bit[8];"
+                               "variable v = r[6..0] : int(7);"),
+                           "'0.......'", "'00......'", {kRegister, 0},
+                           {"DVL123"}));
+}
+
+TEST(DevilSemaPass, RegisterTurnsReadOnlyUnderAPreAction) {
+  EXPECT_TRUE(pass_rejects(dev("register s = p @ 1 : bit[8];"
+                               "private variable sel = s : int(8);"
+                               "register r = read p @ 0, pre {sel = 1} : bit[8];"
+                               "variable v = r : int(8);",
+                               "p : bit[8] port @ {0..1}"),
+                           "register s = p @ 1", "register s = read p @ 1",
+                           {kRegister, 0}, {"DVL151"}));
+}
+
+TEST(DevilSemaPass, RegisterNarrowsAVariableBelowAPreAction) {
+  // A variable's width is its type's whenever DVL130 passes, so narrowing
+  // it below a pre-action's value also fails DVL130.
+  EXPECT_TRUE(pass_rejects(
+      dev("register s = write q @ 0 : bit[16];"
+          "private variable sel = s : int(16);"
+          "register u = read q @ 0 : bit[16]; variable uv = u : int(16);"
+          "register r = read p @ 0, pre {sel = 300} : bit[8];"
+          "variable v = r : int(8);"
+          "register t = read p @ 1 : bit[8]; variable tv = t : int(8);",
+          "p : bit[8] port @ {0..1}, q : bit[16] port @ {0..0}"),
+      "register s = write q @ 0 : bit[16]", "register s = write p @ 1 : bit[8]",
+      {kRegister, 0}, {"DVL130", "DVL152"}));
+}
+
+TEST(DevilSemaPass, RegisterBindingMovesOntoAnotherRegistersOffset) {
+  EXPECT_TRUE(pass_rejects(dev("register a = p @ 0 : bit[8];"
+                               "register b = write p @ 1 : bit[8];"
+                               "register c = read p @ 1 : bit[8];"
+                               "variable va = a : int(8);"
+                               "variable vb = b : int(8);"
+                               "variable vc = c : int(8);",
+                               "p : bit[8] port @ {0..1}"),
+                           "b = write p @ 1", "b = write p @ 0",
+                           {kRegister, 1}, {"DVL220"}));
+}
+
+TEST(DevilSemaPass, RegisterGrowsAnUncoveredBit) {
+  EXPECT_TRUE(pass_rejects(dev("register r = p @ 0, mask '*.......' : bit[8];"
+                               "variable v = r[6..0] : int(7);"),
+                           "'*.......'", "'........'", {kRegister, 0},
+                           {"DVL231"}));
+}
+
+TEST(DevilSemaPass, RegisterBindingLeavesAnOffsetUnused) {
+  EXPECT_TRUE(pass_rejects(dev("register a = read p @ 0 : bit[8];"
+                               "register b = write p @ 1 : bit[8];"
+                               "variable va = a : int(8);"
+                               "variable vb = b : int(8);",
+                               "p : bit[8] port @ {0..1}"),
+                           "b = write p @ 1", "b = write p @ 0",
+                           {kRegister, 1}, {"DVL233"}));
+}
+
+TEST(DevilSemaPass, VariableOverlapsAnotherVariable) {
+  EXPECT_TRUE(pass_rejects(dev("register r = p @ 0 : bit[8];"
+                               "variable v = r[7..4] : int(4);"
+                               "variable w = r[3..0] : int(4);"),
+                           "v = r[7..4] : int(4)", "v = r[7..3] : int(5)",
+                           {kVariable, 0}, {"DVL221"}));
+}
+
+/// `w` alone covers register `s` and half of `r`.
+const std::string kSharedRegisters = dev(
+    "register r = p @ 0 : bit[8]; register s = p @ 1 : bit[8];"
+    "variable v = r[7..4] : int(4); variable w = s # r[3..0] : int(12);",
+    "p : bit[8] port @ {0..1}");
+
+TEST(DevilSemaPass, VariableLeavesARegisterUnused) {
+  EXPECT_TRUE(pass_rejects(kSharedRegisters, "w = s # r[3..0] : int(12)",
+                           "w = r[3..0] : int(4)", {kVariable, 1},
+                           {"DVL230"}));
+}
+
+TEST(DevilSemaPass, VariableLeavesABitUncovered) {
+  EXPECT_TRUE(pass_rejects(kSharedRegisters, "w = s # r[3..0] : int(12)",
+                           "w = s[7..1] # r[3..0] : int(11)", {kVariable, 1},
+                           {"DVL231"}));
+}
+
+TEST(DevilSemaPass, VariableTypeDropsAPreActionValue) {
+  EXPECT_TRUE(pass_rejects(
+      dev("register s = p @ 1, mask '*******.' : bit[8];"
+          "private variable sel = s[0] : int(1);"
+          "register r = read p @ 0, pre {sel = 1} : bit[8];"
+          "variable v = r : int(8);",
+          "p : bit[8] port @ {0..1}"),
+      "s[0] : int(1)", "s[0] : { OFF <=> '0', ON <= '1' }", {kVariable, 0},
+      {"DVL152"}));
+}
+
+TEST(DevilSemaPass, EnumItemTakesAnotherVariablesName) {
+  EXPECT_TRUE(
+      pass_rejects(dev("register r = p @ 0, mask '******..' : bit[8];"
+                       "variable v = r[0] : { ON <=> '1', OFF <=> '0' };"
+                       "variable w = r[1] : { UP <=> '1', DOWN <=> '0' };"),
+                   "UP <=>", "ON <=>", {kVariable, 1}, {"DVL133"}));
+}
+
+TEST(DevilSemaPass, RenamedDeclarationIsLeftToTheWholeCheck) {
+  // With a name gone, names no longer resolve as in the clean spec: the
+  // pass decides nothing and `accepts` (asserted inside) rejects.
+  EXPECT_FALSE(pass_rejects(dev("register r = p @ 0 : bit[8];"
+                                "variable v = r : int(8);"),
+                            "register r =", "register r2 =", {kRegister, 0},
+                            {"DVL121", "DVL130", "DVL230"}));
 }
 
 // ---- the whole corpus, pinned ----------------------------------------------

@@ -447,6 +447,7 @@ void expect_table2_row(const eval::SpecCampaignRow& row, size_t i,
   EXPECT_EQ(row.deduped, kTable2[i].deduped) << label;
   EXPECT_EQ(row.relexed, 0u) << label;
   EXPECT_EQ(row.reparsed, row.mutants - row.deduped) << label;
+  EXPECT_EQ(row.pass_missed, 0u) << label;
 }
 
 TEST(SpecCampaignDedup, RowsUnchangedAndNonzero) {

@@ -713,6 +713,20 @@ bool connect_unix(int fd, const std::string& path) {
 // still be answered once descriptors are free again.
 TEST(CampaignService, AcceptSurvivesDescriptorExhaustion) {
   LiveService live("emfile");
+  // Warm-up: two complete requests, each followed by a pause so that its
+  // reader thread has ended. Under UBSan the first use of a vptr (here the
+  // reader thread's `std::thread` state) is checked once and cached, and
+  // that check needs a free descriptor; without the warm-up it would run
+  // while the test holds every descriptor, and fail as "invalid vptr".
+  for (int i = 0; i < 2; ++i) {
+    int fd = serve::connect_endpoint(live.service.endpoint());
+    serve::write_frame(fd, "{\"junk\":true}");
+    std::string payload;
+    const bool answered = serve::read_frame(fd, 1 << 20, &payload);
+    ::close(fd);
+    ASSERT_TRUE(answered);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
   int idle = -1, probe = -1;
   {
     DescriptorExhaustion exhausted;

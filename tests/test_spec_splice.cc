@@ -6,10 +6,12 @@
 // offset, line and column — and the dedup key must relate two mutants iff
 // their full streams are equal (the relation a full-stream key gives). The
 // verdict, which re-parses only the declaration holding the spliced token,
-// must be `check_spec`'s. Every mutant of all five corpus specs is checked,
-// plus handcrafted replacements the splice must decline (and then give the
-// same result by re-lexing) and spliced mutants the re-parse must decline
-// (and then give the same result by parsing the whole stream).
+// must be `check_spec`'s, and the changed-declaration pass must reject
+// exactly the mutants `check_spec` rejects. Every mutant of all five corpus
+// specs is checked, plus a sample of second-order mutants (two tokens in one
+// declaration), handcrafted replacements the splice must decline (and then
+// give the same result by re-lexing) and spliced mutants the re-parse must
+// decline (and then give the same result by parsing the whole stream).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include "corpus/specs.h"
 #include "devil/compiler.h"
 #include "devil/lexer.h"
+#include "devil/parser.h"
 #include "eval/spec_campaign.h"
 #include "mutation/devil_mutator.h"
 
@@ -185,9 +188,12 @@ TEST_P(SpecSplice, CheckMatchesCheckSpecOnEveryMutant) {
                   spec().file,
                   mutation::apply_mutant(spec().text, sites_, mutants_[i]))
                   .ok();
-    bool one_decl = false;
-    EXPECT_EQ(splicer.consistent(s, work, &one_decl), ok) << label(i);
-    reparsed += one_decl;
+    SpecSplicer::Path path = SpecSplicer::Path::kWholeStream;
+    EXPECT_EQ(splicer.consistent(s, work, &path), ok) << label(i);
+    reparsed += path != SpecSplicer::Path::kWholeStream;
+    // The changed-declaration pass follows every dependency the corpus
+    // exercises: it rejects exactly the mutants `check_spec` rejects.
+    EXPECT_EQ(path == SpecSplicer::Path::kPassRejected, !ok) << label(i);
   }
   // Every corpus mutant is decided by re-parsing its one declaration.
   EXPECT_EQ(reparsed, mutants_.size());
@@ -195,6 +201,100 @@ TEST_P(SpecSplice, CheckMatchesCheckSpecOnEveryMutant) {
   SpecSplicer::Work clean = splicer.work();
   expect_same_stream(work.tokens, clean.tokens, spec().name + " work stream");
   EXPECT_TRUE(work.spec == clean.spec) << spec().name << " work AST";
+}
+
+// Second-order mutants: two corpus mutants at different sites inside one
+// declaration, both spliced into the clean stream and that declaration
+// re-parsed, as the campaign checks a first-order mutant. The campaign's
+// verdict (the pass, then the whole-spec check) must be `check_spec`'s,
+// and the pass may reject only what `check_spec` rejects. All pairs take
+// over a minute in a Release build, so a fixed stride samples them.
+TEST_P(SpecSplice, SecondOrderMutantsMatchCheckSpec) {
+  constexpr size_t kStride = 34;  // about 20,000 of the 684,057 pairs
+  SpecSplicer splicer(spec(), sites_);
+  SpecSplicer::Work work = splicer.work();
+  support::DiagnosticEngine diags;
+  devil::Parser parser(work.tokens, diags);
+  ASSERT_TRUE(parser.parse());
+  const std::vector<devil::DeclSpan> decls = parser.decl_spans();
+  const std::vector<Token> clean_tokens = work.tokens;
+  const devil::Specification clean_spec = work.spec;
+  const devil::CleanIndex index(clean_spec);
+
+  // Per declaration, its mutants in corpus order.
+  std::vector<std::vector<size_t>> in_decl(decls.size());
+  std::vector<SpecSplicer::MutantStream> streams;
+  for (size_t i = 0; i < mutants_.size(); ++i) {
+    streams.push_back(splicer.splice(mutants_[i]));
+    ASSERT_TRUE(streams.back().spliced) << label(i);
+    for (size_t d = 0; d < decls.size(); ++d) {
+      if (streams[i].index >= decls[d].begin &&
+          streams[i].index < decls[d].end) {
+        in_decl[d].push_back(i);
+      }
+    }
+  }
+
+  size_t pairs = 0, checked = 0, rejected_by_pass = 0;
+  for (size_t d = 0; d < decls.size(); ++d) {
+    for (size_t x = 0; x < in_decl[d].size(); ++x) {
+      for (size_t y = x + 1; y < in_decl[d].size(); ++y) {
+        const size_t a = in_decl[d][x], b = in_decl[d][y];
+        if (mutants_[a].site == mutants_[b].site) continue;
+        if (pairs++ % kStride != 0) continue;
+        // Apply the later site first so the earlier one's offset holds.
+        const bool a_first = sites_[mutants_[a].site].offset <
+                             sites_[mutants_[b].site].offset;
+        const mutation::Mutant& later = mutants_[a_first ? b : a];
+        const mutation::Mutant& earlier = mutants_[a_first ? a : b];
+        const std::string text = mutation::apply_mutant(
+            mutation::apply_mutant(spec().text, sites_, later), sites_,
+            earlier);
+        const bool ok = devil::check_spec(spec().file, text).ok();
+
+        // Both tokens into the working stream, the declaration re-parsed
+        // and swapped into the working AST, and both put back afterwards.
+        for (size_t m : {a, b}) work.tokens[streams[m].index] = streams[m].token;
+        devil::DeviceDecl fresh;
+        const bool same_shape =
+            devil::Parser(work.tokens, diags).reparse(decls[d], fresh);
+        for (size_t m : {a, b}) {
+          work.tokens[streams[m].index] = clean_tokens[streams[m].index];
+        }
+        if (!same_shape) continue;
+        auto swap_in = [&] {
+          devil::DeviceDecl& dev = work.spec.device;
+          const size_t i = decls[d].index;
+          switch (decls[d].kind) {
+            case devil::DeclSpan::Kind::kPort:
+              std::swap(dev.params[i], fresh.params[0]);
+              break;
+            case devil::DeclSpan::Kind::kRegister:
+              std::swap(dev.registers[i], fresh.registers[0]);
+              break;
+            case devil::DeclSpan::Kind::kVariable:
+              std::swap(dev.variables[i], fresh.variables[0]);
+              break;
+          }
+        };
+        swap_in();
+        const bool rejected = devil::Sema::rejects_change(
+            index, work.spec, decls[d], work.scratch);
+        const bool accepted = !rejected && devil::Sema::accepts(work.spec);
+        swap_in();
+        const std::string what = label(a) + " with " + label(b);
+        if (rejected) {
+          EXPECT_FALSE(ok) << what;
+        }
+        EXPECT_EQ(accepted, ok) << what;
+        ++checked;
+        rejected_by_pass += rejected;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_GT(rejected_by_pass, 0u);
+  EXPECT_TRUE(work.spec == clean_spec) << spec().name << " work AST";
 }
 
 // ---------------------------------------------------------------------------
@@ -246,11 +346,11 @@ class SpecSpliceDecline : public ::testing::Test {
     ASSERT_TRUE(s.spliced) << m.replacement;
     std::string text = mutation::apply_mutant(spec().text, sites_, m);
     SpecSplicer::Work work = splicer.work();
-    bool reparsed = true;
-    EXPECT_EQ(splicer.consistent(s, work, &reparsed),
+    SpecSplicer::Path path = SpecSplicer::Path::kPassRejected;
+    EXPECT_EQ(splicer.consistent(s, work, &path),
               devil::check_spec(spec().file, text).ok())
         << m.replacement;
-    EXPECT_FALSE(reparsed) << m.replacement;
+    EXPECT_EQ(path, SpecSplicer::Path::kWholeStream) << m.replacement;
     SpecSplicer::Work clean = splicer.work();
     expect_same_stream(work.tokens, clean.tokens, "work stream");
     EXPECT_TRUE(work.spec == clean.spec) << m.replacement;
@@ -303,7 +403,8 @@ TEST_F(SpecSpliceDecline, DeclinedStreamSharesTheSplicedKey) {
 
 // ---------------------------------------------------------------------------
 // Spliced mutants the re-parse must decline. Each parses the whole spliced
-// stream and so gives `check_spec`'s verdict.
+// stream and so gives `check_spec`'s verdict. Last, one the re-parse takes
+// but the changed-declaration pass must leave to the whole-spec check.
 // ---------------------------------------------------------------------------
 
 TEST_F(SpecSpliceDecline, SpliceOutsideEveryDeclaration) {
@@ -328,6 +429,23 @@ TEST_F(SpecSpliceDecline, DeclarationEndsAtAnotherToken) {
       "  variable v = r : int(8);\n  variable w = s : int(8);\n}\n";
   ASSERT_TRUE(devil::check_spec(spec_.file, spec_.text).ok());
   expect_full_parse({add_site("{0, 2}", 2, 1), "}"});
+}
+
+TEST_F(SpecSpliceDecline, RenamedDeclarationIsCheckedWhole) {
+  // A re-parsed declaration that changed its name leaves a fragment naming
+  // nothing (DVL121). The pass decides only for unchanged names, so the
+  // whole-spec check rejects it.
+  const mutation::Mutant m{add_site("register sig_reg", 9, 7), "sig_rex"};
+  SpecSplicer splicer(spec(), sites_);
+  SpecSplicer::MutantStream s = splicer.splice(m);
+  ASSERT_TRUE(s.spliced);
+  auto full = devil::check_spec(
+      spec().file, mutation::apply_mutant(spec().text, sites_, m));
+  EXPECT_TRUE(full.diags.has_code("DVL121")) << full.diags.render();
+  SpecSplicer::Work work = splicer.work();
+  SpecSplicer::Path path = SpecSplicer::Path::kWholeStream;
+  EXPECT_FALSE(splicer.consistent(s, work, &path));
+  EXPECT_EQ(path, SpecSplicer::Path::kReparsed);
 }
 
 }  // namespace
