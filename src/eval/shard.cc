@@ -24,7 +24,9 @@ constexpr const char* kFormatTag = "devil-repro-shard";
 // opcode profile, and bundles may embed process metrics.
 // Version 3: records carry `patched`/`patch_fallback` bits and campaign
 // artifacts the matching `patch_hits`/`patch_fallbacks` counters.
-constexpr int64_t kFormatVersion = 3;
+// Version 4: opcode indices renumbered (three opcodes removed), so an older
+// artifact's baseline opcode profile would read as other opcodes.
+constexpr int64_t kFormatVersion = 4;
 
 /// All outcomes, in enum order, for tally serialization and the reverse
 /// outcome_short lookup.

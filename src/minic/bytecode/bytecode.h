@@ -99,14 +99,13 @@ namespace minic::bytecode {
   X(BinImm)         /* CC : R[a].i = R[b].i <w-op> imm (fused const */     \
                     /*      operand) */                                    \
   X(Coerce)         /* C  : R[a].i = coerce(R[b].i, w) (integer cast) */   \
-  /* Compare+branch superinstructions: a condition's top binary node */    \
-  /* fused with the statement's jump-if-zero. The node's charge (and its */ \
-  /* free flag) is preserved; the result register is dead (the branch */   \
-  /* was its only consumer), so it is not written. */                      \
+  /* Compare+branch superinstructions: a condition's top binary node or */ \
+  /* struct dil_eq fused with the statement's jump-if-zero. The node's */  \
+  /* charge (and its free flag) is preserved; the result register is */    \
+  /* dead (the branch was its only consumer), so it is not written. */     \
   X(BinJump)        /* C  : if (R[b].i <w-op> R[c].i == 0) pc = imm */     \
   X(BinImmJump)     /* CC : if (R[b].i <w-op> c == 0) pc = imm (c: u16 */  \
                     /*      lit) */                                        \
-  X(DilEqIntJump)   /* C  : if (R[b].i != R[c].i) pc = imm */              \
   X(DilEqStructJump) /* C : struct dil_eq (type-tag assertion applies); */ \
                     /*      if values differ pc = imm */                   \
   /* Poll-loop superinstructions (all operand nodes on one line): */       \
@@ -151,7 +150,7 @@ namespace minic::bytecode {
   X(StoreLocalIntF) X(StoreLocalStrF) X(StoreLocalStructF)                 \
   X(StoreGlobalIntF) X(StoreGlobalStrF) X(StoreGlobalStructF)              \
   X(StoreGFieldIntF) /* F : G[a].fields[b] = coerce(R[c].i, w) (brace */   \
-                    /*     inits) */                                       \
+                    /*     inits; imm = the struct's field count) */       \
   X(StoreGFieldStrF)                                                       \
   X(StoreGFieldStructF)                                                    \
   /* --- declarations ------------------------------------------------ */   \
@@ -165,15 +164,13 @@ namespace minic::bytecode {
   X(Ret)            /* F : return R[a] to the caller's dst register */     \
   X(RetZero)        /* F : return integer 0 (fall-off-the-end / */         \
                     /*     `return;`) */                                   \
-  /* Call+ret superinstructions: a kCall whose callee's whole body */      \
-  /* matches a one-line leaf template executes without pushing a frame. */ \
-  /* Field layout is identical to kCall (b = callee index); the dispatch */ \
-  /* replays the callee's charges/marks from its code, so exhaustion */    \
-  /* lines and step totals cannot differ from a real call. See */          \
-  /* `classify_leaf` in compiler.cc. */                                    \
-  X(CallRetParam)   /* `{ return p; }`: CCC M, result = coerce(arg) */     \
-  X(CallRetConst)   /* `{ return K; }`: CCC M, result = K */               \
-  X(CallOutConst)   /* `{ out*(K1,K2); }`: CCCCC M, one io_out */          \
+  /* Call+ret superinstruction: a kCall whose callee's whole body is */   \
+  /* `{ out*(K1, K2); }` executes without pushing a frame. Field layout */ \
+  /* is identical to kCall (b = callee index); the dispatch replays the */ \
+  /* callee's charges/marks from its code, so exhaustion lines and step */ \
+  /* totals cannot differ from a real call. See `classify_leaf` in */      \
+  /* compiler.cc. */                                                       \
+  X(CallOutConst)   /* CCCCC M, one io_out */                              \
   /* --- builtins (each C = the call node's charge) ------------------ */   \
   X(In)             /* C  : R[a].i = io_in(R[b].i, w) */                   \
   X(InConst)        /* CC : R[a].i = io_in(imm, w) (fused constant */      \
@@ -370,12 +367,12 @@ struct Module {
   }
 };
 
-/// One-line leaf shapes a kCall can fuse into (kCallRetParam & co). Public
-/// so the patcher can re-derive the fused opcode when it rewrites a callee
+/// One-line leaf shapes a kCall can fuse into (kCallOutConst). Public so
+/// the patcher can re-derive the fused opcode when it rewrites a callee
 /// index; classification itself lives in compiler.cc.
-enum class LeafShape : uint8_t { kNone, kRetParam, kRetConst, kOutConst };
+enum class LeafShape : uint8_t { kNone, kOutConst };
 
-/// Classifies `fn` against the one-line leaf templates.
+/// Classifies `fn` against the one-line leaf template.
 [[nodiscard]] LeafShape classify_leaf_shape(const CompiledFunction& fn);
 
 /// (Re)builds `mod`'s flat prefix+tail dispatch views. Must run after the

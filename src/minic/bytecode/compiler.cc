@@ -195,6 +195,7 @@ class FunctionCompiler {
           in.b = static_cast<uint16_t>(f);
           in.c = rv;
           in.w = pack_coerce(ft);
+          in.imm = static_cast<int64_t>(nfields);  // sizes `fields` once
           push(in);
         }
       } else if (gd.init) {
@@ -445,10 +446,11 @@ class FunctionCompiler {
   /// preceding instruction produced `c` into a dead temporary (the branch
   /// is its only consumer: the condition was compiled immediately before,
   /// into a register at or above the frame slots) and is a fusable
-  /// compare/binop/dil_eq, the branch fuses into it — one dispatch per
-  /// `if (x == y)` / `while (stat & MASK)` header, with the producer's
-  /// charge count, line and free flag preserved and the dead result write
-  /// dropped. Returns the instruction whose `imm` takes the jump target.
+  /// compare/binop or a struct dil_eq, the branch fuses into it — one
+  /// dispatch per `if (x == y)` / `while (stat & MASK)` / CDevil
+  /// `while (dil_eq(...))` header, with the producer's charge count, line
+  /// and free flag preserved and the dead result write dropped. Returns the
+  /// instruction whose `imm` takes the jump target.
   size_t emit_jump_if_zero(uint16_t c) {
     if (!out_.code.empty() && out_.code.size() > barrier_) {
       Insn& prev = out_.code.back();
@@ -466,9 +468,8 @@ class FunctionCompiler {
           prev.imm = 0;
           return out_.code.size() - 1;
         }
-        if (prev.op == Op::kDilEqInt || prev.op == Op::kDilEqStruct) {
-          prev.op = prev.op == Op::kDilEqInt ? Op::kDilEqIntJump
-                                             : Op::kDilEqStructJump;
+        if (prev.op == Op::kDilEqStruct) {
+          prev.op = Op::kDilEqStructJump;
           prev.a = 0;
           return out_.code.size() - 1;
         }
@@ -1202,7 +1203,7 @@ class FunctionCompiler {
     // bypassed checker). Nested member chains (a.b.c = x) would be valid in
     // the walker, but no post-typecheck unit in this corpus produces one —
     // the loud kInternal here keeps that assumption honest. The rhs is
-    // evaluated first, as the walker's eval_assign does before
+    // evaluated first, as the walker's assignment does before
     // resolve_lvalue throws.
     compile_expr(rhs);
     const char* msg = lhs.kind == ExprKind::kIndex  ? "index on non-array"
@@ -1424,29 +1425,15 @@ class FunctionCompiler {
   std::vector<LoopCtx> loops_;
 };
 
-/// Classifies one-line leaf shapes a kCall can fuse into (LeafShape lives
-/// in bytecode.h). The whole callee body must match the template *exactly*,
-/// charges included, so the fused dispatch can replay its charges/marks
-/// from the callee's code.
+/// Classifies the one-line leaf shape a kCall can fuse into (LeafShape
+/// lives in bytecode.h). The whole callee body must match the template
+/// *exactly*, charges included, so the fused dispatch can replay its
+/// charges/marks from the callee's code. The one template is
+/// `{ out*(K_value, K_port); }`, the constant register pokes of
+/// hand-written C drivers (e.g. drive-select helpers); calls to any other
+/// body, such as the production-mode stubs' `{ return v; }`, push a frame.
 LeafShape classify_leaf(const CompiledFunction& fn) {
   const auto& c = fn.code;
-  // `{ return p; }` / `{ return K; }` — block+statement charge, one loading
-  // instruction, the return. The production-mode Devil value constructors
-  // (`mk_X`) and constant getters have exactly this shape.
-  if (c.size() == 4 && c[0].op == Op::kStepStepMark && c[0].flags == 0 &&
-      c[1].flags == 0 && c[2].op == Op::kRet && c[2].a == c[1].a &&
-      c[3].op == Op::kRetZero) {
-    if (c[1].op == Op::kLoadConst) return LeafShape::kRetConst;
-    if (c[1].op == Op::kMoveInt && c[1].b < fn.params.size()) {
-      for (const auto& p : fn.params) {
-        if (p.kind != ParamSpec::Kind::kInt) return LeafShape::kNone;
-      }
-      return LeafShape::kRetParam;
-    }
-    return LeafShape::kNone;
-  }
-  // `{ out*(K_value, K_port); }` — the constant register pokes of
-  // hand-written C drivers (e.g. drive-select helpers).
   if (c.size() == 5 && c[0].op == Op::kStepStepMark && c[0].flags == 0 &&
       c[1].op == Op::kLoadConst && c[2].op == Op::kLoadConst &&
       c[3].op == Op::kOut && c[3].flags == 0 && c[3].a == c[1].a &&
@@ -1482,11 +1469,11 @@ void finalize_tables(Module& mod) {
   }
 }
 
-/// Rewrites kCall sites whose callee matches a leaf template into the fused
-/// call opcodes. Only the module's own code is rewritten — a shared prefix
-/// segment was fused once when it was compiled (and is immutable here); its
-/// callees all live inside the segment, so its rewrites stay valid in every
-/// splice.
+/// Rewrites kCall sites whose callee matches the leaf template into the
+/// fused call opcode. Only the module's own code is rewritten — a shared
+/// prefix segment was fused once when it was compiled (and is immutable
+/// here); its callees all live inside the segment, so its rewrites stay
+/// valid in every splice.
 void apply_call_fusion(Module& mod) {
   std::vector<LeafShape> shapes(mod.fn_table.size());
   size_t first = 0;
@@ -1502,12 +1489,8 @@ void apply_call_fusion(Module& mod) {
   }
   auto rewrite = [&shapes](std::vector<Insn>& code) {
     for (Insn& in : code) {
-      if (in.op != Op::kCall) continue;
-      switch (shapes[in.b]) {
-        case LeafShape::kNone: break;
-        case LeafShape::kRetParam: in.op = Op::kCallRetParam; break;
-        case LeafShape::kRetConst: in.op = Op::kCallRetConst; break;
-        case LeafShape::kOutConst: in.op = Op::kCallOutConst; break;
+      if (in.op == Op::kCall && shapes[in.b] == LeafShape::kOutConst) {
+        in.op = Op::kCallOutConst;
       }
     }
   };

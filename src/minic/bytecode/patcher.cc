@@ -44,16 +44,6 @@ std::optional<Op> unary_op(Tok t) {
   }
 }
 
-Op fused_call_op(LeafShape shape) {
-  switch (shape) {
-    case LeafShape::kRetParam: return Op::kCallRetParam;
-    case LeafShape::kRetConst: return Op::kCallRetConst;
-    case LeafShape::kOutConst: return Op::kCallOutConst;
-    case LeafShape::kNone: break;
-  }
-  return Op::kCall;
-}
-
 void collect_locals(const Stmt& s, std::set<std::string>& out) {
   if (s.kind == StmtKind::kDecl) out.insert(s.decl_name);
   for (const auto& child : s.body) {
@@ -337,19 +327,11 @@ bool Patcher::plan_identifier(const PatchRequest& req,
     if (rf.index > 0xffff) return false;
     for (const auto& p : points) {
       const Insn& in = insn_at(p);
-      switch (in.op) {
-        case Op::kCall:
-        case Op::kCallRetParam:
-        case Op::kCallRetConst:
-        case Op::kCallOutConst:
-          break;
-        default:
-          return false;
-      }
+      if (in.op != Op::kCall && in.op != Op::kCallOutConst) return false;
       if (in.b != of.index) return false;  // ambiguity guard
       Insn nv = in;
       nv.b = static_cast<uint16_t>(rf.index);
-      nv.op = fused_call_op(rf.shape);
+      nv.op = rf.shape == LeafShape::kOutConst ? Op::kCallOutConst : Op::kCall;
       plan.push_back({p.fn, p.insn, nv});
     }
     return true;

@@ -573,10 +573,6 @@ int64_t Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
       pc = static_cast<size_t>(in->imm);
     }
     DISPATCH();
-  op_DilEqIntJump:
-    CHG();
-    if (R[in->b].i != R[in->c].i) pc = static_cast<size_t>(in->imm);
-    DISPATCH();
   // Fused `inb(PORT) & MASK`, optionally with the statement's step+mark
   // (kPollInAnd takes those, then runs on into kInConstAnd). Charge order
   // mirrors the walker exactly: the I/O lands after the port literal's
@@ -747,21 +743,23 @@ int64_t Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
   op_StoreGlobalStructF:
     G[in->a].fields = R[in->b].fields;
     DISPATCH();
+  // A brace initialiser's first store sizes the constant to its whole
+  // struct (imm fields), as the walker's default value is.
   op_StoreGFieldIntF: {
     VmValue& base = G[in->a];
-    if (base.fields.size() <= in->b) base.fields.resize(in->b + 1);
+    if (base.fields.size() <= in->b) base.fields.resize(in->imm);
     base.fields[in->b].i = coerce(R[in->c].i, in->w);
     DISPATCH();
   }
   op_StoreGFieldStrF: {
     VmValue& base = G[in->a];
-    if (base.fields.size() <= in->b) base.fields.resize(in->b + 1);
+    if (base.fields.size() <= in->b) base.fields.resize(in->imm);
     base.fields[in->b].s = R[in->c].s;
     DISPATCH();
   }
   op_StoreGFieldStructF: {
     VmValue& base = G[in->a];
-    if (base.fields.size() <= in->b) base.fields.resize(in->b + 1);
+    if (base.fields.size() <= in->b) base.fields.resize(in->imm);
     base.fields[in->b].fields = R[in->c].fields;
     DISPATCH();
   }
@@ -808,30 +806,9 @@ int64_t Vm::exec(const CompiledFunction& entry_fn, bool counts_depth,
     R = callee_regs;
     DISPATCH();
   }
-  // Fused one-line leaf calls: no frame is pushed; the callee's charges
-  // and coverage mark are replayed from its code, so exhaustion lines,
-  // step totals and the bitmap match a real call exactly.
-  op_CallRetParam:
-  op_CallRetConst: {
-    CHG();
-    const CompiledFunction& callee = *mod_.fn_table[in->b];
-    if (depth_ >= kMaxCallDepth) {
-      throw Fault{FaultKind::kStackOverflow,
-                  "call depth exceeded in " + callee.name};
-    }
-    const Insn* cc = callee.code.data();
-    CHARGE(cc[0].line);  // block entry
-    CHARGE(static_cast<uint32_t>(cc[0].imm));  // the one statement
-    out.executed.set(static_cast<uint32_t>(cc[0].imm));
-    CHARGE(cc[1].line);  // its operand load
-    if (in->op == Op::kCallRetParam) {
-      const ParamSpec& ps = callee.params[cc[1].b];
-      R[in->a].i = coerce(R[in->c + cc[1].b].i, ps.coerce);
-    } else {
-      R[in->a].i = cc[1].imm;
-    }
-    DISPATCH();
-  }
+  // Fused `{ out*(K1, K2); }` leaf call: no frame is pushed; the callee's
+  // charges and coverage mark are replayed from its code, so exhaustion
+  // lines, step totals and the bitmap match a real call exactly.
   op_CallOutConst: {
     CHG();
     const CompiledFunction& callee = *mod_.fn_table[in->b];

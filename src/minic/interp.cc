@@ -1,9 +1,7 @@
 #include "minic/interp.h"
 
 #include <array>
-#include <cassert>
 #include <chrono>
-#include <memory>
 #include <unordered_map>
 
 #include "minic/builtins.h"
@@ -149,16 +147,8 @@ class Machine {
                   "call depth exceeded in " + fn.name};
     }
     // Params occupy the first frame slots, in declaration order (the type
-    // checker assigns them before any local). Frame vectors are pooled so a
-    // call does not malloc once the pool is warm.
-    std::vector<Slot> frame;
-    if (!frame_pool_.empty()) {
-      frame = std::move(frame_pool_.back());
-      frame_pool_.pop_back();
-      frame.clear();
-    }
-    frame.resize(fn.frame_slots);
-    frames_.push_back(std::move(frame));
+    // checker assigns them before any local).
+    frames_.emplace_back(fn.frame_slots);
     std::vector<Slot>& slots = frames_.back();
     for (size_t i = 0; i < fn.params.size() && i < slots.size(); ++i) {
       Slot& slot = slots[i];
@@ -167,7 +157,6 @@ class Machine {
     }
     Value result = exec(*fn.body) == Flow::kReturn ? std::move(return_value_)
                                                    : Value::integer(0);
-    frame_pool_.push_back(std::move(frames_.back()));
     frames_.pop_back();
     --depth_;
     return result;
@@ -346,7 +335,7 @@ class Machine {
           Flow f = exec(*s.body[0]);
           if (f == Flow::kBreak) break;
           if (f == Flow::kReturn) return f;
-          if (s.expr.size() > 1) eval(*s.expr[1]);
+          if (s.expr.size() > 1) eval_int(*s.expr[1]);  // result discarded
         }
         return Flow::kNormal;
       }
@@ -395,25 +384,30 @@ class Machine {
     return Flow::kNormal;
   }
 
-  static bool truthy(const Value& v) { return v.i != 0; }
-
   // ---- expressions --------------------------------------------------------------
-  /// Integer fast path: evaluates expressions the type checker proved
-  /// integral without materialising a Value per node (a Value carries two
-  /// std::strings and a vector; constructing one per visited node dominated
-  /// the step-limit mutants that burn the full 3M-step budget). Step
-  /// accounting is identical to eval(): one step per visited node, parents
-  /// before children, so budgets and fault lines are unchanged.
+  /// True for nodes whose value is an integer: every type but string and
+  /// struct (void calls included), and every array element and element
+  /// store whatever the declared element type, since Slot::arr holds
+  /// integers. An assignment has its target's type.
+  static bool int_valued(const Expr& e) {
+    const Expr& v = e.kind == ExprKind::kAssign ? *e.sub[0] : e;
+    return v.kind == ExprKind::kIndex ||
+           (v.type.kind != TypeKind::kCString && !v.type.is_struct());
+  }
+
+  /// The one evaluator of integer-valued nodes, without a Value per node (a
+  /// Value carries two strings and a vector; one per visited node dominated
+  /// the step-limit mutants that burn the whole budget). One step per
+  /// visited node, parents before children, in both evaluators.
   int64_t eval_int(const Expr& e) {
+    if (!int_valued(e)) return eval(e).i;
+    step(e.loc);
     switch (e.kind) {
       case ExprKind::kIntLit:
-        step(e.loc);
         return static_cast<int64_t>(e.int_value);
       case ExprKind::kIdent:
-        step(e.loc);
         return slot_of(e).v.i;
       case ExprKind::kUnary: {
-        step(e.loc);
         int64_t v = eval_int(*e.sub[0]);
         switch (e.op) {
           case Tok::kMinus: return -v;
@@ -425,7 +419,6 @@ class Machine {
         }
       }
       case ExprKind::kBinary: {
-        step(e.loc);
         if (e.op == Tok::kAmpAmp) {
           if (eval_int(*e.sub[0]) == 0) return 0;
           return eval_int(*e.sub[1]) != 0 ? 1 : 0;
@@ -439,85 +432,11 @@ class Machine {
         return apply_binop(e.op, a, b);
       }
       case ExprKind::kCond:
-        if (e.type.is_integer()) {
-          // Integer result implies both arms are integers (checker rule).
-          step(e.loc);
-          return eval_int(*e.sub[0]) != 0 ? eval_int(*e.sub[1])
-                                          : eval_int(*e.sub[2]);
-        }
-        break;
+        return eval_int(*e.sub[0]) != 0 ? eval_int(*e.sub[1])
+                                        : eval_int(*e.sub[2]);
       case ExprKind::kCast:
-        if (e.cast_type.is_integer()) {
-          // C rejects struct<->scalar casts, so the operand is integral.
-          step(e.loc);
-          return coerce_int(eval_int(*e.sub[0]), e.cast_type);
-        }
-        break;
-      case ExprKind::kCall: {
-        int64_t io_result;
-        if (try_io_builtin(e, io_result)) return io_result;
-        break;
-      }
-      case ExprKind::kAssign:
-        if (e.type.is_integer()) {
-          // Integer target implies an integer right-hand side (assignments
-          // between integer and non-integer types are rejected).
-          step(e.loc);
-          int64_t rhs = eval_int(*e.sub[1]);
-          int64_t* arr_elem = nullptr;
-          Value* target = resolve_lvalue(*e.sub[0], &arr_elem);
-          if (arr_elem) {
-            int64_t next = e.op == Tok::kAssign
-                               ? rhs
-                               : apply_binop(compound_base(e.op), *arr_elem,
-                                             rhs);
-            *arr_elem = coerce_int(next, elem_type_);
-            return *arr_elem;
-          }
-          assert(target != nullptr);
-          int64_t next = e.op == Tok::kAssign
-                             ? rhs
-                             : apply_binop(compound_base(e.op), target->i, rhs);
-          target->i = coerce_int(next, target->type);
-          return target->i;
-        }
-        break;
-      default:
-        break;
-    }
-    return eval(e).i;  // slow path owns the step for this node
-  }
-
-  Value eval(const Expr& e) {
-    step(e.loc);
-    switch (e.kind) {
-      case ExprKind::kIntLit:
-        return Value::integer(static_cast<int64_t>(e.int_value));
-      case ExprKind::kStringLit:
-        return Value::str(e.text);
-      case ExprKind::kIdent:
-        return slot_of(e).v;  // arrays are only valid under kIndex
-      case ExprKind::kUnary: {
-        int64_t v = eval_int(*e.sub[0]);
-        switch (e.op) {
-          case Tok::kMinus: return Value::integer(-v);
-          case Tok::kPlus: return Value::integer(v);
-          case Tok::kTilde: return Value::integer(~v);
-          case Tok::kBang: return Value::integer(v == 0 ? 1 : 0);
-          default:
-            throw Fault{FaultKind::kInternal, "bad unary op"};
-        }
-      }
-      case ExprKind::kBinary:
-        return eval_binary(e);
-      case ExprKind::kAssign:
-        return eval_assign(e);
-      case ExprKind::kCond:
-        return eval_int(*e.sub[0]) != 0 ? eval(*e.sub[1]) : eval(*e.sub[2]);
-      case ExprKind::kMember: {
-        Value base = eval(*e.sub[0]);
-        return member_of(base, e);
-      }
+        // C rejects struct<->scalar casts; a void cast keeps the value.
+        return coerce_int(eval_int(*e.sub[0]), e.cast_type);
       case ExprKind::kIndex: {
         Slot& slot = slot_of(*e.sub[0]);
         if (!slot.is_array) {
@@ -529,18 +448,60 @@ class Machine {
           throw Fault{FaultKind::kBadIndex,
                       "out-of-bounds access to " + e.sub[0]->text};
         }
-        return Value::integer(slot.arr[static_cast<size_t>(ix)],
-                              slot.elem_type);
+        return slot.arr[static_cast<size_t>(ix)];
       }
-      case ExprKind::kCast: {
-        Value v = eval(*e.sub[0]);
-        if (e.cast_type.is_integer()) {
-          return Value::integer(coerce_int(v.i, e.cast_type), e.cast_type);
-        }
-        return v;  // struct->same struct or cstring: identity
+      case ExprKind::kMember:
+        return member_of(eval(*e.sub[0]), e).i;
+      case ExprKind::kCall: {
+        int64_t io_result;
+        if (try_io_builtin(e, io_result)) return io_result;
+        return eval_call(e).i;
       }
+      case ExprKind::kAssign: {
+        int64_t rhs = eval_int(*e.sub[1]);
+        int64_t* arr_elem = nullptr;
+        Value* target = resolve_lvalue(*e.sub[0], &arr_elem);
+        int64_t& dst = arr_elem != nullptr ? *arr_elem : target->i;
+        int64_t next = e.op == Tok::kAssign
+                           ? rhs
+                           : apply_binop(compound_base(e.op), dst, rhs);
+        dst = coerce_int(next, arr_elem != nullptr ? elem_type_ : target->type);
+        return dst;
+      }
+      case ExprKind::kStringLit:
+        break;  // never integer-valued
+    }
+    throw Fault{FaultKind::kInternal, "bad expression kind"};
+  }
+
+  /// Evaluates any node to a Value; integer-valued nodes go to eval_int, so
+  /// this handles only string and struct nodes.
+  Value eval(const Expr& e) {
+    if (int_valued(e)) return Value::integer(eval_int(e), e.type);
+    step(e.loc);
+    switch (e.kind) {
+      case ExprKind::kStringLit:
+        return Value::str(e.text);
+      case ExprKind::kIdent:
+        return slot_of(e).v;
+      case ExprKind::kAssign: {
+        // A plain store: MC107 rejects compound assignment to a non-integer.
+        Value rhs = eval(*e.sub[1]);
+        int64_t* arr_elem = nullptr;
+        Value* target = resolve_lvalue(*e.sub[0], &arr_elem);
+        store_into(*target, std::move(rhs));
+        return *target;
+      }
+      case ExprKind::kCond:
+        return eval_int(*e.sub[0]) != 0 ? eval(*e.sub[1]) : eval(*e.sub[2]);
+      case ExprKind::kMember:
+        return member_of(eval(*e.sub[0]), e);
+      case ExprKind::kCast:
+        return eval(*e.sub[0]);  // struct->same struct or cstring: identity
       case ExprKind::kCall:
         return eval_call(e);
+      default:
+        break;
     }
     throw Fault{FaultKind::kInternal, "bad expression kind"};
   }
@@ -554,21 +515,6 @@ class Machine {
     Value v;
     v.type = e.type;  // the checker recorded the field's type here
     return v;
-  }
-
-  Value eval_binary(const Expr& e) {
-    // Short-circuit forms first.
-    if (e.op == Tok::kAmpAmp) {
-      if (eval_int(*e.sub[0]) == 0) return Value::integer(0);
-      return Value::integer(eval_int(*e.sub[1]) != 0 ? 1 : 0);
-    }
-    if (e.op == Tok::kPipePipe) {
-      if (eval_int(*e.sub[0]) != 0) return Value::integer(1);
-      return Value::integer(eval_int(*e.sub[1]) != 0 ? 1 : 0);
-    }
-    int64_t a = eval_int(*e.sub[0]);
-    int64_t b = eval_int(*e.sub[1]);
-    return Value::integer(apply_binop(e.op, a, b));
   }
 
   int64_t apply_binop(Tok op, int64_t a, int64_t b) {
@@ -648,46 +594,18 @@ class Machine {
     }
   }
 
-  Value eval_assign(const Expr& e) {
-    Value rhs = eval(*e.sub[1]);
-    int64_t* arr_elem = nullptr;
-    Value* target = resolve_lvalue(*e.sub[0], &arr_elem);
-
-    if (arr_elem) {
-      int64_t cur = *arr_elem;
-      int64_t next =
-          e.op == Tok::kAssign ? rhs.i : apply_binop(compound_base(e.op), cur,
-                                                     rhs.i);
-      *arr_elem = coerce_int(next, elem_type_);
-      return Value::integer(*arr_elem, elem_type_);
-    }
-
-    assert(target != nullptr);
-    if (e.op == Tok::kAssign) {
-      store_into(*target, std::move(rhs));
-    } else {
-      int64_t next = apply_binop(compound_base(e.op), target->i, rhs.i);
-      target->i = coerce_int(next, target->type);
-    }
-    return *target;
-  }
-
   // ---- calls ------------------------------------------------------------------
   /// The port-I/O builtins the boot loops hammer, evaluated without the
-  /// argument vector or a boxed result. One definition serves both the
-  /// integer and the generic expression path; operand order, masking and
-  /// step counts match eval_builtin exactly. Callers that have not yet
-  /// stepped this node pass stepped=false. Returns false for every other
-  /// callee.
-  bool try_io_builtin(const Expr& e, int64_t& out, bool stepped = false) {
+  /// argument vector or a boxed result: operands in order, the value masked
+  /// to the port width, a write's result 0. The caller has stepped the call
+  /// node. Returns false for every other callee.
+  bool try_io_builtin(const Expr& e, int64_t& out) {
     if (e.builtin_index < 0) return false;
     auto in = [&](int width) {
-      if (!stepped) step(e.loc);
       out = io_.io_in(static_cast<uint32_t>(eval_int(*e.sub[0])), width);
       poll_irqs();
     };
     auto write = [&](uint32_t mask, int width) {
-      if (!stepped) step(e.loc);
       uint32_t value = static_cast<uint32_t>(eval_int(*e.sub[0]));
       uint32_t port = static_cast<uint32_t>(eval_int(*e.sub[1]));
       io_.io_out(port, value & mask, width);
@@ -702,73 +620,36 @@ class Machine {
       case Builtin::kOutw: write(0xffff, 16); return true;
       case Builtin::kOutl: write(0xffffffffu, 32); return true;
       default:
-        return false;  // string/struct builtins take the generic path
+        return false;  // the other builtins take eval_builtin
     }
   }
 
+  /// Every call but port I/O, once its node has been stepped.
   Value eval_call(const Expr& e) {
-    int64_t io_result;
-    if (try_io_builtin(e, io_result, /*stepped=*/true)) {
-      switch (static_cast<Builtin>(e.builtin_index)) {
-        case Builtin::kInb: return Value::integer(io_result,
-                                                  Type::int_type(8, false));
-        case Builtin::kInw: return Value::integer(io_result,
-                                                  Type::int_type(16, false));
-        case Builtin::kInl: return Value::integer(io_result,
-                                                  Type::int_type(32, false));
-        default: return Value::integer(io_result);
-      }
+    if (e.builtin_index < 0 && e.callee_index < 0) {
+      // A call the type checker did not resolve: the VM lowers it to the
+      // same fault, before any argument is evaluated.
+      throw Fault{FaultKind::kInternal, "unresolved call to " + e.text};
     }
-
     std::vector<Value> args;
     args.reserve(e.sub.size());
     for (const auto& a : e.sub) args.push_back(eval(*a));
-
     if (e.builtin_index >= 0) {
       return eval_builtin(static_cast<Builtin>(e.builtin_index), e, args);
     }
-    if (e.callee_index >= 0) {
-      return call_decl(unit_.functions[static_cast<size_t>(e.callee_index)],
-                       std::move(args));
-    }
-    // Unannotated call: only reachable when the unit bypassed the type
-    // checker, which Interp's contract forbids — resolve by name anyway.
-    if (auto b = find_builtin(e.text)) return eval_builtin(*b, e, args);
-    return call_function(e.text, std::move(args));
+    return call_decl(unit_.functions[static_cast<size_t>(e.callee_index)],
+                     std::move(args));
   }
 
   Value eval_builtin(Builtin b, const Expr& e, std::vector<Value>& args) {
     switch (b) {
-      case Builtin::kInb: {
-        uint32_t v = io_.io_in(static_cast<uint32_t>(args[0].i), 8);
-        poll_irqs();
-        return Value::integer(v, Type::int_type(8, false));
-      }
-      case Builtin::kInw: {
-        uint32_t v = io_.io_in(static_cast<uint32_t>(args[0].i), 16);
-        poll_irqs();
-        return Value::integer(v, Type::int_type(16, false));
-      }
-      case Builtin::kInl: {
-        uint32_t v = io_.io_in(static_cast<uint32_t>(args[0].i), 32);
-        poll_irqs();
-        return Value::integer(v, Type::int_type(32, false));
-      }
+      case Builtin::kInb:
+      case Builtin::kInw:
+      case Builtin::kInl:
       case Builtin::kOutb:
-        io_.io_out(static_cast<uint32_t>(args[1].i),
-                   static_cast<uint32_t>(args[0].i) & 0xff, 8);
-        poll_irqs();
-        return Value::integer(0);
       case Builtin::kOutw:
-        io_.io_out(static_cast<uint32_t>(args[1].i),
-                   static_cast<uint32_t>(args[0].i) & 0xffff, 16);
-        poll_irqs();
-        return Value::integer(0);
       case Builtin::kOutl:
-        io_.io_out(static_cast<uint32_t>(args[1].i),
-                   static_cast<uint32_t>(args[0].i), 32);
-        poll_irqs();
-        return Value::integer(0);
+        break;  // try_io_builtin runs every port call
       case Builtin::kPanic: {
         bool devil = support::starts_with(args[0].s, "Devil assertion");
         std::string msg = args[0].s + " (line " + std::to_string(e.loc.line) +
@@ -859,8 +740,6 @@ class Machine {
   /// FunctionDecl::frame_slots. Slot addresses stay stable across nested
   /// calls because moving an inner vector keeps its heap buffer.
   std::vector<std::vector<Slot>> frames_;
-  /// Retired frame vectors, kept to recycle their buffers.
-  std::vector<std::vector<Slot>> frame_pool_;
   /// Value carried by an in-flight Flow::kReturn.
   Value return_value_;
   int depth_ = 0;

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <set>
+#include <string_view>
+#include <utility>
 
 namespace mutation {
 
@@ -410,11 +412,6 @@ IdentifierClasses classes_for_c_driver(const std::string& source) {
 IdentifierClasses classes_for_cdevil_driver(const std::string& stubs,
                                             const std::string& driver) {
   IdentifierClasses classes;
-  // Devil stub functions, one class per semantic role (§3.3).
-  for (const auto& n : idents_after(stubs, "static inline")) {
-    // The identifier after the return type; handled below via get_/set_.
-    (void)n;
-  }
   for (const auto& n : idents_after(stubs, "struct ")) {
     if (n.size() > 2 && n.rfind("_t") == n.size() - 2) classes.add(n, "type");
   }
@@ -424,9 +421,6 @@ IdentifierClasses classes_for_cdevil_driver(const std::string& stubs,
     } else {
       classes.add(n, "value");  // production-mode enum value macros
     }
-  }
-  for (const auto& n : idents_after(stubs, "const ")) {
-    (void)n;  // the type name; the value name is found below
   }
   // Debug-mode value constants: `const <T> NAME = {...}`.
   {
@@ -442,44 +436,19 @@ IdentifierClasses classes_for_cdevil_driver(const std::string& stubs,
       if (!name.empty()) classes.add(name, "value");
     }
   }
-  // Stub entry points.
-  for (const auto& n : idents_after(stubs, "inline ")) (void)n;
-  {
+  // Stub entry points, one class per semantic role (§3.3). A prefix inside
+  // a longer identifier (devil_raw_get_...) is not one.
+  constexpr std::pair<std::string_view, const char*> kRoles[] = {
+      {"get_", "get"}, {"set_", "set"}, {"mk_", "mk"}};
+  for (const auto& [prefix, role] : kRoles) {
     size_t pos = 0;
-    while ((pos = stubs.find("get_", pos)) != std::string::npos) {
-      if (pos > 0 && is_ident_char(stubs[pos - 1])) {  // devil_raw_get_...
-        pos += 4;
-        continue;
+    while ((pos = stubs.find(prefix, pos)) != std::string::npos) {
+      size_t end = pos + prefix.size();
+      if (pos == 0 || !is_ident_char(stubs[pos - 1])) {
+        while (end < stubs.size() && is_ident_char(stubs[end])) ++end;
+        classes.add(stubs.substr(pos, end - pos), role);
       }
-      std::string name = "get_";
-      size_t p = pos + 4;
-      while (p < stubs.size() && is_ident_char(stubs[p])) name += stubs[p++];
-      classes.add(name, "get");
-      pos = p;
-    }
-    pos = 0;
-    while ((pos = stubs.find("set_", pos)) != std::string::npos) {
-      if (pos > 0 && is_ident_char(stubs[pos - 1])) {
-        pos += 4;
-        continue;
-      }
-      std::string name = "set_";
-      size_t p = pos + 4;
-      while (p < stubs.size() && is_ident_char(stubs[p])) name += stubs[p++];
-      classes.add(name, "set");
-      pos = p;
-    }
-    pos = 0;
-    while ((pos = stubs.find("mk_", pos)) != std::string::npos) {
-      if (pos > 0 && is_ident_char(stubs[pos - 1])) {
-        pos += 3;
-        continue;
-      }
-      std::string name = "mk_";
-      size_t p = pos + 3;
-      while (p < stubs.size() && is_ident_char(stubs[p])) name += stubs[p++];
-      classes.add(name, "mk");
-      pos = p;
+      pos = end;
     }
   }
   // Everything else in the driver follows the general C rule: one class of

@@ -374,6 +374,62 @@ TEST(BytecodeVmDiff, FaultPaths) {
               "udelay exhaustion");
 }
 
+/// The first call to `name` in `e` or `s`, or null.
+minic::Expr* find_call(minic::Expr& e, const std::string& name) {
+  if (e.kind == minic::ExprKind::kCall && e.text == name) return &e;
+  for (auto& sub : e.sub) {
+    if (minic::Expr* hit = find_call(*sub, name)) return hit;
+  }
+  return nullptr;
+}
+minic::Expr* find_call(minic::Stmt& s, const std::string& name) {
+  for (auto& e : s.expr) {
+    if (minic::Expr* hit = find_call(*e, name)) return hit;
+  }
+  for (auto& child : s.body) {
+    if (minic::Expr* hit = child ? find_call(*child, name) : nullptr) {
+      return hit;
+    }
+  }
+  return nullptr;
+}
+
+TEST(BytecodeVmDiff, UnresolvedCallFaultsIdentically) {
+  // A call the type checker left unannotated faults kInternal on both
+  // engines once its node is charged, before any argument runs: the VM
+  // lowers it to kUnreachable, and the walker does not look the name up.
+  auto prog = minic::compile("t.c", R"(
+int g(int v) { return v + 1; }
+int f() {
+  int x;
+  x = 2;
+  outb(x, 0x80);
+  x = x + g(x * 3);
+  outb(x, 0x81);
+  return x;
+}
+)");
+  ASSERT_TRUE(prog.ok()) << prog.diags.render();
+  minic::Expr* call = find_call(*prog.unit->functions[1].body, "g");
+  ASSERT_NE(call, nullptr);
+  call->callee_index = -1;
+  for (uint64_t budget = 0; budget <= 40; ++budget) {
+    const std::string label = "budget=" + std::to_string(budget);
+    FakeIo io_w, io_v;
+    auto walker = minic::run_unit(*prog.unit, io_w, "f", budget,
+                                  minic::ExecEngine::kTreeWalker);
+    auto vm = minic::run_unit(*prog.unit, io_v, "f", budget,
+                              minic::ExecEngine::kBytecodeVm);
+    expect_same_outcome(walker, vm, label);
+    EXPECT_EQ(io_w.writes, io_v.writes) << label;
+    if (budget == 40) {
+      EXPECT_EQ(walker.fault, minic::FaultKind::kInternal);
+      EXPECT_EQ(walker.fault_message, "unresolved call to g");
+      EXPECT_EQ(io_w.writes.size(), 1u);
+    }
+  }
+}
+
 TEST(BytecodeVmDiff, DevilDebugStructSemantics) {
   // Cross-type dil_eq through the generated stubs: the type-tag assertion
   // must fire identically (message includes the call line).

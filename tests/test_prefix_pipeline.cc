@@ -276,8 +276,9 @@ TEST(PrefixPipeline, NonSelfContainedPrefixHasNoCache) {
 }
 
 // ---------------------------------------------------------------------------
-// Widened superinstructions: dense budget sweeps pin the charge model of
-// the fused compare+branch and call+ret forms against the walker.
+// Superinstructions: dense budget sweeps pin the charge model of the fused
+// compare+branch and call+ret forms, and of the plain paths beside them,
+// against the walker.
 // ---------------------------------------------------------------------------
 
 class FakeIo : public minic::IoEnvironment {
@@ -332,7 +333,7 @@ int f() {
   if (n == stat) { n = n + 7; }     /* kBinJump via kBinImm? reg==reg */
   if (n < stat) { n = n + 9; }      /* relational */
   if (n == big) { n = 0; }          /* literal too big? still kBinImm path */
-  if (dil_eq(n, 3)) { n = n + 1; }  /* kDilEqIntJump */
+  if (dil_eq(n, 3)) { n = n + 1; }  /* kDilEqInt, then kJumpIfZero */
   for (stat = 0; stat != 4; stat = stat + 1) { n = n + stat; }
   return n;
 }
@@ -375,6 +376,8 @@ TEST(Superinstructions, DilEqStructBranch) {
 }
 
 TEST(Superinstructions, LeafCallShapes) {
+  // Only poke() fuses (kCallOutConst); the `{ return v; }` and
+  // `{ return K; }` leaves are plain calls.
   sweep_source(R"(
 int mk_ident(int v) { return v; }
 u8 mk_narrow(u8 v) { return v; }
@@ -386,7 +389,7 @@ int f() {
   acc = 0;
   for (i = 0; i < 5; i++) {
     acc = acc + mk_ident(i * 3);
-    acc = acc + mk_narrow(acc);     /* coercion preserved through fusion */
+    acc = acc + mk_narrow(acc);     /* the u8 parameter narrows */
   }
   acc = acc + magic();
   poke();
@@ -397,26 +400,33 @@ int f() {
 }
 
 TEST(Superinstructions, LeafCallDepthOverflow) {
-  // The fused call skips the frame but must still report stack overflow
-  // with the callee's name at exactly the walker's depth.
-  for (int depth = 120; depth <= 135; ++depth) {
-    std::string src = R"(
+  // A leaf call past the depth limit must report stack overflow with the
+  // callee's name at exactly the walker's depth, whether it pushes a frame
+  // (`{ return v; }`) or runs fused without one (kCallOutConst).
+  for (const std::string leaf_call :
+       {"return leaf(5);", "poke(); return 5;"}) {
+    for (int depth = 120; depth <= 135; ++depth) {
+      std::string src = R"(
 int leaf(int v) { return v; }
+void poke() { outb(0xAB, 0x80); }
 int f(int n) {
   if (n > 0) { return f(n - 1); }
-  return leaf(5);
+  )" + leaf_call + R"(
 }
 int main_entry() { return f()" +
-                      std::to_string(depth) + R"(); }
+                        std::to_string(depth) + R"(); }
 )";
-    auto prog = minic::compile("t.c", src);
-    ASSERT_TRUE(prog.ok()) << prog.diags.render();
-    FakeIo io_w, io_v;
-    auto walker = minic::run_unit(*prog.unit, io_w, "main_entry", 100'000,
-                                  minic::ExecEngine::kTreeWalker);
-    auto vm = minic::run_unit(*prog.unit, io_v, "main_entry", 100'000,
-                              minic::ExecEngine::kBytecodeVm);
-    expect_same_outcome(walker, vm, "depth=" + std::to_string(depth));
+      auto prog = minic::compile("t.c", src);
+      ASSERT_TRUE(prog.ok()) << prog.diags.render();
+      FakeIo io_w, io_v;
+      auto walker = minic::run_unit(*prog.unit, io_w, "main_entry", 100'000,
+                                    minic::ExecEngine::kTreeWalker);
+      auto vm = minic::run_unit(*prog.unit, io_v, "main_entry", 100'000,
+                                minic::ExecEngine::kBytecodeVm);
+      const std::string label = leaf_call + " depth=" + std::to_string(depth);
+      expect_same_outcome(walker, vm, label);
+      EXPECT_EQ(io_w.writes, io_v.writes) << label;
+    }
   }
 }
 
